@@ -1,16 +1,25 @@
 """Proximal quasi-Newton solver for min f(x) + g(x).
 
 The smooth part f supplies value/gradient; g is a quadratic-support
-function whose scaled prox is evaluated through the interior-point method.
-The metric is a limited-memory BFGS approximation in compact form,
+function.  The metric is a limited-memory BFGS approximation in compact form,
 
     B = theta*I - [theta*S, Y] M^{-1} [theta*S, Y]^T,
     M = [[theta*S^T S, L], [L^T, -D]],
 
 kept as a diagonal-plus-low-rank pair so that W = (B + rho*I)^{-1} is one
 Woodbury inversion.  Globalization adds the shift rho on sufficient-
-decrease failures (grow by 10) and halves it after accepted steps.  Inner
-prox tolerances follow an inexactness rule proportional to the
+decrease failures (grow by 10) and halves it after accepted steps.
+
+Where the prox runs: while the memory holds no curvature pairs (mem 0,
+or before the first accepted pair) H is the scaled identity
+(1/sigma + rho)*I, and a g whose prox kind is closed (``l1``,
+``group_l2``, ``l1_ball``, ``orthant_dist``, path ``tv1d``; see
+``qscalc.CLOSED_KINDS``) takes the step in closed form at any shift.  The
+identity-metric residual check uses the same closed rules.  Every other
+step, and the residual check of a g without a closed kind, solves the
+scaled prox with the interior-point method (IPM).
+
+Inner prox tolerances follow an inexactness rule proportional to the
 prox-gradient residual; rejected trials first re-solve the prox at a
 tighter tolerance before touching the shift, since a loose prox solve can
 turn a genuine decrease into a measured ascent.  The decrease test itself
@@ -88,12 +97,19 @@ class PQNConfig:
     inner_first: float = 1e-8
     inner_max_iter: int = 100
     ref_tol: float = 1e-9
-    use_closed_baseline: bool = True
     callback: Optional[Callable] = None
 
 
 @dataclass
 class IterateLog:
+    """State at the start of an outer iteration.
+
+    ``inner_iterations``, ``step_norm`` and ``closed_step`` describe the
+    step that produced this iterate (0, 0.0 and False at iteration 0):
+    its IPM iterations summed over all trials, its length, and whether
+    every trial ran in closed form rather than through the IPM.
+    """
+
     iteration: int
     seconds: float
     objective: float
@@ -102,6 +118,7 @@ class IterateLog:
     shift: float
     step_norm: float
     x: np.ndarray = None
+    closed_step: bool = False
 
 
 @dataclass
@@ -299,11 +316,13 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     estimate = None
     pending_inner = 0
     pending_step = 0.0
+    pending_closed = False
 
     for it in range(cfg.max_iter + 1):
         r2, rinf, pmap = prox_gradient_residual(g, x, grad, cfg)
         entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
-                           pending_inner, mem.shift, pending_step, x.copy())
+                           pending_inner, mem.shift, pending_step, x.copy(),
+                           pending_closed)
         history.append(entry)
         if cfg.callback is not None:
             cfg.callback(entry)
@@ -333,11 +352,14 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         # the tolerance keyed to the observed step before the shift moves.
         accepted = False
         inner_spent = 0
+        all_closed = True
         trial_tol = inner_tol
         slack = cfg.noise_floor * (1.0 + abs(F)) if np.isfinite(F) else 0.0
         while True:
-            x_new, inner_iters = _step(problem, g, x, grad, mem, cfg, trial_tol)
+            x_new, inner_iters, closed = _step(problem, g, x, grad, mem, cfg,
+                                               trial_tol)
             inner_spent += inner_iters
+            all_closed = all_closed and closed
             F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
             dx2 = float((x_new - x) @ (x_new - x))
             if F_new <= F - cfg.accept_coeff * dx2 + slack:
@@ -363,6 +385,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         r2_prev = r2
         pending_inner = inner_spent
         pending_step = float(np.sqrt(dx2))
+        pending_closed = all_closed
         x, F, grad = x_new, F_new, grad_new
 
     return PQNResult(
@@ -378,16 +401,17 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
 def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, inner_tol):
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
-    With empty memory, zero shift, and a closed-form prox kind, the step
-    reduces to a proximal-gradient update with step size sigma and is taken
-    directly.
+    With empty memory H is c*I with c = 1/sigma + shift, and a closed prox
+    kind gives the exact step prox_{g/c}(x - grad/c) directly, at any
+    shift.  Otherwise the scaled prox is solved by the IPM to
+    ``inner_tol``.  Returns (x+, IPM iterations, whether it was closed).
     """
-    if (cfg.use_closed_baseline and not mem.pairs and mem.shift == 0.0
-            and g.prox_kind is not None and g.prox_kind.closed):
-        sigma = mem.sigma
-        z = x - sigma * grad
-        return proxeval.unscaled_prox(g.prox_kind.scaled(sigma), z), 0
+    if not mem.pairs and g.prox_kind is not None and g.prox_kind.closed:
+        # 1/c, written so that it is exactly sigma at zero shift
+        t = mem.sigma / (1.0 + mem.sigma * mem.shift)
+        x_new = proxeval.unscaled_prox(g.prox_kind.scaled(t), x - t * grad)
+        return x_new, 0, True
     H = mem.metric(x.size)
     z = x - H.solve(grad)
     pres = proxeval.prox(g, H, z, tol=inner_tol, max_iter=cfg.inner_max_iter)
-    return pres.x, pres.iterations
+    return pres.x, pres.iterations, False

@@ -120,7 +120,7 @@ def _subgradient(kind: qscalc.ProxKind, xstar: np.ndarray) -> np.ndarray:
                 v[off:off + ni] = w * xstar[off:off + ni] / nb
             off += ni
         return v
-    if kind.kind == "tv1d":
+    if kind.kind in ("tv1d", "graph_l1"):
         return w * (kind.N.T @ np.sign(kind.N @ xstar))
     raise ValueError(f"no subgradient rule for kind {kind.kind!r}")
 

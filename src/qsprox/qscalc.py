@@ -35,12 +35,19 @@ class EvaluationError(RuntimeError):
     """Raised when the conic evaluation of g(x) fails to converge."""
 
 
+# prox kinds with an exact rule in ``proxeval.unscaled_prox``
+CLOSED_KINDS = ("l1", "group_l2", "l1_ball", "orthant_dist", "tv1d")
+
+
 @dataclass(eq=False)
 class ProxKind:
-    """Tag describing a separable prox rule available in closed form.
+    """Tag describing the structure of g's prox.
 
-    ``tv1d`` carries the difference map N for residual computations but has
-    no closed-form prox.
+    The kinds in ``CLOSED_KINDS`` have an exact prox in the identity
+    metric (``proxeval.unscaled_prox``); ``tv1d`` is w * ||N x||_1 with N
+    the first-difference map of a path.  ``graph_l1`` is w * ||N x||_1 on
+    any other graph: it has no closed rule and carries N only for
+    subgradients.
     """
 
     kind: str
@@ -50,7 +57,7 @@ class ProxKind:
 
     @property
     def closed(self) -> bool:
-        return self.kind != "tv1d"
+        return self.kind in CLOSED_KINDS
 
     def scaled(self, alpha: float) -> "ProxKind":
         return ProxKind(self.kind, self.weight * alpha, self.sizes, self.N)
@@ -96,9 +103,6 @@ class QSFunction:
     def dual_dim(self) -> int:
         return self.B.shape[0]
 
-    def value(self, x, **kwargs) -> float:
-        return evaluate(self, x, **kwargs)
-
 
 def _eye(n):
     return sp.identity(n, format="csr")
@@ -114,6 +118,24 @@ def path_difference_matrix(n: int) -> sp.csr_matrix:
     cols[1::2] = np.arange(1, n)
     data = np.tile([1.0, -1.0], n - 1)
     return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
+
+
+def _is_path_difference(N) -> bool:
+    """True if row i of N is +-(e_i - e_{i+1}) for i = 0..n-2."""
+    m, n = N.shape
+    if n < 2 or m != n - 1:
+        return False
+    N = sp.csr_matrix(N, dtype=float, copy=True)
+    N.sum_duplicates()
+    N.eliminate_zeros()
+    if not np.array_equal(N.indptr, np.arange(0, 2 * m + 1, 2)):
+        return False
+    cols = N.indices.reshape(m, 2)
+    vals = N.data.reshape(m, 2)
+    return bool(np.array_equal(cols[:, 0], np.arange(m))
+                and np.array_equal(cols[:, 1], np.arange(1, n))
+                and np.all(np.abs(vals[:, 0]) == 1.0)
+                and np.all(vals[:, 1] == -vals[:, 0]))
 
 
 def incidence_matrix(edges, n: int) -> sp.csr_matrix:
@@ -249,16 +271,21 @@ def build_orthant_distance(n: int) -> QSFunction:
 
 
 def build_graph_l1(N) -> QSFunction:
-    """g(x) = ||N x||_1 for a sparse difference map N (anisotropic TV)."""
+    """g(x) = ||N x||_1 for a sparse difference map N (anisotropic TV).
+
+    The prox kind is ``tv1d`` (closed form) when N is a path difference
+    map and ``graph_l1`` otherwise.
+    """
     N = sp.csr_matrix(N, dtype=float)
     m = N.shape[0]
+    kind = "tv1d" if _is_path_difference(N) else "graph_l1"
     A = sp.kron(_eye(m), sp.csr_matrix(np.array([[1.0], [-1.0]])), format="csr")
     return QSFunction(
         A=A, b=-np.ones(2 * m), d=np.zeros(m), B=N,
         K=cones.product(cones.orthant(2 * m)),
         strategy=linops.GRAPH_TRIDIAG,
         closed_form=lambda x: float(np.sum(np.abs(N @ x))),
-        prox_kind=ProxKind("tv1d", N=N),
+        prox_kind=ProxKind(kind, N=N),
         name="graph_l1",
     )
 

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from qsprox import linops, pqn, problems, proxeval, qscalc
 from qsprox.qscalc import ProxKind, QSFunction
+from conftest import catalog
 
 
 def zero_g(n):
@@ -179,6 +180,70 @@ def test_zero_memory_equals_proximal_gradient():
     assert res.iterations == 50
 
 
+def test_shifted_zero_memory_steps_stay_closed(monkeypatch):
+    """mem 0 from an overlong first step: the shift goes positive, and
+    every trial still runs in closed form in (1/sigma + shift) I."""
+    calls = []
+    real_prox = proxeval.prox
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return real_prox(*args, **kw)
+
+    monkeypatch.setattr(pqn.proxeval, "prox", spy)
+    rng = np.random.default_rng(80)
+    n = 12
+    prob, _ = quadratic_problem(rng, n, cond=10.0)
+    for g in (qscalc.build_l1(n),
+              qscalc.build_graph_l1(qscalc.path_difference_matrix(n))):
+        cfg = pqn.PQNConfig(mem=0, sigma0=10.0, tol=1e-8)
+        res = pqn.solve(prob, g, np.zeros(n), cfg)
+        assert res.status == pqn.OPTIMAL
+        assert max(e.shift for e in res.history) > 0.0
+        assert not res.history[0].closed_step
+        assert all(e.closed_step for e in res.history[1:])
+    assert calls == []
+    # with memory only the first step, taken before any pair, is closed
+    res = pqn.solve(prob, qscalc.build_l1(n), np.zeros(n),
+                    pqn.PQNConfig(mem=5, tol=1e-8))
+    assert calls
+    assert [e.closed_step for e in res.history[:3]] == [False, True, False]
+    assert not any(e.closed_step for e in res.history[2:])
+
+
+def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
+    """With empty memory and any shift the closed step equals the IPM prox
+    in H = (1/sigma + shift) I, and its prox objective is never worse."""
+    rng = np.random.default_rng(81)
+    n = 6
+    for name, g in catalog(n):
+        if g.prox_kind is None or not g.prox_kind.closed:
+            continue
+        # the one-sided norm's IPM point carries a primal error of about
+        # sqrt(dual gap / c), ~2e-6 at the tightest tolerance that still
+        # ends optimal; the objective check below stays exact for it
+        atol = 1e-5 if name == "orthant_distance" else 1e-7
+        for shift in (0.0, 0.3, 25.0):
+            mem = pqn.LBFGSMemory(0, sigma0=rng.uniform(0.2, 2.0))
+            mem.shift = shift
+            x = rng.standard_normal(n)
+            grad = 2.0 * rng.standard_normal(n)
+            step, iters, closed = pqn._step(None, g, x, grad, mem,
+                                            pqn.PQNConfig(), 1e-8)
+            assert closed and iters == 0
+            c = 1.0 / mem.sigma + shift
+            z = x - grad / c
+            ref = proxeval.prox(g, linops.Metric.scaled_identity(c, n), z,
+                                tol=1e-10, max_iter=200)
+            assert ref.status == "optimal", name
+            np.testing.assert_allclose(step, ref.x, atol=atol, err_msg=name)
+
+            def objective(v):
+                return qscalc.evaluate(g, v) + 0.5 * c * float((v - z) @ (v - z))
+
+            assert objective(step) <= objective(ref.x) + 1e-12, name
+
+
 def test_quadratic_full_memory_converges_superlinearly():
     """Smooth quadratic with g == 0 and full memory: without a line search
     there is no finite termination, but the method still reaches 1e-10
@@ -215,7 +280,8 @@ def test_inner_tolerance_rule(monkeypatch):
     rng = np.random.default_rng(76)
     n = 8
     prob, _ = quadratic_problem(rng, n, cond=5.0)
-    g = qscalc.build_graph_l1(qscalc.path_difference_matrix(n))
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    g = qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, n))
     cfg = pqn.PQNConfig(mem=5, kappa=0.1, tol=1e-6, max_iter=6)
     res = pqn.solve(prob, g, np.zeros(n), cfg)
 

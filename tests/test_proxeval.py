@@ -47,8 +47,72 @@ def test_unscaled_prox_kinds():
     z2 = np.array([-2.0, 3.0])
     np.testing.assert_allclose(
         proxeval.unscaled_prox(ProxKind("orthant_dist"), z2), [-2.0, 2.0])
+    # path TV with w = 1: the outer samples move 1 toward the middle one
+    np.testing.assert_allclose(
+        proxeval.unscaled_prox(ProxKind("tv1d", N=qscalc.path_difference_matrix(3)),
+                               np.array([3.0, 0.0, -3.0])),
+        [2.0, 0.0, -2.0])
+    cycle = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 0)], 3)
+    g = qscalc.build_graph_l1(cycle)
+    assert g.prox_kind.kind == "graph_l1" and not g.prox_kind.closed
     with pytest.raises(proxeval.ClosedFormUnavailable):
-        proxeval.unscaled_prox(ProxKind("tv1d", N=qscalc.path_difference_matrix(3)), z)
+        proxeval.unscaled_prox(g.prox_kind, np.array([3.0, 0.0, -3.0]))
+
+
+def tv_inputs(seed):
+    """Seeded (z, w) pairs for the path-TV prox, n in [2, 60]: noisy and
+    near piecewise-constant inputs, each also with w = 0 and with a w
+    large enough that the prox is the mean."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for trial in range(40):
+        n = int(rng.integers(2, 61))
+        if trial % 2:
+            z = 2.0 * rng.standard_normal(n)
+        else:
+            levels = 2.0 * rng.standard_normal(int(rng.integers(1, 5)))
+            z = np.repeat(levels, -(-n // levels.size))[:n]
+            z += 1e-3 * rng.standard_normal(n)
+        mean_w = float(np.max(np.abs(np.cumsum(z - z.mean())))) + 0.1
+        for w in (rng.uniform(0.01, 1.5), 0.0, mean_w):
+            cases.append((z, float(w)))
+    return cases
+
+
+def tv_objective(z, w, x):
+    return 0.5 * float((x - z) @ (x - z)) + w * float(np.sum(np.abs(np.diff(x))))
+
+
+def test_tv1d_prox_matches_ipm_prox():
+    for z, w in tv_inputs(64):
+        x = proxeval.tv1d_prox(z, w)
+        if w == 0.0:
+            np.testing.assert_array_equal(x, z)
+            continue
+        if w > float(np.max(np.abs(np.cumsum(z - z.mean())))):
+            np.testing.assert_allclose(x, np.full(z.size, z.mean()), atol=1e-12)
+        g = qscalc.scale(qscalc.build_graph_l1(qscalc.path_difference_matrix(z.size)), w)
+        ref = proxeval.prox(g, linops.Metric.identity(z.size), z, tol=1e-12,
+                            max_iter=200)
+        assert ref.status == "optimal"
+        np.testing.assert_allclose(x, ref.x, atol=1e-9)
+        # exact, so never worse than the IPM point
+        assert tv_objective(z, w, x) <= tv_objective(z, w, ref.x) + 1e-12
+
+
+def test_tv1d_prox_kkt_certificate():
+    """u = cumsum(z - x) solves the dual: x = z - D^T u, |u_i| <= w, and
+    u_i = w sign(x_i - x_{i+1}) wherever x jumps."""
+    for z, w in tv_inputs(65):
+        x = proxeval.tv1d_prox(z, w)
+        eps = 1e-12 * (1.0 + float(np.max(np.abs(z))))
+        u = np.cumsum(z - x)
+        assert abs(u[-1]) <= eps
+        u = u[:-1]
+        assert np.all(np.abs(u) <= w + eps)
+        jumps = x[:-1] - x[1:]
+        cut = np.abs(jumps) > eps
+        np.testing.assert_allclose(u[cut], w * np.sign(jumps[cut]), atol=eps)
 
 
 def test_prox_l1_identity_metric():

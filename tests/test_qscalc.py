@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qsprox import cones, linops, proxeval, qscalc
 from conftest import catalog, random_diag_metric
@@ -271,6 +272,23 @@ def test_qs_spec_tv_and_graph():
     h = qscalc.parse_qs_spec(json.dumps(spec))
     assert qscalc.evaluate(h, [1.0, 2.0, 4.0]) == pytest.approx(1 + 2 + 3)
     assert qscalc.format_qs_spec(h) == qscalc.format_qs_spec(spec)
+
+
+def test_graph_l1_prox_kind_follows_the_shape_of_n():
+    """Only a path difference map (any row signs) gets the closed tv1d
+    kind; every other graph keeps N under the non-closed graph_l1 kind."""
+    D = qscalc.path_difference_matrix(5)
+    flipped = sp.diags([1.0, -1.0, -1.0, 1.0]) @ D
+    path_edges = qscalc.incidence_matrix([(1, 0), (1, 2), (3, 2), (3, 4)], 5)
+    for N in (D, flipped, path_edges):
+        kind = qscalc.build_graph_l1(N).prox_kind
+        assert kind.kind == "tv1d" and kind.closed
+    cycle = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5)
+    reordered = D[[1, 0, 2, 3]]
+    for N in (cycle, reordered, 2.0 * D, D[:3]):
+        kind = qscalc.build_graph_l1(N).prox_kind
+        assert kind.kind == "graph_l1" and not kind.closed
+        assert (kind.N != sp.csr_matrix(N)).nnz == 0
 
 
 def test_qs_spec_errors():
