@@ -82,7 +82,8 @@ def run_prox_timing(args):
                 dt = time.perf_counter() - t0
                 if res.status != "optimal":
                     print(f"warning: n={n} k={k} rep={rep} "
-                          f"ended with status {res.status}", file=sys.stderr)
+                          f"ended with status {res.status} ({res.reason})",
+                          file=sys.stderr)
                 rows.append([n, k, rep, repr(dt), res.iterations])
     _write_csv(args.out, PROX_HEADER, rows)
     return 0

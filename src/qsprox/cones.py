@@ -15,13 +15,28 @@ The scaling operator attached to an interior point u is
 
 and the Nesterov-Todd scaling point u of an interior pair (s, v) is the
 unique interior u with block(u) v = s.
+
+Layout.  A ConeProduct fixes once where each kind of block lives: all
+orthant coordinates as one slice (an index array only when the orthant
+blocks are not contiguous), and the second-order blocks grouped by
+dimension, a group of nblk blocks of dimension m being viewed as an
+(nblk, m) array (a reshaped slice when the group is contiguous, a gather
+otherwise).  Each primitive is then a few array operations per group with
+no loop over blocks, and an orthant-only product does only its
+elementwise work.  Since P(u)^2 = P(u^2), block(u) on a second-order block
+is the diagonal -det(w) J plus the rank-one 2 w w^T with w = u^2;
+``block_parts`` hands out that form for all blocks at once, and
+``block_columns`` spreads its rank-one parts into one sparse column per
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 ORTHANT = "orthant"
 SECOND_ORDER = "second_order"
@@ -53,8 +68,20 @@ def second_order(dim: int) -> Cone:
     return Cone(SECOND_ORDER, dim)
 
 
+def _selector(idx):
+    """A slice for an increasing run of consecutive indices, else idx."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
 class ConeProduct:
-    """Ordered product of cone blocks with precomputed slices."""
+    """Ordered product of cone blocks with precomputed slices and layout.
+
+    ``orth`` selects the orthant coordinates (None if there are none).
+    ``soc`` holds one (selector, (nblk, m)) pair per second-order
+    dimension, in order of first appearance.
+    """
 
     def __init__(self, blocks):
         blocks = tuple(blocks)
@@ -70,6 +97,17 @@ class ConeProduct:
         # Barrier degree: orthant blocks count one per coordinate, each
         # second-order block counts one regardless of its dimension.
         self.degree = sum(b.dim if b.kind == ORTHANT else 1 for b in blocks)
+
+        orth, starts = [], {}
+        for blk, sl in zip(blocks, self.slices):
+            if blk.kind == ORTHANT:
+                orth.append(np.arange(sl.start, sl.stop))
+            else:
+                starts.setdefault(blk.dim, []).append(sl.start)
+        self.orth = _selector(np.concatenate(orth)) if orth else None
+        self.soc = tuple(
+            (_selector((np.array(s)[:, None] + np.arange(m)).ravel()), (len(s), m))
+            for m, s in starts.items())
 
     def __repr__(self):
         parts = ", ".join(f"{b.kind}({b.dim})" for b in self.blocks)
@@ -99,37 +137,57 @@ def product(*cones_or_products) -> ConeProduct:
     return ConeProduct(blocks)
 
 
-# -- elementary per-block helpers (second-order algebra) --
+# -- second-order algebra on (nblk, m) arrays, one block per row --
 
-def _soc_gamma2(x):
-    return x[0] * x[0] - x[1:] @ x[1:]
-
-
-def _soc_quad_apply(x, w):
-    # P(x) w = 2 (x.w) x - (x^T J x) J w
-    g2 = _soc_gamma2(x)
-    jw = w.copy()
-    jw[1:] = -jw[1:]
-    return 2.0 * (x @ w) * x - g2 * jw
+def _groups(K, *xs):
+    """Per second-order group: its selector and each x viewed as (nblk, m)."""
+    for sel, shape in K.soc:
+        yield sel, [x[sel].reshape(shape) for x in xs]
 
 
-def _soc_inverse(x):
-    g2 = _soc_gamma2(x)
-    if g2 <= 0.0 or x[0] <= 0.0:
+def _dot(X, Y):
+    # Row-wise dot products as a stack of BLAS dots: the same sums, to the
+    # bit, as x @ y on each block.
+    return np.matmul(X[:, None, :], Y[:, :, None])[:, 0, 0]
+
+
+@lru_cache(maxsize=None)
+def _jdiag(m):
+    """The diagonal (1, -1, ..., -1) of J, read-only."""
+    j = -np.ones(m)
+    j[0] = 1.0
+    j.flags.writeable = False
+    return j
+
+
+def _J(X):
+    return X * _jdiag(X.shape[1])
+
+
+def _gamma2(X):
+    return X[:, 0] * X[:, 0] - _dot(X[:, 1:], X[:, 1:])
+
+
+def _quad(X, g2, W):
+    # P(x) w = 2 (x.w) x - g2 J w, g2 = x^T J x
+    return (2.0 * _dot(X, W))[:, None] * X - g2[:, None] * _J(W)
+
+
+def _interior(X):
+    g2 = _gamma2(X)
+    if ((g2 <= 0.0) | (X[:, 0] <= 0.0)).any():
         raise ConeError("point not in the interior of the second-order cone")
-    out = x / g2
-    out[1:] = -out[1:]
-    return out
+    return g2
 
 
-def _soc_sqrt(x):
-    g2 = _soc_gamma2(x)
-    if g2 <= 0.0 or x[0] <= 0.0:
-        raise ConeError("point not in the interior of the second-order cone")
-    t = np.sqrt(0.5 * (x[0] + np.sqrt(g2)))
-    out = np.empty_like(x)
-    out[0] = t
-    out[1:] = x[1:] / (2.0 * t)
+def _inverse(X):
+    return _J(X) / _interior(X)[:, None]
+
+
+def _sqrt(X):
+    t = np.sqrt(0.5 * (X[:, 0] + np.sqrt(_interior(X))))
+    out = X / (2.0 * t)[:, None]
+    out[:, 0] = t
     return out
 
 
@@ -138,11 +196,12 @@ def _soc_sqrt(x):
 def identity_element(K: ConeProduct) -> np.ndarray:
     """Jordan identity: all-ones on orthant blocks, (1, 0, ..., 0) on SOC blocks."""
     e = np.zeros(K.total_dim)
-    for blk, sl in zip(K.blocks, K.slices):
-        if blk.kind == ORTHANT:
-            e[sl] = 1.0
-        else:
-            e[sl.start] = 1.0
+    if K.orth is not None:
+        e[K.orth] = 1.0
+    for sel, shape in K.soc:
+        head = np.zeros(shape)
+        head[:, 0] = 1.0
+        e[sel] = head.ravel()
     return e
 
 
@@ -153,16 +212,10 @@ def contains(K: ConeProduct, x, strict: bool = False, tol: float = 0.0) -> bool:
     absolute margin, so boundary points within tol resolve consistently.
     """
     x = K._check(x)
-    for blk, sl in zip(K.blocks, K.slices):
-        xb = x[sl]
-        if blk.kind == ORTHANT:
-            ok = np.all(xb > tol) if strict else np.all(xb >= -tol)
-        else:
-            margin = xb[0] - np.linalg.norm(xb[1:])
-            ok = margin > tol if strict else margin >= -tol
-        if not ok:
-            return False
-    return True
+    parts = [] if K.orth is None else [x[K.orth]]
+    for _, (X,) in _groups(K, x):
+        parts.append(X[:, 0] - np.sqrt(_dot(X[:, 1:], X[:, 1:])))
+    return all((p > tol).all() if strict else (p >= -tol).all() for p in parts)
 
 
 def jordan_product(K: ConeProduct, a, b) -> np.ndarray:
@@ -170,13 +223,13 @@ def jordan_product(K: ConeProduct, a, b) -> np.ndarray:
     a = K._check(a)
     b = K._check(b)
     out = np.empty_like(a)
-    for blk, sl in zip(K.blocks, K.slices):
-        ab, bb = a[sl], b[sl]
-        if blk.kind == ORTHANT:
-            out[sl] = ab * bb
-        else:
-            out[sl.start] = ab @ bb
-            out[sl.start + 1:sl.stop] = ab[0] * bb[1:] + bb[0] * ab[1:]
+    if K.orth is not None:
+        out[K.orth] = a[K.orth] * b[K.orth]
+    for sel, (Ab, Bb) in _groups(K, a, b):
+        blk = np.empty_like(Ab)
+        blk[:, 0] = _dot(Ab, Bb)
+        blk[:, 1:] = Ab[:, :1] * Bb[:, 1:] + Bb[:, :1] * Ab[:, 1:]
+        out[sel] = blk.ravel()
     return out
 
 
@@ -185,19 +238,34 @@ def jordan_solve(K: ConeProduct, lam, q) -> np.ndarray:
     lam = K._check(lam)
     q = K._check(q)
     out = np.empty_like(q)
-    for blk, sl in zip(K.blocks, K.slices):
-        lb, qb = lam[sl], q[sl]
-        if blk.kind == ORTHANT:
-            if np.any(lb == 0.0):
-                raise ConeError("singular orthant element in jordan_solve")
-            out[sl] = qb / lb
-        else:
-            g2 = _soc_gamma2(lb)
-            if g2 == 0.0 or lb[0] == 0.0:
-                raise ConeError("singular second-order element in jordan_solve")
-            y0 = (lb[0] * qb[0] - lb[1:] @ qb[1:]) / g2
-            out[sl.start] = y0
-            out[sl.start + 1:sl.stop] = (qb[1:] - y0 * lb[1:]) / lb[0]
+    if K.orth is not None:
+        lo = lam[K.orth]
+        if (lo == 0.0).any():
+            raise ConeError("singular orthant element in jordan_solve")
+        out[K.orth] = q[K.orth] / lo
+    for sel, (L, Q) in _groups(K, lam, q):
+        g2 = _gamma2(L)
+        if ((g2 == 0.0) | (L[:, 0] == 0.0)).any():
+            raise ConeError("singular second-order element in jordan_solve")
+        y0 = (L[:, 0] * Q[:, 0] - _dot(L[:, 1:], Q[:, 1:])) / g2
+        blk = np.empty_like(Q)
+        blk[:, 0] = y0
+        blk[:, 1:] = (Q[:, 1:] - y0[:, None] * L[:, 1:]) / L[:, :1]
+        out[sel] = blk.ravel()
+    return out
+
+
+def inverse(K: ConeProduct, u) -> np.ndarray:
+    """Jordan inverse of an interior u: 1/u on orthants, J u / (u^T J u) on SOC blocks."""
+    u = K._check(u)
+    out = np.empty_like(u)
+    if K.orth is not None:
+        uo = u[K.orth]
+        if (uo <= 0.0).any():
+            raise ConeError("inverse needs a strictly positive orthant part")
+        out[K.orth] = 1.0 / uo
+    for sel, (U,) in _groups(K, u):
+        out[sel] = _inverse(U).ravel()
     return out
 
 
@@ -206,12 +274,11 @@ def block_apply(K: ConeProduct, u, w) -> np.ndarray:
     u = K._check(u)
     w = K._check(w)
     out = np.empty_like(w)
-    for blk, sl in zip(K.blocks, K.slices):
-        ub, wb = u[sl], w[sl]
-        if blk.kind == ORTHANT:
-            out[sl] = ub * wb
-        else:
-            out[sl] = _soc_quad_apply(ub, _soc_quad_apply(ub, wb))
+    if K.orth is not None:
+        out[K.orth] = u[K.orth] * w[K.orth]
+    for sel, (U, W) in _groups(K, u, w):
+        g2 = _gamma2(U)
+        out[sel] = _quad(U, g2, _quad(U, g2, W)).ravel()
     return out
 
 
@@ -220,20 +287,52 @@ def block_solve(K: ConeProduct, u, q) -> np.ndarray:
     u = K._check(u)
     q = K._check(q)
     out = np.empty_like(q)
-    for blk, sl in zip(K.blocks, K.slices):
-        ub, qb = u[sl], q[sl]
-        if blk.kind == ORTHANT:
-            if np.any(ub <= 0.0):
-                raise ConeError("block_solve needs strictly positive orthant scaling")
-            out[sl] = qb / ub
-        else:
-            ui = _soc_inverse(ub)
-            out[sl] = _soc_quad_apply(ui, _soc_quad_apply(ui, qb))
+    if K.orth is not None:
+        uo = u[K.orth]
+        if (uo <= 0.0).any():
+            raise ConeError("block_solve needs strictly positive orthant scaling")
+        out[K.orth] = q[K.orth] / uo
+    for sel, (U, Q) in _groups(K, u, q):
+        ui = _inverse(U)
+        g2 = _gamma2(ui)
+        out[sel] = _quad(ui, g2, _quad(ui, g2, Q)).ravel()
     return out
 
 
+def block_parts(K: ConeProduct, u):
+    """block(u) = diag(d) + sum_j r_j r_j^T, r_j = r on the j-th SOC block.
+
+    On a second-order block, P(u)^2 = P(w) = 2 w w^T - det(w) J with
+    w = u^2 = (u^T u, 2 u0 ubar) and det(w) = (u^T J u)^2, so d is -det(w)
+    on the block's head and det(w) elsewhere, and r is sqrt(2) w there.
+    On orthant blocks d = u and r = 0.
+    """
+    u = K._check(u)
+    d = u.copy()
+    r = np.zeros_like(u)
+    for sel, (U,) in _groups(K, u):
+        det = _gamma2(U) ** 2
+        d[sel] = (-det[:, None] * _jdiag(U.shape[1])).ravel()
+        w = np.empty_like(U)
+        w[:, 0] = _dot(U, U)
+        w[:, 1:] = (2.0 * U[:, :1]) * U[:, 1:]
+        r[sel] = np.sqrt(2.0) * w.ravel()
+    return d, r
+
+
+def block_columns(K: ConeProduct, r) -> sp.csc_matrix:
+    """Sparse M x nblk matrix whose j-th column is r on the j-th SOC block
+    (blocks in the group order of ``K.soc``)."""
+    rows = [np.arange(K.total_dim)[sel] for sel, _ in K.soc]
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
+    shapes = np.array([shape for _, shape in K.soc], dtype=int).reshape(-1, 2)
+    dims = np.repeat(shapes[:, 1], shapes[:, 0])
+    ptr = np.concatenate(([0], np.cumsum(dims)))
+    return sp.csc_matrix((r[rows], rows, ptr), shape=(K.total_dim, dims.size))
+
+
 def block_dense(K: ConeProduct, u) -> np.ndarray:
-    """Dense matrix of block(u); intended for tests and dense fallbacks."""
+    """Dense matrix of block(u), block by block; the tests' oracle."""
     u = K._check(u)
     M = K.total_dim
     out = np.zeros((M, M))
@@ -264,27 +363,24 @@ def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
     s = K._check(s)
     v = K._check(v)
     u = np.empty_like(s)
-    for blk, sl in zip(K.blocks, K.slices):
-        sb, vb = s[sl], v[sl]
-        if blk.kind == ORTHANT:
-            if np.any(sb <= 0.0) or np.any(vb <= 0.0):
-                raise ConeError("nt_scaling needs strictly interior s and v")
-            u[sl] = sb / vb
-        else:
-            g2s = _soc_gamma2(sb)
-            g2v = _soc_gamma2(vb)
-            if g2s <= 0.0 or g2v <= 0.0 or sb[0] <= 0.0 or vb[0] <= 0.0:
-                raise ConeError("nt_scaling needs strictly interior s and v")
-            gs = np.sqrt(g2s)
-            gv = np.sqrt(g2v)
-            sn = sb / gs
-            vn = vb / gv
-            jvn = vn.copy()
-            jvn[1:] = -jvn[1:]
-            gamma = np.sqrt(0.5 * (1.0 + sn @ vn))
-            wbar = (sn + jvn) / (2.0 * gamma)
-            w = np.sqrt(gs / gv) * wbar
-            u[sl] = _soc_sqrt(w)
+    if K.orth is not None:
+        so, vo = s[K.orth], v[K.orth]
+        if (so <= 0.0).any() or (vo <= 0.0).any():
+            raise ConeError("nt_scaling needs strictly interior s and v")
+        u[K.orth] = so / vo
+    for sel, (S, V) in _groups(K, s, v):
+        g2s = _gamma2(S)
+        g2v = _gamma2(V)
+        if ((g2s <= 0.0) | (g2v <= 0.0) | (S[:, 0] <= 0.0) | (V[:, 0] <= 0.0)).any():
+            raise ConeError("nt_scaling needs strictly interior s and v")
+        gs = np.sqrt(g2s)
+        gv = np.sqrt(g2v)
+        sn = S / gs[:, None]
+        vn = V / gv[:, None]
+        gamma = np.sqrt(0.5 * (1.0 + _dot(sn, vn)))
+        wbar = (sn + _J(vn)) / (2.0 * gamma)[:, None]
+        w = np.sqrt(gs / gv)[:, None] * wbar
+        u[sel] = _sqrt(w).ravel()
     return u
 
 
@@ -293,12 +389,10 @@ def scaling_apply(K: ConeProduct, u, x) -> np.ndarray:
     u = K._check(u)
     x = K._check(x)
     out = np.empty_like(x)
-    for blk, sl in zip(K.blocks, K.slices):
-        ub, xb = u[sl], x[sl]
-        if blk.kind == ORTHANT:
-            out[sl] = np.sqrt(ub) * xb
-        else:
-            out[sl] = _soc_quad_apply(ub, xb)
+    if K.orth is not None:
+        out[K.orth] = np.sqrt(u[K.orth]) * x[K.orth]
+    for sel, (U, X) in _groups(K, u, x):
+        out[sel] = _quad(U, _gamma2(U), X).ravel()
     return out
 
 
@@ -307,12 +401,11 @@ def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
     u = K._check(u)
     x = K._check(x)
     out = np.empty_like(x)
-    for blk, sl in zip(K.blocks, K.slices):
-        ub, xb = u[sl], x[sl]
-        if blk.kind == ORTHANT:
-            out[sl] = xb / np.sqrt(ub)
-        else:
-            out[sl] = _soc_quad_apply(_soc_inverse(ub), xb)
+    if K.orth is not None:
+        out[K.orth] = x[K.orth] / np.sqrt(u[K.orth])
+    for sel, (U, X) in _groups(K, u, x):
+        ui = _inverse(U)
+        out[sel] = _quad(ui, _gamma2(ui), X).ravel()
     return out
 
 
@@ -325,29 +418,27 @@ def max_step(K: ConeProduct, x, dx, frac: float = 1.0) -> float:
     x = K._check(x)
     dx = K._check(dx)
     t = np.inf
-    for blk, sl in zip(K.blocks, K.slices):
-        xb, db = x[sl], dx[sl]
-        if blk.kind == ORTHANT:
-            neg = db < 0.0
-            if np.any(neg):
-                t = min(t, np.min(xb[neg] / -db[neg]))
-        else:
-            # gamma2(x + t dx) = a t^2 + 2 b t + c with c > 0 at an interior x;
-            # the first positive root is where the boundary is reached.
-            jd = db.copy()
-            jd[1:] = -jd[1:]
-            a = db @ jd
-            b = xb @ jd
-            c = _soc_gamma2(xb)
-            roots = []
-            if abs(a) > 1e-300:
-                disc = b * b - a * c
-                if disc >= 0.0:
-                    sq = np.sqrt(disc)
-                    roots = [(-b - sq) / a, (-b + sq) / a]
-            elif b < 0.0:
-                roots = [-c / (2.0 * b)]
-            pos = [r for r in roots if r > 0.0]
-            if pos:
-                t = min(t, min(pos))
+    if K.orth is not None:
+        xo, do = x[K.orth], dx[K.orth]
+        neg = do < 0.0
+        if neg.any():
+            t = min(t, (xo[neg] / -do[neg]).min())
+    for _, (X, D) in _groups(K, x, dx):
+        # gamma2(x + t dx) = a t^2 + 2 b t + c with c > 0 at an interior x;
+        # the first positive root is where the boundary is reached.
+        JD = _J(D)
+        a = _dot(D, JD)
+        b = _dot(X, JD)
+        c = _gamma2(X)
+        quad = np.abs(a) > 1e-300
+        disc = b * b - a * c
+        real = quad & (disc >= 0.0)
+        lin = ~quad & (b < 0.0)
+        sq = np.sqrt(disc[real])
+        ar, br = a[real], b[real]
+        roots = np.concatenate(((-br - sq) / ar, (-br + sq) / ar,
+                                -c[lin] / (2.0 * b[lin])))
+        pos = roots[roots > 0.0]
+        if pos.size:
+            t = min(t, pos.min())
     return min(1.0, frac * t)

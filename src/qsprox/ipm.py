@@ -77,6 +77,8 @@ class ConicQP:
 
 @dataclass
 class IPMResult:
+    """Final (or best) iterate; ``reason`` says why a non-optimal run stopped."""
+
     status: str
     y: np.ndarray
     v: np.ndarray
@@ -89,6 +91,7 @@ class IPMResult:
     norm_primal: float
     objective: float
     trace: List[TraceEntry] = field(default_factory=list)
+    reason: str = ""
 
 
 def residuals(qp: ConicQP, y, v, s):
@@ -154,6 +157,7 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
     best = (y.copy(), v.copy(), s.copy())
 
     status = ITERATION_LIMIT
+    reason = f"no convergence in {cfg.max_iter} iterations"
     it = 0
     for it in range(1, cfg.max_iter + 1):
         r_d, r_p = residuals(qp, y, v, s)
@@ -181,6 +185,7 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
         # the returned point.
         if best_score < 1e-6 and score > 100.0 * best_score:
             status = NUMERICAL
+            reason = "endgame regression: residuals rose 100x above their best"
             break
 
         infeas = max(rel_d, rel_p)
@@ -191,43 +196,47 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             stall += 1
         if stall >= cfg.plateau_window and float(np.max(np.abs(v))) > cfg.dual_blowup:
             status = INFEASIBLE
+            reason = "residual plateau with a diverging dual"
             break
         if float(np.max(np.abs(y)) if y.size else 0.0) > cfg.var_blowup:
             status = NUMERICAL
+            reason = "iterate diverged"
             break
 
         try:
             u = cones.nt_scaling(K, s, v)
             Lop = qp.lsolver(u)
-        except (cones.ConeError, linops.StructuredSolveError):
-            # The pair has reached the boundary up to roundoff (or the
-            # reduced system lost positive definiteness); no further
-            # progress is possible at this precision.
+            lam = cones.scaling_apply(K, u, v)
+
+            # Predictor: pure Newton step on the affine system; in scaled
+            # variables the complementarity right-hand side collapses to -s.
+            dy_a, dv_a, ds_a = newton_direction(qp, u, Lop, -r_d, -r_p, -s)
+            alpha_a = min(cones.max_step(K, s, ds_a, 1.0),
+                          cones.max_step(K, v, dv_a, 1.0))
+            gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
+            sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else cfg.sigma_min
+            sigma = float(np.clip(sigma, cfg.sigma_min, 1.0 - cfg.sigma_min))
+
+            # Corrector with the scaled second-order term
+            # eta = (W^{-1} ds_a) o (W dv_a).
+            eta = cones.jordan_product(K, cones.scaling_solve(K, u, ds_a),
+                                       cones.scaling_apply(K, u, dv_a))
+            dlam = sigma * mu * e - cones.jordan_product(K, lam, lam) - eta
+            t_mu = cones.scaling_apply(K, u, cones.jordan_solve(K, lam, dlam))
+            dy, dv, ds = newton_direction(qp, u, Lop, -r_d, -r_p, t_mu)
+        except (cones.ConeError, linops.StructuredSolveError) as exc:
+            # The pair has reached the boundary up to roundoff, or a
+            # reduced-system factorization or solve failed (or was
+            # refused); no further progress is possible at this precision.
             status = NUMERICAL
+            reason = f"{type(exc).__name__}: {exc}"
             break
-        lam = cones.scaling_apply(K, u, v)
-
-        # Predictor: pure Newton step on the affine system; in scaled
-        # variables the complementarity right-hand side collapses to -s.
-        dy_a, dv_a, ds_a = newton_direction(qp, u, Lop, -r_d, -r_p, -s)
-        alpha_a = min(cones.max_step(K, s, ds_a, 1.0),
-                      cones.max_step(K, v, dv_a, 1.0))
-        gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
-        sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else cfg.sigma_min
-        sigma = float(np.clip(sigma, cfg.sigma_min, 1.0 - cfg.sigma_min))
-
-        # Corrector with the scaled second-order term
-        # eta = (W^{-1} ds_a) o (W dv_a).
-        eta = cones.jordan_product(K, cones.scaling_solve(K, u, ds_a),
-                                   cones.scaling_apply(K, u, dv_a))
-        dlam = sigma * mu * e - cones.jordan_product(K, lam, lam) - eta
-        t_mu = cones.scaling_apply(K, u, cones.jordan_solve(K, lam, dlam))
-        dy, dv, ds = newton_direction(qp, u, Lop, -r_d, -r_p, t_mu)
 
         alpha = min(cones.max_step(K, s, ds, cfg.step_frac),
                     cones.max_step(K, v, dv, cfg.step_frac))
         if not np.isfinite(alpha) or alpha <= 1e-14:
             status = NUMERICAL
+            reason = f"step length {alpha:.3g} too small"
             break
 
         y = y + alpha * dy
@@ -256,4 +265,5 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
         norm_primal=np_,
         objective=obj,
         trace=trace,
+        reason="" if status == OPTIMAL else reason,
     )

@@ -11,6 +11,25 @@ on the quadratic-support function: diagonal, banded-plus-low-rank, pivoted
 block, per-cone-block low rank, per-coordinate separable, or a dense
 Cholesky fallback.
 
+Both the second-order path and the dense fallback start from the form
+block(u)^{-1} = block(u^{-1}) = diag(d) + R R^T of ``cones.block_parts``,
+R holding one column per second-order block (``cones.block_columns``), so
+
+    A^T block(u)^{-1} A = A^T diag(d) A + G G^T,   G = A^T R.
+
+On the ``soc_blocks`` path A^T diag(d) A is diagonal and the columns of G
+have disjoint supports, so each block of the core is diagonal plus rank
+one and is solved by its own Sherman-Morrison formula, all blocks at once
+in O(ell); the metric's low-rank part then enters through one Woodbury
+update (``low_rank_update_solve``).  The dense fallback assembles the same
+sum as sparse ell x ell products and densifies only the result for the
+Cholesky factorization.
+
+The metric term B H^{-1} B^T does not depend on u.  The operators built
+for one prox share its parts (the scaled triple of H^{-1}, and the dense
+matrix the fallback adds) through the memo that ``reduced_solver`` passes
+to ``build_L``, so each is formed once per prox, not once per iteration.
+
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7 is redone through the dense fallback and
 counted in the module diagnostics.
@@ -182,10 +201,6 @@ class Metric:
         return cls(1.0 / h)
 
     @classmethod
-    def from_inverse_parts(cls, d1, U1, M1):
-        return cls(d1, U1, M1)
-
-    @classmethod
     def from_direct_parts(cls, d, U=None, M=None):
         """Build from H = diag(d) + U M U^T (e.g. H = I + U U^T)."""
         t = swinv(d, U, M)
@@ -255,8 +270,23 @@ class LOperator:
     ell: int
 
 
-def _quad_inverse_parts(H: Optional[Metric], beta: Optional[np.ndarray], ell: int):
-    """Triple of Q = diag(beta) H^{-1} diag(beta) restricted to the top block."""
+def _memoized(memo, key, make):
+    """make(), kept in memo[key] when a memo is given."""
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _quad_inverse_parts(H: Optional[Metric], Bsq, ell: int, memo: Optional[dict] = None):
+    """Triple of Q = diag(beta) H^{-1} diag(beta) restricted to the top block,
+    beta the diagonal of the square sparse block Bsq (None: the identity)."""
+    return _memoized(memo, "quad", lambda: _quad_parts(
+        H, None if Bsq is None else _diag_of(Bsq), ell))
+
+
+def _quad_parts(H, beta, ell):
     if H is None:
         U, M = _empty_low_rank(ell)
         return np.zeros(ell), U, M
@@ -281,13 +311,41 @@ def _orthant_winv(g, u):
 
 
 def _sigma_diag(g, winv):
-    """Diagonal of A^T diag(winv) A for A with one nonzero per row."""
-    absA = g.strategy_aux.get("_absA")
-    if absA is None:
+    """Diagonal of A^T diag(winv) A."""
+    absAt = g.strategy_aux.get("_absAt")
+    if absAt is None:
         A = g.A
         absA = sp.csr_matrix((A.data * A.data, A.indices, A.indptr), shape=A.shape)
-        g.strategy_aux["_absA"] = absA
-    return absA.T @ winv
+        absAt = g.strategy_aux["_absAt"] = absA.T
+    return absAt @ winv
+
+
+def _transpose(g, name="A"):
+    """A^T (or B^T), cached per function.  The transpose of a CSR matrix
+    is a CSC view of the same arrays, so the cache costs no memory; it
+    saves rebuilding that view on every product."""
+    key = "_" + name + "t"
+    Mt = g.strategy_aux.get(key)
+    if Mt is None:
+        Mt = g.strategy_aux[key] = getattr(g, name).T
+    return Mt
+
+
+def _inverse_parts(g, u):
+    """block(u)^{-1} = block(u^{-1}) = diag(d) + sum_j r_j r_j^T."""
+    return cones.block_parts(g.K, cones.inverse(g.K, u))
+
+
+def _soc_dual_blocks(g):
+    """Starts and sizes of the SOC blocks' dual coordinates, cached.
+
+    On the ``soc_blocks`` layout block j (dimension m_j) owns the next
+    m_j - 1 dual coordinates, in block order."""
+    aux = g.strategy_aux.get("_soc_dual")
+    if aux is None:
+        sizes = np.array([b.dim - 1 for b in g.K.blocks])
+        aux = g.strategy_aux["_soc_dual"] = (np.cumsum(sizes) - sizes, sizes)
+    return aux
 
 
 def _is_orthant_only(K) -> bool:
@@ -347,21 +405,20 @@ def _validate_fresh(g, H) -> bool:
 
 # -- per-strategy solve factories --
 
-def _solve_l1_diag(g, H, u):
+def _solve_l1_diag(g, H, u, memo):
     winv = _orthant_winv(g, u)
     sig = _sigma_diag(g, winv)
-    beta = _diag_of(g.B)
-    qd, qU, qM = _quad_inverse_parts(H, None if beta is None else beta, g.A.shape[1])
+    qd, qU, qM = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
     triple = swinv(qd + sig, qU, qM)
     return triple.matvec
 
 
-def _solve_graph_tridiag(g, H, u):
+def _solve_graph_tridiag(g, H, u, memo):
     winv = _orthant_winv(g, u)
     sig = _sigma_diag(g, winv)
     N = g.B.tocsr()
     m = N.shape[0]
-    d1, U1, M1 = _quad_inverse_parts(H, None, N.shape[1])
+    d1, U1, M1 = _quad_inverse_parts(H, None, N.shape[1], memo)
     T = (N @ sp.diags(d1) @ N.T).tocsr() if H is not None else sp.csr_matrix((m, m))
     T = T + sp.diags(sig)
     coo = T.tocoo()
@@ -378,7 +435,7 @@ def _solve_graph_tridiag(g, H, u):
     return low_rank_update_solve(base_solve, N @ U1, M1)
 
 
-def _solve_ball_pivot(g, H, u):
+def _solve_ball_pivot(g, H, u, memo):
     ell = g.A.shape[1]
     n = ell - 1
     winv = _orthant_winv(g, u)
@@ -387,8 +444,7 @@ def _solve_ball_pivot(g, H, u):
     sig = w1 + w2
     mvec = w2 - w1
     phi0 = float(np.sum(sig))
-    beta = _diag_of(g.B.tocsr()[:n, :])
-    qd, qU, qM = _quad_inverse_parts(H, beta, n)
+    qd, qU, qM = _quad_inverse_parts(H, g.B.tocsr()[:n, :], n, memo)
     triple = swinv(qd + sig, qU, qM)
     c1 = triple.matvec(mvec)
     schur = phi0 - mvec @ c1
@@ -404,34 +460,31 @@ def _solve_ball_pivot(g, H, u):
     return solve
 
 
-def _solve_soc_blocks(g, H, u):
-    K = g.K
+def _solve_soc_blocks(g, H, u, memo):
+    # Block j of the core is diag(D) + g_j g_j^T with g_j = A^T r_j, which
+    # lives on the block's own dual coordinates; gv holds all g_j at once.
     ell = g.A.shape[1]
-    beta = _diag_of(g.B)
-    qd, qU, qM = _quad_inverse_parts(H, beta, ell)
-    nblk = len(K.blocks)
-    alpha = np.empty(ell)
-    V = np.zeros((ell, nblk))
-    off = 0
-    for i, (blk, sl) in enumerate(zip(K.blocks, K.slices)):
-        m = blk.dim - 1
-        ub = u[sl]
-        ui = cones._soc_inverse(ub)
-        g2 = ui[0] * ui[0] - ui[1:] @ ui[1:]
-        alpha[off:off + m] = g2 * g2
-        V[off:off + m, i] = np.sqrt(8.0) * ui[0] * ui[1:]
-        off += m
-    k = qU.shape[1]
-    U = np.concatenate([V, qU], axis=1)
-    M = np.zeros((nblk + k, nblk + k))
-    M[:nblk, :nblk] = np.eye(nblk)
-    if k:
-        M[nblk:, nblk:] = qM
-    triple = swinv(qd + alpha, U, M)
-    return triple.matvec
+    starts, sizes = _soc_dual_blocks(g)
+    qd, qU, qM = _quad_inverse_parts(H, g.B, ell, memo)
+    d, r = _inverse_parts(g, u)
+    D = qd + _sigma_diag(g, d)
+    if not (D > 0.0).all():
+        raise StructuredSolveError("nonpositive diagonal in the second-order core")
+    gv = _transpose(g) @ r
+    Dg = gv / D
+    cap = 1.0 + np.add.reduceat(gv * Dg, starts)
+
+    def solve_d(q):
+        # Columns of a block right-hand side become rows, so that every
+        # product runs along the long axis.
+        t = np.ascontiguousarray(q.T) / D
+        coef = np.add.reduceat(gv * t, starts, axis=-1) / cap
+        return (t - Dg * np.repeat(coef, sizes, axis=-1)).T
+
+    return low_rank_update_solve(solve_d, qU, qM)
 
 
-def _solve_separable(g, H, u):
+def _solve_separable(g, H, u, memo):
     aux = g.strategy_aux
     A_g = aux["A_g"]
     B_g = aux["B_g"]
@@ -456,30 +509,31 @@ def _solve_separable(g, H, u):
     return solve
 
 
-def _dense_matrix(g, H, u):
+def _metric_term(g, H):
+    """Dense B H^{-1} B^T."""
+    d1, U1, M1 = H.inverse_parts()
+    B = g.B
+    BU = B @ U1
+    return (B @ sp.diags(d1) @ _transpose(g, "B")).toarray() + BU @ M1 @ BU.T
+
+
+def _dense_matrix(g, H, u, memo=None):
     A = g.A
     ell = A.shape[1]
     if ell > DENSE_LIMIT:
         raise StructuredSolveError(
             f"dense fallback refused for dimension {ell} > {DENSE_LIMIT}")
-    K = g.K
-    uinv = np.empty_like(u)
-    for blk, sl in zip(K.blocks, K.slices):
-        if blk.kind == cones.ORTHANT:
-            uinv[sl] = 1.0 / u[sl]
-        else:
-            uinv[sl] = cones._soc_inverse(u[sl])
-    W = cones.block_dense(K, uinv)
-    Ad = A.toarray()
-    L = Ad.T @ W @ Ad
+    d, r = _inverse_parts(g, u)
+    At = _transpose(g)
+    G = At @ cones.block_columns(g.K, r)
+    L = (At @ sp.diags(d) @ A + G @ G.T).toarray()
     if H is not None:
-        Bd = g.B.toarray()
-        L = L + Bd @ H.solve(Bd.T)
+        L += _memoized(memo, "metric", lambda: _metric_term(g, H))
     return 0.5 * (L + L.T)
 
 
-def _solve_dense(g, H, u):
-    L = _dense_matrix(g, H, u)
+def _solve_dense(g, H, u, memo=None):
+    L = _dense_matrix(g, H, u, memo)
     try:
         cf = scipy.linalg.cho_factor(L)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -501,22 +555,25 @@ _FACTORIES = {
 }
 
 
-def build_L(g, H: Optional[Metric], u) -> LOperator:
+def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator:
     """Operator for L(u) = B H^{-1} B^T + A^T block(u)^{-1} A.
 
     ``g`` supplies (A, B, K, strategy); ``H`` may be None for a vanishing
     quadratic term (linear-objective evaluation).  Structured solves carry a
     residual guard that reroutes through the dense fallback on instability.
+    ``memo`` keeps the u-independent parts of the metric term between calls
+    with the same g and H (see ``reduced_solver``).
     """
-    A = g.A
+    A, B = g.A, g.B
+    At, Bt = _transpose(g), _transpose(g, "B")
     K = g.K
     ell = A.shape[1]
     u = np.asarray(u, dtype=float)
 
     def apply(w):
-        out = A.T @ cones.block_solve(K, u, A @ w)
+        out = At @ cones.block_solve(K, u, A @ w)
         if H is not None:
-            out = out + g.B @ H.solve(g.B.T @ w)
+            out = out + B @ H.solve(Bt @ w)
         return out
 
     requested = g.strategy
@@ -541,26 +598,15 @@ def build_L(g, H: Optional[Metric], u) -> LOperator:
             r = q - apply(p)
         return p, np.linalg.norm(r) / nq
 
-    if tag == DENSE:
-        dense = _solve_dense(g, H, u)
-
-        def solve(q):
-            p, _ = refined(dense, q)
-            return p
-
-        return LOperator(apply, solve, DENSE, requested, ell)
-
-    try:
-        inner = _FACTORIES[tag](g, H, u)
-    except StructuredSolveError:
-        DIAGNOSTICS["guard_fallbacks"] += 1
-        dense = _solve_dense(g, H, u)
-
-        def solve(q):
-            p, _ = refined(dense, q)
-            return p
-
-        return LOperator(apply, solve, DENSE, requested, ell)
+    inner = None
+    if tag != DENSE:
+        try:
+            inner = _FACTORIES[tag](g, H, u, memo)
+        except StructuredSolveError:
+            DIAGNOSTICS["guard_fallbacks"] += 1
+    if inner is None:
+        dense = _solve_dense(g, H, u, memo)
+        return LOperator(apply, lambda q: refined(dense, q)[0], DENSE, requested, ell)
 
     fallback = {"solve": None}
 
@@ -570,8 +616,15 @@ def build_L(g, H: Optional[Metric], u) -> LOperator:
             if res <= GUARD_TOL:
                 return p
             DIAGNOSTICS["guard_fallbacks"] += 1
-            fallback["solve"] = _solve_dense(g, H, u)
+            fallback["solve"] = _solve_dense(g, H, u, memo)
         p, _ = refined(fallback["solve"], q)
         return p
 
     return LOperator(apply, solve, tag, requested, ell)
+
+
+def reduced_solver(g, H: Optional[Metric]) -> Callable:
+    """The IPM's ``lsolver`` for one prox: u -> build_L(g, H, u), with the
+    u-independent parts of the metric term formed once across its calls."""
+    memo = {}
+    return lambda u: build_L(g, H, u, memo)

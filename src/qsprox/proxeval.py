@@ -34,6 +34,9 @@ class ClosedFormUnavailable(RuntimeError):
 
 @dataclass
 class ProxResult:
+    """Prox point and certificate; ``reason`` is the IPM's stop reason when
+    ``status`` is not optimal."""
+
     x: np.ndarray
     y: np.ndarray
     envelope: float
@@ -42,6 +45,7 @@ class ProxResult:
     iterations: int
     status: str
     trace: List[ipm.TraceEntry] = field(default_factory=list)
+    reason: str = ""
 
 
 def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
@@ -59,7 +63,7 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
 
     return ipm.ConicQP(
         Qapply=Qapply, c=c, A=g.A, b=g.b, K=g.K,
-        lsolver=lambda u: linops.build_L(g, H, u),
+        lsolver=linops.reduced_solver(g, H),
     )
 
 
@@ -80,6 +84,7 @@ def prox(g: QSFunction, H: linops.Metric, z, tol: float = 1e-8,
         iterations=res.iterations,
         status=res.status,
         trace=res.trace,
+        reason=res.reason,
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qsprox import cones
+import cone_reference as ref
 from conftest import random_cone_product, random_interior
 
 
@@ -217,3 +218,136 @@ def test_max_step_keeps_soc_feasible():
         a = cones.max_step(K, x, dx, frac=0.99)
         assert 0.0 < a <= 1.0
         assert cones.contains(K, x + a * dx, strict=True)
+
+
+# -- vectorized primitives against the block-by-block reference --
+
+def mixed_product(rng):
+    """Orthant blocks interleaved with runs of SOC blocks of dimension
+    2-17; a run repeats one dimension, and a dimension can recur after
+    other blocks, so groups are both contiguous and scattered."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 9))):
+        if rng.random() < 0.3:
+            blocks.append(cones.orthant(int(rng.integers(1, 6))))
+        else:
+            dim = int(rng.integers(2, 18))
+            blocks.extend([cones.second_order(dim)] * int(rng.integers(1, 5)))
+    return cones.ConeProduct(blocks)
+
+
+FIXED_PRODUCTS = (
+    [cones.second_order(4)] * 25,
+    [cones.second_order(4097)],
+    [cones.orthant(3), cones.second_order(3), cones.orthant(2),
+     cones.second_order(3), cones.second_order(5), cones.orthant(1)],
+    [cones.second_order(2), cones.second_order(7), cones.second_order(2),
+     cones.second_order(17)],
+    [cones.orthant(5)],
+    [cones.orthant(2), cones.orthant(3)],
+)
+
+
+def differential_products():
+    rng = np.random.default_rng(40)
+    products = [cones.ConeProduct(b) for b in FIXED_PRODUCTS]
+    products += [mixed_product(rng) for _ in range(60)]
+    return products
+
+
+def assert_rel(got, expect, tol=1e-12):
+    err = np.linalg.norm(np.asarray(got) - np.asarray(expect))
+    assert err <= tol * max(np.linalg.norm(expect), 1e-300), err
+
+
+def test_layout_groups_blocks_by_dimension():
+    K = cones.ConeProduct(FIXED_PRODUCTS[2])
+    assert isinstance(K.orth, np.ndarray)
+    np.testing.assert_array_equal(K.orth, [0, 1, 2, 6, 7, 16])
+    (sel3, shape3), (sel5, shape5) = K.soc
+    assert shape3 == (2, 3) and shape5 == (1, 5)
+    np.testing.assert_array_equal(sel3, [3, 4, 5, 8, 9, 10])
+    assert sel5 == slice(11, 16)
+    K = cones.ConeProduct(FIXED_PRODUCTS[0])
+    assert K.orth is None and K.soc == ((slice(0, 100), (25, 4)),)
+    K = cones.ConeProduct(FIXED_PRODUCTS[5])
+    assert K.orth == slice(0, 5) and K.soc == ()
+
+
+def test_vectorized_primitives_match_block_reference():
+    rng = np.random.default_rng(41)
+    for K in differential_products():
+        M = K.total_dim
+        s = random_interior(K, rng)
+        v = random_interior(K, rng)
+        u = random_interior(K, rng)
+        a = rng.standard_normal(M)
+        b = rng.standard_normal(M)
+        assert_rel(cones.identity_element(K), ref.identity_element(K))
+        assert_rel(cones.nt_scaling(K, s, v), ref.nt_scaling(K, s, v))
+        assert_rel(cones.inverse(K, u), ref.inverse(K, u))
+        assert_rel(cones.block_apply(K, u, a), ref.block_apply(K, u, a))
+        assert_rel(cones.block_solve(K, u, a), ref.block_solve(K, u, a))
+        assert_rel(cones.jordan_product(K, a, b), ref.jordan_product(K, a, b))
+        assert_rel(cones.jordan_solve(K, s, a), ref.jordan_solve(K, s, a))
+        assert_rel(cones.scaling_apply(K, u, a), ref.scaling_apply(K, u, a))
+        assert_rel(cones.scaling_solve(K, u, a), ref.scaling_solve(K, u, a))
+        for scale in (0.1, 1.0, 10.0):
+            for frac in (1.0, 0.99):
+                assert_rel(cones.max_step(K, s, scale * a, frac),
+                           ref.max_step(K, s, scale * a, frac))
+        for x in (s, a, np.abs(a), s - 0.3 * np.abs(b)):
+            for strict in (False, True):
+                for tol in (0.0, 0.1):
+                    assert (cones.contains(K, x, strict, tol)
+                            == ref.contains(K, x, strict, tol))
+
+
+def test_block_parts_match_block_dense():
+    rng = np.random.default_rng(42)
+    for K in differential_products():
+        if K.total_dim > 500:
+            continue
+        u = random_interior(K, rng)
+        d, r = cones.block_parts(K, u)
+        R = cones.block_columns(K, r)
+        assert R.shape == (K.total_dim, len(K.blocks) - sum(
+            b.kind == cones.ORTHANT for b in K.blocks))
+        got = np.diag(d) + (R @ R.T).toarray()
+        assert_rel(got, cones.block_dense(K, u), 1e-12)
+
+
+def boundary_point(blk):
+    """A point on the boundary of one block, with gamma2 exactly zero."""
+    if blk.kind == cones.ORTHANT:
+        x = np.ones(blk.dim)
+        x[-1] = 0.0
+        return x
+    x = np.zeros(blk.dim)
+    if blk.dim == 2:
+        x[:] = 1.0
+    else:
+        x[:3] = (5.0, 3.0, 4.0)
+    return x
+
+
+def test_boundary_block_raises_in_every_position():
+    """A boundary point in the first, a middle or the last block is
+    refused by nt_scaling, block_solve and jordan_solve."""
+    K = cones.ConeProduct([
+        cones.second_order(4), cones.orthant(3), cones.second_order(4),
+        cones.second_order(2), cones.orthant(2), cones.second_order(4)])
+    rng = np.random.default_rng(43)
+    inner = random_interior(K, rng)
+    q = rng.standard_normal(K.total_dim)
+    for blk, sl in zip(K.blocks, K.slices):
+        x = inner.copy()
+        x[sl] = boundary_point(blk)
+        with pytest.raises(cones.ConeError):
+            cones.nt_scaling(K, x, inner)
+        with pytest.raises(cones.ConeError):
+            cones.nt_scaling(K, inner, x)
+        with pytest.raises(cones.ConeError):
+            cones.block_solve(K, x, q)
+        with pytest.raises(cones.ConeError):
+            cones.jordan_solve(K, x, q)

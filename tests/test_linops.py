@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qsprox import linops, qscalc
+from qsprox import linops, proxeval, qscalc
 from conftest import (catalog, dense_L, metric_dense, random_diag_metric,
                       random_dlr_metric, random_interior)
 
@@ -222,3 +222,77 @@ def test_banded_helpers_round_trip():
     q = rng.standard_normal(n - 1)
     got = linops.banded_solve(cb, q)
     np.testing.assert_allclose(T @ got, q, atol=1e-10)
+
+
+def dense_fallback_cases(n=6):
+    """Penalties tagged for the dense path: iso-TV (3-D SOC blocks), a sum
+    of orthant penalties, an SOC block followed by an orthant, and a
+    cone indicator."""
+    N = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    return [
+        ("isotropic_tv", qscalc.build_isotropic_tv(N)),
+        ("l1+tv", qscalc.add(qscalc.build_l1(n),
+                             qscalc.build_graph_l1(qscalc.path_difference_matrix(n)))),
+        ("orthant_distance", qscalc.build_orthant_distance(n)),
+        ("cone_indicator", qscalc.build_cone_indicator(
+            np.random.default_rng(33).standard_normal((4, n)))),
+    ]
+
+
+def test_dense_path_matches_dense_formation():
+    rng = np.random.default_rng(34)
+    for name, g in dense_fallback_cases():
+        assert g.strategy == linops.DENSE, name
+        for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
+            u = random_interior(g.K, rng)
+            expect = dense_L(g, H, u)
+            got = linops._dense_matrix(g, H, u)
+            err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
+            assert err <= 1e-10, name
+            q = rng.standard_normal(g.dual_dim)
+            p = linops.build_L(g, H, u).solve(q)
+            p_ref = np.linalg.solve(expect, q)
+            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
+
+
+def test_metric_term_is_not_shared_across_metrics():
+    """One g proxed under two metrics: each prox's operators use their own
+    B H^{-1} B^T, also when a metric is tried after the other."""
+    rng = np.random.default_rng(35)
+    g = dense_fallback_cases()[1][1]
+    H1 = linops.Metric.identity(g.n)
+    H2 = random_dlr_metric(rng, g.n, 2)
+    for H in (H1, H2, H1):
+        lsolver = linops.reduced_solver(g, H)
+        for _ in range(2):
+            u = random_interior(g.K, rng)
+            q = rng.standard_normal(g.dual_dim)
+            p_ref = np.linalg.solve(dense_L(g, H, u), q)
+            p = lsolver(u).solve(q)
+            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+        z = rng.standard_normal(g.n)
+        res = proxeval.prox(g, H, z, tol=1e-9)
+        gap = abs(proxeval.envelope_value(g, H, z, res.x) - res.envelope)
+        assert res.status == "optimal" and gap <= 1e-7
+
+
+def test_soc_path_unequal_blocks_matches_dense():
+    """Blocks of sizes 2, 7, 1 and 16 at metric rank 0 and rank 3: the
+    per-block Sherman-Morrison core, before any guard or refinement, and
+    the guarded operator both match the dense matrix."""
+    rng = np.random.default_rng(36)
+    g = qscalc.build_sum_of_norms((2, 7, 1, 16))
+    for H in (random_diag_metric(rng, g.n), random_dlr_metric(rng, g.n, 3)):
+        for _ in range(5):
+            u = random_interior(g.K, rng)
+            L = dense_L(g, H, u)
+            q = rng.standard_normal(g.dual_dim)
+            p_ref = np.linalg.solve(L, q)
+            core = linops._solve_soc_blocks(g, H, u, None)
+            Q = rng.standard_normal((g.dual_dim, 3))
+            np.testing.assert_allclose(core(Q), np.linalg.solve(L, Q),
+                                       rtol=1e-10, atol=1e-10 * np.abs(Q).max())
+            op = linops.build_L(g, H, u)
+            assert op.strategy == linops.SOC_BLOCKS
+            for p in (core(q), op.solve(q)):
+                assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)

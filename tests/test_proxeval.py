@@ -5,7 +5,7 @@ nonexpansiveness."""
 import numpy as np
 import pytest
 
-from qsprox import linops, proxeval, qscalc
+from qsprox import ipm, linops, proxeval, qscalc
 from qsprox.qscalc import ProxKind
 from conftest import catalog, random_dlr_metric
 
@@ -254,3 +254,23 @@ def test_kind_scaled_weight():
     k = ProxKind("l1", weight=2.0)
     assert k.scaled(0.5).weight == pytest.approx(1.0)
     assert k.scaled(0.5).kind == "l1"
+
+
+def test_refused_fallback_ends_with_a_status(monkeypatch):
+    """A guard fallback that the dense path refuses stops the IPM with
+    numerical_breakdown, the best iterate and the reason; it does not raise."""
+    monkeypatch.setattr(linops, "GUARD_TOL", -1.0)
+    monkeypatch.setattr(linops, "DENSE_LIMIT", 0)
+    g = qscalc.build_sum_of_norms((3, 4))
+    z = np.random.default_rng(61).standard_normal(g.n)
+    res = proxeval.prox(g, linops.Metric.identity(g.n), z)
+    assert res.status == ipm.NUMERICAL
+    assert "dense fallback refused" in res.reason
+    assert np.all(np.isfinite(res.x))
+
+
+def test_optimal_prox_has_no_stop_reason():
+    g = qscalc.build_sum_of_norms((3, 4))
+    z = np.random.default_rng(62).standard_normal(g.n)
+    res = proxeval.prox(g, linops.Metric.identity(g.n), z)
+    assert res.status == ipm.OPTIMAL and res.reason == ""
