@@ -191,6 +191,18 @@ def _sqrt(X):
     return out
 
 
+def _out(K, o):
+    """Result vector of a primitive whose orthant part is o (None without
+    orthant blocks).  Without second-order blocks o covers every coordinate
+    and is the result itself, so an orthant-only product makes no copy."""
+    if not K.soc:
+        return o
+    out = np.empty(K.total_dim)
+    if o is not None:
+        out[K.orth] = o
+    return out
+
+
 # -- public operations --
 
 def identity_element(K: ConeProduct) -> np.ndarray:
@@ -222,9 +234,7 @@ def jordan_product(K: ConeProduct, a, b) -> np.ndarray:
     """Blockwise Jordan product: a*b on orthants, arrow(a) b on SOC blocks."""
     a = K._check(a)
     b = K._check(b)
-    out = np.empty_like(a)
-    if K.orth is not None:
-        out[K.orth] = a[K.orth] * b[K.orth]
+    out = _out(K, None if K.orth is None else a[K.orth] * b[K.orth])
     for sel, (Ab, Bb) in _groups(K, a, b):
         blk = np.empty_like(Ab)
         blk[:, 0] = _dot(Ab, Bb)
@@ -237,12 +247,13 @@ def jordan_solve(K: ConeProduct, lam, q) -> np.ndarray:
     """Solve arrow(lam) y = q blockwise (Jordan division)."""
     lam = K._check(lam)
     q = K._check(q)
-    out = np.empty_like(q)
+    o = None
     if K.orth is not None:
         lo = lam[K.orth]
         if (lo == 0.0).any():
             raise ConeError("singular orthant element in jordan_solve")
-        out[K.orth] = q[K.orth] / lo
+        o = q[K.orth] / lo
+    out = _out(K, o)
     for sel, (L, Q) in _groups(K, lam, q):
         g2 = _gamma2(L)
         if ((g2 == 0.0) | (L[:, 0] == 0.0)).any():
@@ -258,12 +269,13 @@ def jordan_solve(K: ConeProduct, lam, q) -> np.ndarray:
 def inverse(K: ConeProduct, u) -> np.ndarray:
     """Jordan inverse of an interior u: 1/u on orthants, J u / (u^T J u) on SOC blocks."""
     u = K._check(u)
-    out = np.empty_like(u)
+    o = None
     if K.orth is not None:
         uo = u[K.orth]
         if (uo <= 0.0).any():
             raise ConeError("inverse needs a strictly positive orthant part")
-        out[K.orth] = 1.0 / uo
+        o = 1.0 / uo
+    out = _out(K, o)
     for sel, (U,) in _groups(K, u):
         out[sel] = _inverse(U).ravel()
     return out
@@ -273,9 +285,7 @@ def block_apply(K: ConeProduct, u, w) -> np.ndarray:
     """Apply block(u): diag(u) on orthants, P(u)^2 on second-order blocks."""
     u = K._check(u)
     w = K._check(w)
-    out = np.empty_like(w)
-    if K.orth is not None:
-        out[K.orth] = u[K.orth] * w[K.orth]
+    out = _out(K, None if K.orth is None else u[K.orth] * w[K.orth])
     for sel, (U, W) in _groups(K, u, w):
         g2 = _gamma2(U)
         out[sel] = _quad(U, g2, _quad(U, g2, W)).ravel()
@@ -286,12 +296,13 @@ def block_solve(K: ConeProduct, u, q) -> np.ndarray:
     """Apply block(u)^{-1}, using P(u)^{-1} = P(u^{-1}) on SOC blocks."""
     u = K._check(u)
     q = K._check(q)
-    out = np.empty_like(q)
+    o = None
     if K.orth is not None:
         uo = u[K.orth]
         if (uo <= 0.0).any():
             raise ConeError("block_solve needs strictly positive orthant scaling")
-        out[K.orth] = q[K.orth] / uo
+        o = q[K.orth] / uo
+    out = _out(K, o)
     for sel, (U, Q) in _groups(K, u, q):
         ui = _inverse(U)
         g2 = _gamma2(ui)
@@ -362,12 +373,13 @@ def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
     """
     s = K._check(s)
     v = K._check(v)
-    u = np.empty_like(s)
+    o = None
     if K.orth is not None:
         so, vo = s[K.orth], v[K.orth]
         if (so <= 0.0).any() or (vo <= 0.0).any():
             raise ConeError("nt_scaling needs strictly interior s and v")
-        u[K.orth] = so / vo
+        o = so / vo
+    u = _out(K, o)
     for sel, (S, V) in _groups(K, s, v):
         g2s = _gamma2(S)
         g2v = _gamma2(V)
@@ -388,9 +400,7 @@ def scaling_apply(K: ConeProduct, u, x) -> np.ndarray:
     """Apply W = block(u)^{1/2}: diag(sqrt(u)) on orthants, P(u) on SOC blocks."""
     u = K._check(u)
     x = K._check(x)
-    out = np.empty_like(x)
-    if K.orth is not None:
-        out[K.orth] = np.sqrt(u[K.orth]) * x[K.orth]
+    out = _out(K, None if K.orth is None else np.sqrt(u[K.orth]) * x[K.orth])
     for sel, (U, X) in _groups(K, u, x):
         out[sel] = _quad(U, _gamma2(U), X).ravel()
     return out
@@ -400,9 +410,7 @@ def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
     """Apply W^{-1} = block(u)^{-1/2}."""
     u = K._check(u)
     x = K._check(x)
-    out = np.empty_like(x)
-    if K.orth is not None:
-        out[K.orth] = x[K.orth] / np.sqrt(u[K.orth])
+    out = _out(K, None if K.orth is None else x[K.orth] / np.sqrt(u[K.orth]))
     for sel, (U, X) in _groups(K, u, x):
         ui = _inverse(U)
         out[sel] = _quad(ui, _gamma2(ui), X).ravel()
@@ -419,10 +427,16 @@ def max_step(K: ConeProduct, x, dx, frac: float = 1.0) -> float:
     dx = K._check(dx)
     t = np.inf
     if K.orth is not None:
+        # The first orthant crossing is at min over dx_i < 0 of x_i / -dx_i.
+        # The rates dx/x (x > 0) single out, in one pass, the few
+        # coordinates within roundoff of that minimum; the crossing is then
+        # computed on those alone, to the bit as over all of them.
         xo, do = x[K.orth], dx[K.orth]
-        neg = do < 0.0
-        if neg.any():
-            t = min(t, (xo[neg] / -do[neg]).min())
+        rate = do / xo
+        low = rate.min()
+        if low < 0.0:
+            near = np.flatnonzero(rate <= low * (1.0 - 1e-15))
+            t = (xo[near] / -do[near]).min()
     for _, (X, D) in _groups(K, x, dx):
         # gamma2(x + t dx) = a t^2 + 2 b t + c with c > 0 at an interior x;
         # the first positive root is where the boundary is reached.

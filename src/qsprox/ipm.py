@@ -14,6 +14,13 @@ system eliminates to the reduced matrix
 
 whose solve is provided by the caller (structure-exploiting per problem
 family).  One factorization serves both the predictor and the corrector.
+
+An iteration does only the work that depends on its iterate: A^T is
+built once per QP (``ConicQP.At``), Q y is applied once per iteration
+for both the dual residual and the objective, and a direction's first-row
+residual takes Q dy from the reduced solve (``LOperator.solve(q,
+quad=True)``), whose residual check applies L, and with it Q, to the very
+dy it returns.  A direction thus costs one metric product per solve.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ class TraceEntry:
 
 @dataclass
 class ConicQP:
-    """Conic QP data; `lsolver` maps a scaling point u to an L(u) operator."""
+    """Conic QP data; `lsolver` maps a scaling point u to an L(u) operator
+    for L(u) = Q + A^T block(u)^{-1} A (see ``linops.LOperator``)."""
 
     Qapply: Callable
     c: np.ndarray
@@ -67,12 +75,14 @@ class ConicQP:
     b: np.ndarray
     K: cones.ConeProduct
     lsolver: Callable
+    At: sp.spmatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape[0] != self.K.total_dim:
             raise ValueError("cone dimension does not match the row count of A")
+        self.At = self.A.T
 
 
 @dataclass
@@ -94,9 +104,9 @@ class IPMResult:
     reason: str = ""
 
 
-def residuals(qp: ConicQP, y, v, s):
-    """Dual and primal residuals (Qy - A^T v - c, Ay - s - b)."""
-    r_d = qp.Qapply(y) - qp.A.T @ v - qp.c
+def residuals(qp: ConicQP, y, v, s, Qy):
+    """Dual and primal residuals (Qy - A^T v - c, Ay - s - b), given Qy."""
+    r_d = Qy - qp.At @ v - qp.c
     r_p = qp.A @ y - s - qp.b
     return r_d, r_p
 
@@ -113,26 +123,32 @@ def newton_direction(qp: ConicQP, u, Lop, t_d, t_p, t_mu):
     eliminated onto L(u) dy = t_d + A^T block(u)^{-1} (t_p + t_mu).  A
     refinement pass through the same elimination keeps the first-row
     residual from being amplified by block(u)^{-1} as the scaling
-    degenerates near optimality.
+    degenerates near optimality.  The row residuals reuse the products the
+    elimination formed: Q dy from the reduced solve, A dy and block(u) dv.
     """
     K = qp.K
 
     def eliminate(b_d, b_p, b_mu):
-        rhs = b_d + qp.A.T @ cones.block_solve(K, u, b_p + b_mu)
-        dy = Lop.solve(rhs)
-        dv = cones.block_solve(K, u, b_p + b_mu - qp.A @ dy)
-        ds = b_mu - cones.block_apply(K, u, dv)
-        return dy, dv, ds
+        b = b_p + b_mu
+        dy, Qdy = Lop.solve(b_d + qp.At @ cones.block_solve(K, u, b), quad=True)
+        Ady = qp.A @ dy
+        b -= Ady
+        dv = cones.block_solve(K, u, b)
+        Wdv = cones.block_apply(K, u, dv)
+        return dy, dv, b_mu - Wdv, (Qdy, Ady, Wdv)
 
-    dy, dv, ds = eliminate(t_d, t_p, t_mu)
-    rho_d = t_d - (qp.Qapply(dy) - qp.A.T @ dv)
-    rho_p = t_p - (qp.A @ dy - ds)
-    rho_mu = t_mu - (cones.block_apply(K, u, dv) + ds)
+    dy, dv, ds, (Qdy, Ady, Wdv) = eliminate(t_d, t_p, t_mu)
+    # rho = t - (row product), computed in place in vectors this function
+    # made, so that each residual costs one full-length vector, not two
+    rho_d = qp.At @ dv
+    rho_d = np.subtract(t_d, np.subtract(Qdy, rho_d, out=rho_d), out=rho_d)
+    rho_p = np.subtract(t_p, np.subtract(Ady, ds, out=Ady), out=Ady)
+    rho_mu = np.subtract(t_mu, np.add(Wdv, ds, out=Wdv), out=Wdv)
     scale = 1.0 + max(np.linalg.norm(t_d), np.linalg.norm(t_p),
                       np.linalg.norm(t_mu))
     if max(np.linalg.norm(rho_d), np.linalg.norm(rho_p),
            np.linalg.norm(rho_mu)) > 1e-13 * scale:
-        cy, cv, cs = eliminate(rho_d, rho_p, rho_mu)
+        cy, cv, cs, _ = eliminate(rho_d, rho_p, rho_mu)
         dy, dv, ds = dy + cy, dv + cv, ds + cs
     return dy, dv, ds
 
@@ -154,30 +170,34 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
     best_infeas = np.inf
     stall = 0
     best_score = np.inf
-    best = (y.copy(), v.copy(), s.copy())
+    # y, v and s are rebound, never written in place, so the best iterate
+    # is kept by reference.
+    best = (y, v, s)
+    y_max = 0.0
 
     status = ITERATION_LIMIT
     reason = f"no convergence in {cfg.max_iter} iterations"
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        r_d, r_p = residuals(qp, y, v, s)
+        Qy = qp.Qapply(y)
+        r_d, r_p = residuals(qp, y, v, s, Qy)
         gap = float(s @ v)
         mu = gap / deg
         nd = float(np.linalg.norm(r_d))
         np_ = float(np.linalg.norm(r_p))
         rel_d = nd / (1.0 + norm_c)
         rel_p = np_ / (1.0 + norm_b)
-        obj = float(0.5 * (y @ qp.Qapply(y)) - qp.c @ y)
+        obj = float(0.5 * (y @ Qy) - qp.c @ y)
 
         score = max(rel_d, rel_p, gap)
         if score < best_score:
             best_score = score
-            best = (y.copy(), v.copy(), s.copy())
+            best = (y, v, s)
 
         if rel_d <= cfg.tol and rel_p <= cfg.tol and gap <= cfg.tol:
             status = OPTIMAL
             trace.append(TraceEntry(it - 1, mu, gap, rel_d, rel_p, 0.0, 0.0,
-                                    obj, float(np.max(np.abs(y)) if y.size else 0.0)))
+                                    obj, y_max))
             break
 
         # Endgame regression: once a nearly converged iterate starts
@@ -198,7 +218,7 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             status = INFEASIBLE
             reason = "residual plateau with a diverging dual"
             break
-        if float(np.max(np.abs(y)) if y.size else 0.0) > cfg.var_blowup:
+        if y_max > cfg.var_blowup:
             status = NUMERICAL
             reason = "iterate diverged"
             break
@@ -210,7 +230,8 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
 
             # Predictor: pure Newton step on the affine system; in scaled
             # variables the complementarity right-hand side collapses to -s.
-            dy_a, dv_a, ds_a = newton_direction(qp, u, Lop, -r_d, -r_p, -s)
+            t_d, t_p = -r_d, -r_p
+            dy_a, dv_a, ds_a = newton_direction(qp, u, Lop, t_d, t_p, -s)
             alpha_a = min(cones.max_step(K, s, ds_a, 1.0),
                           cones.max_step(K, v, dv_a, 1.0))
             gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
@@ -223,7 +244,7 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
                                        cones.scaling_apply(K, u, dv_a))
             dlam = sigma * mu * e - cones.jordan_product(K, lam, lam) - eta
             t_mu = cones.scaling_apply(K, u, cones.jordan_solve(K, lam, dlam))
-            dy, dv, ds = newton_direction(qp, u, Lop, -r_d, -r_p, t_mu)
+            dy, dv, ds = newton_direction(qp, u, Lop, t_d, t_p, t_mu)
         except (cones.ConeError, linops.StructuredSolveError) as exc:
             # The pair has reached the boundary up to roundoff, or a
             # reduced-system factorization or solve failed (or was
@@ -242,18 +263,20 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
         y = y + alpha * dy
         v = v + alpha * dv
         s = s + alpha * ds
+        y_max = float(np.max(np.abs(y))) if y.size else 0.0
         trace.append(TraceEntry(it, mu, gap, rel_d, rel_p, sigma, alpha, obj,
-                                float(np.max(np.abs(y)) if y.size else 0.0)))
+                                y_max))
 
     # Report the best iterate seen (the last one can be degraded by the
     # endgame), unless the loop ended on the optimality test.
     if status != OPTIMAL:
         y, v, s = best
-    r_d, r_p = residuals(qp, y, v, s)
+    Qy = qp.Qapply(y)
+    r_d, r_p = residuals(qp, y, v, s, Qy)
     gap = float(s @ v)
     nd = float(np.linalg.norm(r_d))
     np_ = float(np.linalg.norm(r_p))
-    obj = float(0.5 * (y @ qp.Qapply(y)) - qp.c @ y)
+    obj = float(0.5 * (y @ Qy) - qp.c @ y)
     return IPMResult(
         status=status,
         y=y, v=v, s=s,

@@ -61,6 +61,7 @@ from qsprox import linops, proxeval, qscalc
 OPTIMAL = "optimal"
 ITERATION_LIMIT = "iteration_limit"
 STEP_FAILURE = "step_failure"
+INNER_FAILURE = "inner_failure"
 
 SHIFT_FLOOR = 1e-16
 FD_STEP = float(np.sqrt(np.finfo(float).eps))
@@ -123,6 +124,11 @@ class IterateLog:
 
 @dataclass
 class PQNResult:
+    """Final iterate.  With status ``inner_failure`` an interior-point prox
+    ended without ``optimal`` status (``reason`` says how), and x is the
+    last accepted iterate; its residual is inf if that prox was the
+    residual check of x."""
+
     x: np.ndarray
     status: str
     iterations: int
@@ -130,6 +136,25 @@ class PQNResult:
     objective: float
     history: List[IterateLog] = field(default_factory=list)
     error_estimate: Optional[float] = None
+    reason: str = ""
+
+
+class InnerFailure(RuntimeError):
+    """An interior-point prox that PQN needs ended without status optimal."""
+
+
+def _ipm_prox(g, H, z, tol, max_iter, usable_tol) -> proxeval.ProxResult:
+    """proxeval.prox at ``tol``, so that a failed prox is never used as if
+    it had succeeded: a prox that ends short of optimal is used only if its
+    residual meets ``usable_tol`` (>= tol; the prox is then optimal at that
+    tolerance), and otherwise raises InnerFailure.  The certified re-solves
+    of the shift loop ask for tolerances near roundoff that the IPM may not
+    reach; their usable tolerance is the one the inexactness rule set."""
+    pres = proxeval.prox(g, H, z, tol=tol, max_iter=max_iter)
+    if pres.status != OPTIMAL and not pres.residual <= usable_tol:
+        raise InnerFailure(f"prox ended {pres.status} with residual "
+                           f"{pres.residual:.3g}: {pres.reason}")
+    return pres
 
 
 class LBFGSMemory:
@@ -209,7 +234,8 @@ def prox_gradient_residual(g: qscalc.QSFunction, x, grad,
     """Residual x - prox_g(x - grad) in the identity metric.
 
     Uses the closed-form prox when g carries one, otherwise an accurate
-    interior-point prox solve.  Returns (two-norm, inf-norm, prox point);
+    interior-point prox solve (``InnerFailure`` if that solve is not
+    optimal).  Returns (two-norm, inf-norm, prox point);
     the prox point doubles as an exact active-pattern probe for closed
     kinds, since it carries hard zeros.  ``solve`` hands that probe to
     ``sup_error_estimate`` for the ``l1`` kind.
@@ -218,10 +244,8 @@ def prox_gradient_residual(g: qscalc.QSFunction, x, grad,
     if g.prox_kind is not None and g.prox_kind.closed:
         p = proxeval.unscaled_prox(g.prox_kind, z)
     else:
-        pres = proxeval.prox(g, linops.Metric.identity(x.size), z,
-                             tol=config.ref_tol,
-                             max_iter=config.inner_max_iter)
-        p = pres.x
+        p = _ipm_prox(g, linops.Metric.identity(x.size), z, config.ref_tol,
+                      config.inner_max_iter, config.ref_tol).x
     r = x - p
     rinf = float(np.max(np.abs(r))) if r.size else 0.0
     return float(np.linalg.norm(r)), rinf, p
@@ -312,99 +336,105 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     grad = problem.gradient(x)
     r2_prev = None
     status = ITERATION_LIMIT
-    rinf = np.inf
-    estimate = None
     pending_inner = 0
     pending_step = 0.0
     pending_closed = False
-
-    for it in range(cfg.max_iter + 1):
-        r2, rinf, pmap = prox_gradient_residual(g, x, grad, cfg)
-        entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
-                           pending_inner, mem.shift, pending_step, x.copy(),
-                           pending_closed)
-        history.append(entry)
-        if cfg.callback is not None:
-            cfg.callback(entry)
-        estimate = None
-        if rinf <= cfg.tol:
-            estimate = sup_error_estimate(problem, g, x, grad, pmap)
-            if estimate is None or estimate <= cfg.tol:
-                status = OPTIMAL
+    reason = ""
+    try:
+        for it in range(cfg.max_iter + 1):
+            # inf stays if the residual check of x fails
+            rinf, estimate = np.inf, None
+            r2, rinf, pmap = prox_gradient_residual(g, x, grad, cfg)
+            entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
+                               pending_inner, mem.shift, pending_step, x.copy(),
+                               pending_closed)
+            history.append(entry)
+            if cfg.callback is not None:
+                cfg.callback(entry)
+            if rinf <= cfg.tol:
+                estimate = sup_error_estimate(problem, g, x, grad, pmap)
+                if estimate is None or estimate <= cfg.tol:
+                    status = OPTIMAL
+                    break
+            if it == cfg.max_iter:
                 break
-        if it == cfg.max_iter:
-            break
 
-        if has_closed:
-            inner_tol = max(cfg.kappa * r2, cfg.inner_floor)
-        elif r2_prev is None:
-            inner_tol = cfg.inner_first
-        else:
-            inner_tol = max(cfg.kappa * r2_prev, cfg.inner_floor)
+            if has_closed:
+                inner_tol = max(cfg.kappa * r2, cfg.inner_floor)
+            elif r2_prev is None:
+                inner_tol = cfg.inner_first
+            else:
+                inner_tol = max(cfg.kappa * r2_prev, cfg.inner_floor)
 
-        # Shift loop: retry the step until the sufficient-decrease test
-        # passes or the shift cap is hit.  A rejected trial is only
-        # allowed to grow the shift after the prox was solved accurately
-        # enough for the test to be truthful: the inner suboptimality
-        # enters the decrease bound additively, so it must be small next
-        # to c·‖dx‖² plus the roundoff allowance of the objective values.
-        # A loose first solve therefore gets one certified re-solve with
-        # the tolerance keyed to the observed step before the shift moves.
-        accepted = False
-        inner_spent = 0
-        all_closed = True
-        trial_tol = inner_tol
-        slack = cfg.noise_floor * (1.0 + abs(F)) if np.isfinite(F) else 0.0
-        while True:
-            x_new, inner_iters, closed = _step(problem, g, x, grad, mem, cfg,
-                                               trial_tol)
-            inner_spent += inner_iters
-            all_closed = all_closed and closed
-            F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
-            dx2 = float((x_new - x) @ (x_new - x))
-            if F_new <= F - cfg.accept_coeff * dx2 + slack:
-                accepted = True
+            # Shift loop: retry the step until the sufficient-decrease test
+            # passes or the shift cap is hit.  A rejected trial is only
+            # allowed to grow the shift after the prox was solved accurately
+            # enough for the test to be truthful: the inner suboptimality
+            # enters the decrease bound additively, so it must be small next
+            # to c·‖dx‖² plus the roundoff allowance of the objective values.
+            # A loose first solve therefore gets one certified re-solve with
+            # the tolerance keyed to the observed step before the shift moves.
+            accepted = False
+            inner_spent = 0
+            all_closed = True
+            trial_tol = inner_tol
+            slack = cfg.noise_floor * (1.0 + abs(F)) if np.isfinite(F) else 0.0
+            while True:
+                x_new, inner_iters, closed = _step(problem, g, x, grad, mem, cfg,
+                                                   trial_tol, inner_tol)
+                inner_spent += inner_iters
+                all_closed = all_closed and closed
+                F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
+                dx2 = float((x_new - x) @ (x_new - x))
+                if F_new <= F - cfg.accept_coeff * dx2 + slack:
+                    accepted = True
+                    break
+                certified = cfg.inexact_safety * (cfg.accept_coeff * dx2 + slack)
+                certified = max(certified, cfg.inner_hard_floor)
+                if trial_tol > certified:
+                    trial_tol = certified
+                    continue
+                mem.shift = max(cfg.shift_grow * mem.shift, cfg.shift_seed)
+                if mem.shift > cfg.shift_cap:
+                    break
+            if not accepted:
+                status = STEP_FAILURE
                 break
-            certified = cfg.inexact_safety * (cfg.accept_coeff * dx2 + slack)
-            certified = max(certified, cfg.inner_hard_floor)
-            if trial_tol > certified:
-                trial_tol = certified
-                continue
-            mem.shift = max(cfg.shift_grow * mem.shift, cfg.shift_seed)
-            if mem.shift > cfg.shift_cap:
-                break
-        if not accepted:
-            status = STEP_FAILURE
-            break
 
-        grad_new = problem.gradient(x_new)
-        mem.update(x_new - x, grad_new - grad)
-        mem.shift *= cfg.shift_shrink
-        if mem.shift < SHIFT_FLOOR:
-            mem.shift = 0.0
-        r2_prev = r2
-        pending_inner = inner_spent
-        pending_step = float(np.sqrt(dx2))
-        pending_closed = all_closed
-        x, F, grad = x_new, F_new, grad_new
+            grad_new = problem.gradient(x_new)
+            mem.update(x_new - x, grad_new - grad)
+            mem.shift *= cfg.shift_shrink
+            if mem.shift < SHIFT_FLOOR:
+                mem.shift = 0.0
+            r2_prev = r2
+            pending_inner = inner_spent
+            pending_step = float(np.sqrt(dx2))
+            pending_closed = all_closed
+            x, F, grad = x_new, F_new, grad_new
+    except InnerFailure as exc:
+        status, reason = INNER_FAILURE, str(exc)
 
     return PQNResult(
         x=x, status=status,
-        iterations=len(history) - 1,
+        iterations=it,
         residual=float(rinf),
         objective=F,
         history=history,
         error_estimate=estimate,
+        reason=reason,
     )
 
 
-def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, inner_tol):
+def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, trial_tol,
+          inner_tol):
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
     With empty memory H is c*I with c = 1/sigma + shift, and a closed prox
     kind gives the exact step prox_{g/c}(x - grad/c) directly, at any
     shift.  Otherwise the scaled prox is solved by the IPM to
-    ``inner_tol``.  Returns (x+, IPM iterations, whether it was closed).
+    ``trial_tol``; ``InnerFailure`` if it ends short of optimal with a
+    residual above the step's ``inner_tol``.  Returns (x+, IPM iterations,
+    whether it was closed).
     """
     if not mem.pairs and g.prox_kind is not None and g.prox_kind.closed:
         # 1/c, written so that it is exactly sigma at zero shift
@@ -413,5 +443,5 @@ def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, inner_tol):
         return x_new, 0, True
     H = mem.metric(x.size)
     z = x - H.solve(grad)
-    pres = proxeval.prox(g, H, z, tol=inner_tol, max_iter=cfg.inner_max_iter)
+    pres = _ipm_prox(g, H, z, trial_tol, cfg.inner_max_iter, inner_tol)
     return pres.x, pres.iterations, False

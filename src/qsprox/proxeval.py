@@ -52,14 +52,14 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
     """Conic QP whose solution y gives prox_g^H(z) = z - H^{-1} B^T y."""
     z = np.asarray(z, dtype=float)
     c = g.B @ z + g.d
-    B = g.B
+    B, Bt = g.B, g.B.T
 
     if H is None:
         def Qapply(y):
             return np.zeros_like(y)
     else:
         def Qapply(y):
-            return B @ H.solve(B.T @ y)
+            return B @ H.solve(Bt @ y)
 
     return ipm.ConicQP(
         Qapply=Qapply, c=c, A=g.A, b=g.b, K=g.K,
@@ -73,8 +73,9 @@ def prox(g: QSFunction, H: linops.Metric, z, tol: float = 1e-8,
     z = np.asarray(z, dtype=float)
     qp = dual_qp(g, H, z)
     res = ipm.solve(qp, ipm.IPMConfig(tol=tol, max_iter=max_iter))
-    x = z - H.solve(g.B.T @ res.y)
-    recovery = float(np.linalg.norm(H.apply(x - z) + g.B.T @ res.y))
+    Bty = g.B.T @ res.y
+    x = z - H.solve(Bty)
+    recovery = float(np.linalg.norm(H.apply(x - z) + Bty))
     return ProxResult(
         x=x,
         y=res.y,

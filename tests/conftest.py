@@ -2,6 +2,7 @@
 catalog sweeps, and small dense oracles."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from qsprox import cones, linops, qscalc
 
@@ -52,6 +53,18 @@ def metric_dense(H, n):
     return np.column_stack([H.apply(e) for e in np.eye(n)])
 
 
+def gamma_coupled():
+    """gamma(t) = 2.5 |t| as sup {(y1 + 2 y2) t : |y1|, |y2| <= 1,
+    |y1 + y2| <= 1.5}: two dual variables that share a constraint, so
+    each coordinate of its separable lift has a full 2 x 2 block."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = -np.array([1.0, 1.0, 1.5])
+    g = qscalc.build_polyhedral_norm(np.vstack([A, -A]), np.concatenate([b, b]),
+                                     sp.csr_matrix([[1.0], [2.0]]))
+    g.closed_form = lambda x: 2.5 * float(np.abs(x).sum())
+    return g
+
+
 def catalog(n=6):
     """Builders spanning every solve strategy, at a common small size."""
     return [
@@ -63,6 +76,11 @@ def catalog(n=6):
         ("tv1d", qscalc.build_graph_l1(qscalc.path_difference_matrix(n))),
         ("sum_of_norms", qscalc.build_sum_of_norms((n // 2, n - n // 2))),
         ("separable_abs", qscalc.build_separable(qscalc.gamma_abs(), n)),
+        # two dual variables per coordinate: a diagonal 2 x 2 block per
+        # coordinate, and a full one
+        ("separable_abs+hinge", qscalc.build_separable(
+            qscalc.add(qscalc.gamma_abs(), qscalc.gamma_hinge()), n)),
+        ("separable_coupled", qscalc.build_separable(gamma_coupled(), n)),
     ]
 
 

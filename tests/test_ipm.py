@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from qsprox import cones, ipm, linops, proxeval, qscalc
-from conftest import random_interior
+from conftest import random_dlr_metric, random_interior
 
 
 def dense_lsolver(Qd, A, K):
@@ -18,9 +18,13 @@ def dense_lsolver(Qd, A, K):
         L = Qd + A.T @ WA
         L = 0.5 * (L + L.T)
         lu = scipy.linalg.lu_factor(L)
+
+        def solve(q, quad=False):
+            p = scipy.linalg.lu_solve(lu, q)
+            return (p, Qd @ p) if quad else p
+
         return linops.LOperator(
-            apply=lambda w: L @ w,
-            solve=lambda q: scipy.linalg.lu_solve(lu, q),
+            apply=lambda w: L @ w, solve=solve,
             strategy=linops.DENSE, requested=linops.DENSE,
             ell=Qd.shape[0])
     return make
@@ -193,6 +197,28 @@ def test_newton_direction_row_residuals():
         assert np.linalg.norm(r1) <= 1e-8 * scale
         assert np.linalg.norm(r2) <= 1e-8 * scale
         assert np.linalg.norm(r3) <= 1e-8 * scale
+
+
+def test_one_metric_product_per_iteration():
+    """Q y is applied once per pass of the IPM loop, for both the dual
+    residual and the objective, plus once for the final report; the
+    directions take Q dy from the reduced solve."""
+    rng = np.random.default_rng(55)
+    for g in (qscalc.build_l1(8), qscalc.build_sum_of_norms((3, 5))):
+        H = random_dlr_metric(rng, g.n, 2)
+        qp = proxeval.dual_qp(g, H, 2.0 * rng.standard_normal(g.n))
+        Qapply, calls = qp.Qapply, []
+
+        def counted(y):
+            calls.append(1)
+            return Qapply(y)
+
+        qp.Qapply = counted
+        res = ipm.solve(qp, ipm.IPMConfig(tol=1e-9))
+        assert res.status == ipm.OPTIMAL
+        # one trace entry per loop pass: each step plus the optimality check
+        assert len(res.trace) == res.iterations + 1
+        assert len(calls) == len(res.trace) + 1
 
 
 def test_newton_direction_matches_dense_kkt():

@@ -134,15 +134,20 @@ def test_build_L_apply_matches_dense_formation():
 
 
 def test_build_L_solve_residual_bound():
+    """Solves meet the residual bound, also at badly scaled points where
+    the refinement pass runs, and hand back B H^{-1} B^T p for the p they
+    return."""
     rng = np.random.default_rng(28)
     for name, g in catalog(8):
         H = random_diag_metric(rng, g.n)
-        u = random_interior(g.K, rng)
-        op = linops.build_L(g, H, u)
-        q = rng.standard_normal(g.dual_dim)
-        p = op.solve(q)
-        res = np.linalg.norm(op.apply(p) - q)
-        assert res <= 1e-9 * (1.0 + np.linalg.norm(q)), name
+        for lo, hi in ((0.3, 2.0), (1e-8, 1e4)):
+            u = random_interior(g.K, rng, lo, hi)
+            op = linops.build_L(g, H, u)
+            q = rng.standard_normal(g.dual_dim)
+            p, Qp = op.solve(q, quad=True)
+            res = np.linalg.norm(op.apply(p) - q)
+            assert res <= 1e-9 * (1.0 + np.linalg.norm(q)), name
+            np.testing.assert_array_equal(Qp, g.B @ H.solve(g.B.T @ p), name)
 
 
 def test_build_L_solve_zero_rhs():
@@ -177,17 +182,20 @@ def test_expected_strategies():
 
 def test_structured_solves_match_dense_strategy():
     """Each structured strategy agrees with the dense path on its own
-    builder (small-n slice of the full acceptance sweep)."""
+    builder (small-n slice of the full acceptance sweep), without the
+    guard redoing the solve densely."""
     rng = np.random.default_rng(30)
     for name, g in catalog(10):
         if g.strategy == linops.DENSE:
             continue
         H = random_dlr_metric(rng, g.n, 2)
         u = random_interior(g.K, rng)
+        linops.reset_diagnostics()
         op = linops.build_L(g, H, u)
         assert op.strategy == g.strategy, name
         q = rng.standard_normal(g.dual_dim)
         p_struct = op.solve(q)
+        assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
         p_dense = np.linalg.solve(dense_L(g, H, u), q)
         err = np.linalg.norm(p_struct - p_dense) / max(1.0,
                                                        np.linalg.norm(p_dense))
@@ -256,24 +264,33 @@ def test_dense_path_matches_dense_formation():
 
 
 def test_metric_term_is_not_shared_across_metrics():
-    """One g proxed under two metrics: each prox's operators use their own
-    B H^{-1} B^T, also when a metric is tried after the other."""
+    """Every solve path, one g proxed under metrics H1 -> H2 -> H1: each
+    prox's reduced solver keeps its memo over several scaling points, and
+    its operators use their own metric's parts, also when a metric is
+    tried after the other."""
     rng = np.random.default_rng(35)
-    g = dense_fallback_cases()[1][1]
-    H1 = linops.Metric.identity(g.n)
-    H2 = random_dlr_metric(rng, g.n, 2)
-    for H in (H1, H2, H1):
-        lsolver = linops.reduced_solver(g, H)
-        for _ in range(2):
-            u = random_interior(g.K, rng)
-            q = rng.standard_normal(g.dual_dim)
-            p_ref = np.linalg.solve(dense_L(g, H, u), q)
-            p = lsolver(u).solve(q)
-            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
-        z = rng.standard_normal(g.n)
-        res = proxeval.prox(g, H, z, tol=1e-9)
-        gap = abs(proxeval.envelope_value(g, H, z, res.x) - res.envelope)
-        assert res.status == "optimal" and gap <= 1e-7
+    cases = [(name, g) for name, g in catalog(6) if g.strategy != linops.DENSE]
+    cases.append(("l1+tv", dense_fallback_cases()[1][1]))
+    assert {g.strategy for _, g in cases} == set(linops.STRATEGIES)
+    for name, g in cases:
+        H1 = linops.Metric.identity(g.n)
+        H2 = random_dlr_metric(rng, g.n, 2)
+        for H in (H1, H2, H1):
+            lsolver = linops.reduced_solver(g, H)
+            for _ in range(3):
+                u = random_interior(g.K, rng)
+                q = rng.standard_normal(g.dual_dim)
+                p_ref = np.linalg.solve(dense_L(g, H, u), q)
+                linops.reset_diagnostics()
+                op = lsolver(u)
+                assert op.strategy == g.strategy, name
+                p = op.solve(q)
+                assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
+                assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
+            z = rng.standard_normal(g.n)
+            res = proxeval.prox(g, H, z, tol=1e-9)
+            gap = abs(proxeval.envelope_value(g, H, z, res.x) - res.envelope)
+            assert res.status == "optimal" and gap <= 1e-7, name
 
 
 def test_soc_path_unequal_blocks_matches_dense():

@@ -1,6 +1,8 @@
 """Proximal quasi-Newton solver: memory and metric behavior, worked step
 examples, acceptance/termination invariants, and the inner-tolerance rule."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -229,7 +231,7 @@ def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
             x = rng.standard_normal(n)
             grad = 2.0 * rng.standard_normal(n)
             step, iters, closed = pqn._step(None, g, x, grad, mem,
-                                            pqn.PQNConfig(), 1e-8)
+                                            pqn.PQNConfig(), 1e-8, 1e-8)
             assert closed and iters == 0
             c = 1.0 / mem.sigma + shift
             z = x - grad / c
@@ -387,3 +389,49 @@ def test_non_l1_kind_stops_on_residual_alone():
     grad = prob.gradient(res.x)
     _, _, p = pqn.prox_gradient_residual(g, res.x, grad, pqn.PQNConfig())
     assert pqn.sup_error_estimate(prob, g, res.x, grad, p) is None
+
+
+def test_failed_prox_stops_with_inner_failure(monkeypatch):
+    """A prox that ends short of optimal is never used as a step or a
+    residual: the run stops with status inner_failure, the prox's reason,
+    and the last accepted iterate.  A non-optimal prox whose residual
+    still meets the step's tolerance is optimal at that tolerance and is
+    used."""
+    real_prox = proxeval.prox
+    rng = np.random.default_rng(81)
+    n = 12
+    prob, _ = quadratic_problem(rng, n, cond=20.0)
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+
+    def run(g, k, residual):
+        calls = []
+
+        def failing(*args, **kwargs):
+            res = real_prox(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == k:
+                res = dataclasses.replace(res, status="numerical_breakdown",
+                                          residual=residual, reason="injected")
+            return res
+
+        monkeypatch.setattr(pqn.proxeval, "prox", failing)
+        out = pqn.solve(prob, g, np.zeros(n), pqn.PQNConfig(mem=5, tol=1e-8))
+        return out, len(calls)
+
+    # l1 has a closed kind, so every IPM prox is a trial step
+    for k in (1, 3):
+        res, calls = run(qscalc.build_l1(n), k, 1.0)
+        assert res.status == pqn.INNER_FAILURE and "injected" in res.reason
+        assert calls == k
+        assert np.array_equal(res.x, res.history[-1].x)
+        assert res.iterations == res.history[-1].iteration
+        assert res.residual == res.history[-1].residual < np.inf
+    # a graph penalty's residual check is an IPM prox too; the first one
+    # is at x0, which stays the last accepted iterate
+    res, calls = run(qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, n)), 1, 1.0)
+    assert res.status == pqn.INNER_FAILURE and "injected" in res.reason
+    assert calls == 1 and res.iterations == 0 and res.history == []
+    assert np.array_equal(res.x, np.zeros(n)) and res.residual == np.inf
+    # a non-optimal trial whose residual meets the inexactness tolerance
+    res, _ = run(qscalc.build_l1(n), 3, 0.0)
+    assert res.status == pqn.OPTIMAL
