@@ -173,8 +173,9 @@ def run_describe(args):
     g = qscalc.parse_qs_spec(text)
     print(qscalc.format_qs_spec(g))
     blocks = ", ".join(f"{b.kind}({b.dim})" for b in g.K.blocks)
-    print(f"n={g.n} dual_dim={g.dual_dim} rows={g.A.shape[0]} "
-          f"strategy={g.strategy}")
+    fields = {"n": g.n, "dual_dim": g.dual_dim, "rows": g.A.shape[0],
+              "strategy": g.strategy}
+    print(" ".join(f"{k}={v}" for k, v in fields.items()))
     print(f"cone: {blocks}")
     if args.at:
         x = np.array(_float_list(args.at))

@@ -342,23 +342,6 @@ def block_columns(K: ConeProduct, r) -> sp.csc_matrix:
     return sp.csc_matrix((r[rows], rows, ptr), shape=(K.total_dim, dims.size))
 
 
-def block_dense(K: ConeProduct, u) -> np.ndarray:
-    """Dense matrix of block(u), block by block; the tests' oracle."""
-    u = K._check(u)
-    M = K.total_dim
-    out = np.zeros((M, M))
-    for blk, sl in zip(K.blocks, K.slices):
-        ub = u[sl]
-        if blk.kind == ORTHANT:
-            out[sl, sl] = np.diag(ub)
-        else:
-            m = blk.dim
-            J = np.diag(np.concatenate(([1.0], -np.ones(m - 1))))
-            P = 2.0 * np.outer(ub, ub) - (ub @ J @ ub) * J
-            out[sl, sl] = P @ P
-    return out
-
-
 def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
     """Scaling point u of the interior pair (s, v): block(u) v = s.
 

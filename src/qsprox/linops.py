@@ -6,10 +6,22 @@ The reduced system matrix is
 
 where H is an SPD metric kept in diagonal-plus-low-rank inverse form and
 block(u) is the cone scaling operator.  ``build_L`` hands back an operator
-with ``apply``/``solve`` closures specialized to the solve strategy tagged
-on the quadratic-support function: diagonal, banded-plus-low-rank, pivoted
-block, per-cone-block low rank, per-coordinate separable, or a dense
-Cholesky fallback.
+with ``apply``/``solve`` closures specialized to one of six solve paths.
+``structure(g)`` picks the path from g's dual data (A, B, K) alone, once
+per function, so a calculus output gets a structured path whenever its
+matrices qualify.  The first rule that holds wins; K is orthant-only
+unless said otherwise, and "A single" means each row of A has at most one
+nonzero:
+
+- ``l1_diag``: A single, B square diagonal;
+- ``ball_pivot``: A = [A1, a] with A1 single, B = [D; 0] with D diagonal;
+- ``soc_blocks``: K all second-order, A single, each block's rows touch one
+  contiguous run of dual coordinates (runs disjoint, in block order,
+  covering them all), B square diagonal;
+- ``separable``: A = kron(I_n, A_g), B = kron(I_n, B_g), n = B's columns;
+- ``graph_tridiag``: A single, B B^T's pattern within ``MAX_BANDWIDTH``
+  of the diagonal;
+- ``dense``: everything else.
 
 Both the second-order path and the dense fallback start from the form
 block(u)^{-1} = block(u^{-1}) = diag(d) + R R^T of ``cones.block_parts``,
@@ -54,7 +66,7 @@ import scipy.sparse as sp
 
 from qsprox import cones
 
-# Strategy tags.
+# Solve paths; ``structure`` picks one per function.
 L1_DIAG = "l1_diag"
 GRAPH_TRIDIAG = "graph_tridiag"
 BALL_PIVOT = "ball_pivot"
@@ -68,13 +80,12 @@ GUARD_TOL = 1e-7
 DENSE_LIMIT = 4096
 MAX_BANDWIDTH = 16
 
-# Module diagnostics: incremented on strategy/shape mismatches at build time
-# and on guarded solves that had to be redone densely.
-DIAGNOSTICS = {"strategy_mismatches": 0, "guard_fallbacks": 0}
+# Module diagnostics: incremented when a structured factorization or a
+# guarded solve had to be redone densely.
+DIAGNOSTICS = {"guard_fallbacks": 0}
 
 
 def reset_diagnostics():
-    DIAGNOSTICS["strategy_mismatches"] = 0
     DIAGNOSTICS["guard_fallbacks"] = 0
 
 
@@ -275,6 +286,8 @@ class LOperator:
     ``solve(q)`` returns p = L^{-1} q.  ``solve(q, quad=True)`` returns
     (p, Q p), Q = B H^{-1} B^T the metric part of L: the solve's residual
     check applies L to the p it returns, and hands that product on.
+    ``requested`` is the path ``structure`` chose; ``strategy`` is the one
+    that ran, ``dense`` after a fallback.
     """
 
     apply: Callable
@@ -325,108 +338,131 @@ def _diag_of(Bsq: sp.spmatrix) -> Optional[np.ndarray]:
     return diag
 
 
-def _orthant_winv(g, u):
-    return 1.0 / u
-
-
-def _sigma_diag(g, winv):
-    """Diagonal of A^T diag(winv) A."""
-    absAt = g.strategy_aux.get("_absAt")
-    if absAt is None:
-        A = g.A
-        absA = sp.csr_matrix((A.data * A.data, A.indices, A.indptr), shape=A.shape)
-        absAt = g.strategy_aux["_absAt"] = absA.T
-    return absAt @ winv
-
-
-def _transpose(g, name="A"):
-    """A^T (or B^T), cached per function.  The transpose of a CSR matrix
-    is a CSC view of the same arrays, so the cache costs no memory; it
-    saves rebuilding that view on every product."""
-    key = "_" + name + "t"
-    Mt = g.strategy_aux.get(key)
-    if Mt is None:
-        Mt = g.strategy_aux[key] = getattr(g, name).T
-    return Mt
-
-
 def _inverse_parts(g, u):
     """block(u)^{-1} = block(u^{-1}) = diag(d) + sum_j r_j r_j^T."""
     return cones.block_parts(g.K, cones.inverse(g.K, u))
 
 
-def _soc_dual_blocks(g):
-    """Starts and sizes of the SOC blocks' dual coordinates, cached.
+# ---------------------------------------------------------------------------
+# Classification of g's dual data
+# ---------------------------------------------------------------------------
 
-    On the ``soc_blocks`` layout block j (dimension m_j) owns the next
-    m_j - 1 dual coordinates, in block order."""
-    aux = g.strategy_aux.get("_soc_dual")
-    if aux is None:
-        sizes = np.array([b.dim - 1 for b in g.K.blocks])
-        aux = g.strategy_aux["_soc_dual"] = (np.cumsum(sizes) - sizes, sizes)
-    return aux
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """The solve path g's matrices admit, with the pieces it reuses.
+
+    ``At``/``Bt`` are A^T and B^T as CSC views of the CSR arrays.  Where
+    A's rows hold at most one nonzero, the diagonal A^T diag(w) A is
+    ``sqAt @ w``, sqAt = (A o A)^T.  Per path: the SOC blocks' dual
+    ``runs`` (starts, sizes), the ``border`` column a of A = [A1, a], a
+    separable g's blocks.
+    """
+
+    path: str
+    At: sp.csc_matrix
+    Bt: sp.csc_matrix
+    sqAt: Optional[sp.csc_matrix] = None
+    runs: Optional[tuple] = None
+    border: Optional[np.ndarray] = None
+    A_g: Optional[np.ndarray] = None
+    B_g: Optional[np.ndarray] = None
 
 
-def _is_orthant_only(K) -> bool:
-    return all(b.kind == cones.ORTHANT for b in K.blocks)
+def structure(g) -> Structure:
+    """The solve path of g, read off its (A, B, K) on first use and kept on
+    g, so a function is classified once."""
+    s = g.__dict__.get("_structure")
+    if s is None:
+        s = g._structure = _classify(g.A, g.B, g.K)
+    return s
+
+
+def _classify(A, B, K) -> Structure:
+    """The first path whose rule (module docstring) holds.  The rules read
+    stored entries: a stored zero only sends g to a more general path."""
+    At, Bt = A.T, B.T
+    sqAt = sp.csr_matrix((A.data * A.data, A.indices, A.indptr), shape=A.shape).T
+    n = A.shape[1] - 1
+    orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
+    single = _rows_single_nonzero(A)
+    if orthant and single and _diag_of(B) is not None:
+        return Structure(L1_DIAG, At, Bt, sqAt)
+    if (orthant and n >= 1 and B.shape[1] == n and B[n].nnz == 0
+            and _diag_of(B[:n]) is not None and _rows_single_nonzero(A[:, :n])):
+        return Structure(BALL_PIVOT, At, Bt, sqAt, border=A[:, n].toarray().ravel())
+    if all(b.kind == cones.SECOND_ORDER for b in K.blocks) and single \
+            and _diag_of(B) is not None:
+        runs = _soc_runs(A, K)
+        if runs is not None:
+            return Structure(SOC_BLOCKS, At, Bt, sqAt, runs)
+    if orthant:
+        blocks = _separable_blocks(A, B)
+        if blocks is not None:
+            return Structure(SEPARABLE, At, Bt, A_g=blocks[0], B_g=blocks[1])
+        if single and _pattern_bandwidth(B) <= MAX_BANDWIDTH:
+            return Structure(GRAPH_TRIDIAG, At, Bt, sqAt)
+    return Structure(DENSE, At, Bt)
 
 
 def _rows_single_nonzero(A: sp.csr_matrix) -> bool:
-    return bool(np.all(np.diff(A.indptr) == 1))
+    return bool(np.all(np.diff(A.indptr) <= 1))
 
 
-# -- per-strategy validation (run once per function object) --
-
-def _validate(g, H) -> bool:
-    cached = g.strategy_aux.get("_validated")
-    if cached is not None:
-        return cached
-    ok = _validate_fresh(g, H)
-    g.strategy_aux["_validated"] = ok
-    return ok
-
-
-def _validate_fresh(g, H) -> bool:
-    A, B, K = g.A, g.B, g.K
-    ell = A.shape[1]
-    tag = g.strategy
-    if tag == L1_DIAG:
-        return (_is_orthant_only(K) and _rows_single_nonzero(A)
-                and _diag_of(B) is not None)
-    if tag == GRAPH_TRIDIAG:
-        return _is_orthant_only(K) and _rows_single_nonzero(A)
-    if tag == BALL_PIVOT:
-        n = ell - 1
-        if B.shape != (ell, n) or A.shape[0] != 2 * n or not _is_orthant_only(K):
-            return False
-        Bd = B.tocsr()
-        top = Bd[:n, :]
-        bottom = Bd[n:, :]
-        return bottom.nnz == 0 and _diag_of(top) is not None
-    if tag == SOC_BLOCKS:
-        if not all(b.kind == cones.SECOND_ORDER for b in K.blocks):
-            return False
-        if _diag_of(B) is None:
-            return False
-        sizes = [b.dim - 1 for b in K.blocks]
-        return sum(sizes) == ell and A.shape[0] == sum(b.dim for b in K.blocks)
-    if tag == SEPARABLE:
-        aux = g.strategy_aux
-        if "A_g" not in aux or "B_g" not in aux:
-            return False
-        A_g = aux["A_g"]
-        B_g = aux["B_g"]
-        nvars = B.shape[1]
-        return (_is_orthant_only(K) and A.shape == (nvars * A_g.shape[0], nvars * A_g.shape[1])
-                and B.shape[0] == nvars * B_g.size)
-    return tag == DENSE
+def _soc_runs(A, K):
+    """Starts and sizes of the dual coordinates each SOC block's rows
+    touch, or None unless those runs are contiguous, disjoint, in block
+    order and cover every coordinate.  A's rows have at most one nonzero."""
+    nblk, ell = len(K.blocks), A.shape[1]
+    block_of_row = np.repeat(np.arange(nblk), [b.dim for b in K.blocks])
+    owner = block_of_row[np.diff(A.indptr) == 1]
+    col_owner = np.full(ell, -1)
+    col_owner[A.indices] = owner
+    steps = np.diff(col_owner)
+    # Owners agree per column, and start at 0, climb by 0 or 1 (so no
+    # column is left at -1) and end at the last block.
+    if not (ell and np.array_equal(col_owner[A.indices], owner) and col_owner[0] == 0
+            and col_owner[-1] == nblk - 1 and np.all((steps == 0) | (steps == 1))):
+        return None
+    sizes = np.bincount(col_owner, minlength=nblk)
+    return np.cumsum(sizes) - sizes, sizes
 
 
-# -- per-strategy solve factories --
+def _separable_blocks(A, B):
+    """(A_g, B_g) with A = kron(I_n, A_g) and B = kron(I_n, B_g), n >= 2
+    the column count of B and B_g a column, or None.  A_g must have full
+    column rank, or the per-coordinate blocks A_g^T diag(w) A_g are
+    singular."""
+    n = B.shape[1]
+    rows, ell = A.shape
+    if n < 2 or rows % n or ell % n:
+        return None
+    p, lg = rows // n, ell // n
+    A_g = A[:p, :lg].toarray()
+    B_g = B[:lg, :1].toarray()
+    eye = sp.identity(n, format="csr")
+    if (np.linalg.matrix_rank(A_g) < lg or (A != sp.kron(eye, A_g, format="csr")).nnz
+            or (B != sp.kron(eye, B_g, format="csr")).nnz):
+        return None
+    return A_g, B_g.ravel()
+
+
+def _pattern_bandwidth(B) -> int:
+    """Bandwidth of the pattern of B B^T, where rows i and k meet when they
+    share a column of B: the widest span of rows in one column."""
+    C = B.tocsc()
+    C.sort_indices()
+    used = np.diff(C.indptr) > 0
+    span = C.indices[C.indptr[1:][used] - 1] - C.indices[C.indptr[:-1][used]]
+    return int(np.max(span, initial=0))
+
+
+# ---------------------------------------------------------------------------
+# Per-path solve factories
+# ---------------------------------------------------------------------------
 
 def _solve_l1_diag(g, H, u, memo):
-    winv = _orthant_winv(g, u)
-    sig = _sigma_diag(g, winv)
+    winv = 1.0 / u
+    sig = structure(g).sqAt @ winv
     qd, qU, qM = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
     triple = swinv(qd + sig, qU, qM)
     return triple.matvec
@@ -442,14 +478,12 @@ def _graph_metric_band(g, H):
     T = (N @ sp.diags(d1) @ N.T).tocsr()
     coo = T.tocoo()
     bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-    if bw > MAX_BANDWIDTH:
-        raise StructuredSolveError("graph system bandwidth too large for banded path")
     return banded_upper_from_sparse(T, bw), bw, N @ U1, M1
 
 
 def _solve_graph_tridiag(g, H, u, memo):
-    winv = _orthant_winv(g, u)
-    sig = _sigma_diag(g, winv)
+    winv = 1.0 / u
+    sig = structure(g).sqAt @ winv
     band, bw, NU1, M1 = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     ab = band.copy()
     ab[bw] += sig
@@ -464,14 +498,14 @@ def _solve_graph_tridiag(g, H, u, memo):
 
 
 def _solve_ball_pivot(g, H, u, memo):
-    ell = g.A.shape[1]
-    n = ell - 1
-    winv = _orthant_winv(g, u)
-    w1 = winv[:n]
-    w2 = winv[n:]
-    sig = w1 + w2
-    mvec = w2 - w1
-    phi0 = float(np.sum(sig))
+    # With A = [A1, a], A^T diag(w) A = [[diag(sig), m], [m^T, phi0]]
+    # and its last column is A^T diag(w) a.
+    s = structure(g)
+    n = g.A.shape[1] - 1
+    winv = 1.0 / u
+    sig = (s.sqAt @ winv)[:n]
+    last = s.At @ (s.border * winv)
+    mvec, phi0 = last[:n], last[n]
     qd, qU, qM = _quad_inverse_parts(H, g.B, n, memo)
     triple = swinv(qd + sig, qU, qM)
     c1 = triple.matvec(mvec)
@@ -491,14 +525,14 @@ def _solve_ball_pivot(g, H, u, memo):
 def _solve_soc_blocks(g, H, u, memo):
     # Block j of the core is diag(D) + g_j g_j^T with g_j = A^T r_j, which
     # lives on the block's own dual coordinates; gv holds all g_j at once.
-    ell = g.A.shape[1]
-    starts, sizes = _soc_dual_blocks(g)
-    qd, qU, qM = _quad_inverse_parts(H, g.B, ell, memo)
+    s = structure(g)
+    starts, sizes = s.runs
+    qd, qU, qM = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
     d, r = _inverse_parts(g, u)
-    D = qd + _sigma_diag(g, d)
+    D = qd + s.sqAt @ d
     if not (D > 0.0).all():
         raise StructuredSolveError("nonpositive diagonal in the second-order core")
-    gv = _transpose(g) @ r
+    gv = s.At @ r
     Dg = gv / D
     cap = 1.0 + np.add.reduceat(gv * Dg, starts)
 
@@ -513,9 +547,8 @@ def _solve_soc_blocks(g, H, u, memo):
 
 
 def _solve_separable(g, H, u, memo):
-    aux = g.strategy_aux
-    A_g = aux["A_g"]
-    B_g = aux["B_g"]
+    s = structure(g)
+    A_g, B_g = s.A_g, s.B_g
     p, lg = A_g.shape
     nvars = g.B.shape[1]
     winv = (1.0 / u).reshape(nvars, p)
@@ -540,7 +573,7 @@ def _metric_term(g, H):
     d1, U1, M1 = H.inverse_parts()
     B = g.B
     BU = B @ U1
-    return (B @ sp.diags(d1) @ _transpose(g, "B")).toarray() + BU @ M1 @ BU.T
+    return (B @ sp.diags(d1) @ structure(g).Bt).toarray() + BU @ M1 @ BU.T
 
 
 def _dense_matrix(g, H, u, memo=None):
@@ -550,7 +583,7 @@ def _dense_matrix(g, H, u, memo=None):
         raise StructuredSolveError(
             f"dense fallback refused for dimension {ell} > {DENSE_LIMIT}")
     d, r = _inverse_parts(g, u)
-    At = _transpose(g)
+    At = structure(g).At
     G = At @ cones.block_columns(g.K, r)
     L = (At @ sp.diags(d) @ A + G @ G.T).toarray()
     if H is not None:
@@ -584,14 +617,15 @@ _FACTORIES = {
 def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator:
     """Operator for L(u) = B H^{-1} B^T + A^T block(u)^{-1} A.
 
-    ``g`` supplies (A, B, K, strategy); ``H`` may be None for a vanishing
-    quadratic term (linear-objective evaluation).  Structured solves carry a
-    residual guard that reroutes through the dense fallback on instability.
+    ``g`` supplies (A, B, K), and ``structure(g)`` the path; ``H`` may be
+    None for a vanishing quadratic term (linear-objective evaluation).
+    Structured solves carry a residual guard that reroutes through the
+    dense fallback on instability.
     ``memo`` keeps the u-independent parts of the metric term between calls
     with the same g and H (see ``reduced_solver``).
     """
-    A, B = g.A, g.B
-    At, Bt = _transpose(g), _transpose(g, "B")
+    s = structure(g)
+    A, B, At, Bt = g.A, g.B, s.At, s.Bt
     K = g.K
     ell = A.shape[1]
     u = np.asarray(u, dtype=float)
@@ -608,14 +642,10 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     def apply(w):
         return apply_split(w)[0]
 
-    requested = g.strategy
-    tag = requested
+    requested = tag = s.path
     if tag == SEPARABLE and H is None:
         # The separable factorization pivots on H; without a quadratic
         # term the dense path is the only complete one.
-        tag = DENSE
-    elif tag != DENSE and not _validate(g, H):
-        DIAGNOSTICS["strategy_mismatches"] += 1
         tag = DENSE
 
     def refined(inner_solve, q):

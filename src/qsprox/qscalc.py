@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,11 +41,12 @@ CLOSED_KINDS = ("l1", "group_l2", "l1_ball", "orthant_dist", "tv1d")
 
 @dataclass(eq=False)
 class ProxKind:
-    """Tag describing the structure of g's prox.
+    """Tag naming an exact prox rule for g, for the PQN step.
 
-    The kinds in ``CLOSED_KINDS`` have an exact prox in the identity
-    metric (``proxeval.unscaled_prox``); ``tv1d`` is w * ||N x||_1 with N
-    the first-difference map of a path.  ``graph_l1`` is w * ||N x||_1 on
+    It plays no part in the interior-point solve, whose path is read off
+    g's matrices (``linops.structure``).  The kinds in ``CLOSED_KINDS``
+    have an exact prox in the identity metric (``proxeval.unscaled_prox``);
+    ``tv1d`` is w * ||N x||_1 with N the first-difference map of a path.  ``graph_l1`` is w * ||N x||_1 on
     any other graph: it has no closed rule and carries N only for
     subgradients.
     """
@@ -65,15 +66,19 @@ class ProxKind:
 
 @dataclass(eq=False)
 class QSFunction:
-    """Dual-form data (A, b, d, B, K) plus solve-strategy and prox metadata."""
+    """Dual-form data (A, b, d, B, K) plus prox metadata.
+
+    How the interior-point method solves g's reduced systems is not set
+    here: ``linops.structure`` reads the path off (A, B, K) when g is first
+    proxed or evaluated and keeps it on g, so A, B and K are not
+    reassigned after that.  ``strategy`` names the path.
+    """
 
     A: sp.csr_matrix
     b: np.ndarray
     d: np.ndarray
     B: sp.csr_matrix
     K: cones.ConeProduct
-    strategy: str = linops.DENSE
-    strategy_aux: dict = field(default_factory=dict)
     closed_form: Optional[Callable] = None
     prox_kind: Optional[ProxKind] = None
     name: str = "qs"
@@ -92,8 +97,11 @@ class QSFunction:
             raise ValueError("A and B disagree on the dual dimension")
         if self.d.size != self.B.shape[0]:
             raise ValueError("d length must match the dual dimension")
-        if self.strategy not in linops.STRATEGIES:
-            raise ValueError(f"unknown solve strategy {self.strategy!r}")
+
+    @property
+    def strategy(self) -> str:
+        """The reduced-system solve path g's matrices admit."""
+        return linops.structure(self).path
 
     @property
     def n(self) -> int:
@@ -157,7 +165,6 @@ def build_l1(n: int) -> QSFunction:
     return QSFunction(
         A=A, b=-np.ones(2 * n), d=np.zeros(n), B=_eye(n),
         K=cones.product(cones.orthant(2 * n)),
-        strategy=linops.L1_DIAG,
         closed_form=lambda x: float(np.sum(np.abs(x))),
         prox_kind=ProxKind("l1"),
         name="l1",
@@ -173,7 +180,6 @@ def build_l2(n: int) -> QSFunction:
     return QSFunction(
         A=A, b=b, d=np.zeros(n), B=_eye(n),
         K=cones.product(cones.second_order(n + 1)),
-        strategy=linops.SOC_BLOCKS,
         closed_form=lambda x: float(np.linalg.norm(x)),
         prox_kind=ProxKind("group_l2", sizes=(n,)),
         name="l2",
@@ -187,7 +193,6 @@ def build_polyhedral_norm(A, b, B) -> QSFunction:
     return QSFunction(
         A=A, b=b, d=np.zeros(A.shape[1]), B=B,
         K=cones.product(cones.orthant(A.shape[0])),
-        strategy=linops.DENSE,
         name="polyhedral_norm",
     )
 
@@ -205,7 +210,6 @@ def build_quadratic(n: int) -> QSFunction:
     return QSFunction(
         A=A, b=b, d=d, B=B,
         K=cones.product(cones.second_order(n + 2)),
-        strategy=linops.DENSE,
         closed_form=lambda x: float(0.5 * (x @ x)),
         name="quadratic",
         spec={"kind": "quadratic", "n": n},
@@ -227,7 +231,6 @@ def build_l1_ball(n: int) -> QSFunction:
     return QSFunction(
         A=A, b=np.zeros(2 * n), d=d, B=B,
         K=cones.product(cones.orthant(2 * n)),
-        strategy=linops.BALL_PIVOT,
         closed_form=indicator,
         prox_kind=ProxKind("l1_ball"),
         name="l1_ball",
@@ -248,7 +251,6 @@ def build_cone_indicator(B) -> QSFunction:
     return QSFunction(
         A=-_eye(m), b=np.zeros(m), d=np.zeros(m), B=B,
         K=cones.product(cones.orthant(m)),
-        strategy=linops.DENSE,
         closed_form=indicator,
         name="cone_indicator",
     )
@@ -262,7 +264,6 @@ def build_orthant_distance(n: int) -> QSFunction:
     return QSFunction(
         A=A, b=b, d=np.zeros(n), B=_eye(n),
         K=cones.product(cones.second_order(n + 1), cones.orthant(n)),
-        strategy=linops.DENSE,
         closed_form=lambda x: float(np.linalg.norm(np.maximum(x, 0.0))),
         prox_kind=ProxKind("orthant_dist"),
         name="orthant_distance",
@@ -283,7 +284,6 @@ def build_graph_l1(N) -> QSFunction:
     return QSFunction(
         A=A, b=-np.ones(2 * m), d=np.zeros(m), B=N,
         K=cones.product(cones.orthant(2 * m)),
-        strategy=linops.GRAPH_TRIDIAG,
         closed_form=lambda x: float(np.sum(np.abs(N @ x))),
         prox_kind=ProxKind(kind, N=N),
         name="graph_l1",
@@ -307,7 +307,6 @@ def build_isotropic_tv(N) -> QSFunction:
     return QSFunction(
         A=A, b=b, d=np.zeros(2 * m), B=N,
         K=cones.ConeProduct(tuple(cones.second_order(3) for _ in range(m))),
-        strategy=linops.DENSE,
         closed_form=value,
         name="isotropic_tv",
     )
@@ -337,7 +336,6 @@ def build_sum_of_norms(sizes) -> QSFunction:
         A=sp.block_diag(blocks, format="csr"),
         b=np.concatenate(bs), d=np.zeros(n), B=_eye(n),
         K=cones.ConeProduct(tuple(cones.second_order(ni + 1) for ni in sizes)),
-        strategy=linops.SOC_BLOCKS,
         closed_form=value,
         prox_kind=ProxKind("group_l2", sizes=sizes),
         name="sum_of_norms",
@@ -359,7 +357,6 @@ def gamma_hinge() -> QSFunction:
     return QSFunction(
         A=A, b=np.array([0.0, -1.0]), d=np.zeros(1), B=_eye(1),
         K=cones.product(cones.orthant(2)),
-        strategy=linops.L1_DIAG,
         closed_form=lambda x: float(np.maximum(x, 0.0).sum()),
         name="hinge",
     )
@@ -371,9 +368,6 @@ def build_separable(gamma: QSFunction, n: int) -> QSFunction:
         raise ValueError("separable lift needs a scalar gamma")
     if not all(blk.kind == cones.ORTHANT for blk in gamma.K.blocks):
         raise ValueError("separable lift needs an orthant-only gamma")
-    A_g = gamma.A.toarray()
-    B_g = gamma.B.toarray().ravel()
-    p, lg = A_g.shape
     A = sp.kron(_eye(n), gamma.A, format="csr")
     B = sp.kron(_eye(n), gamma.B, format="csr")
     gcf = gamma.closed_form
@@ -384,9 +378,7 @@ def build_separable(gamma: QSFunction, n: int) -> QSFunction:
 
     return QSFunction(
         A=A, b=np.tile(gamma.b, n), d=np.tile(gamma.d, n), B=B,
-        K=cones.product(cones.orthant(n * p)),
-        strategy=linops.SEPARABLE,
-        strategy_aux={"A_g": A_g, "B_g": B_g, "lg": lg},
+        K=cones.product(cones.orthant(n * gamma.A.shape[0])),
         closed_form=closed,
         name=f"separable({gamma.name})",
     )
@@ -401,13 +393,8 @@ def scale(g: QSFunction, alpha: float) -> QSFunction:
     if alpha <= 0.0:
         raise ValueError("scale factor must be positive")
     cf = g.closed_form
-    aux = {k: v for k, v in g.strategy_aux.items() if not k.startswith("_")}
-    if "B_g" in aux:
-        aux["B_g"] = alpha * aux["B_g"]
     return QSFunction(
         A=g.A, b=g.b, d=alpha * g.d, B=alpha * g.B, K=g.K,
-        strategy=g.strategy,
-        strategy_aux=aux,
         closed_form=(lambda x: alpha * cf(x)) if cf is not None else None,
         prox_kind=g.prox_kind.scaled(alpha) if g.prox_kind is not None else None,
         name=f"scale({g.name})",
@@ -427,7 +414,6 @@ def add(g1: QSFunction, g2: QSFunction) -> QSFunction:
         d=np.concatenate([g1.d, g2.d]),
         B=sp.vstack([g1.B, g2.B], format="csr"),
         K=g1.K * g2.K,
-        strategy=linops.DENSE,
         closed_form=(lambda x: cf1(x) + cf2(x))
         if cf1 is not None and cf2 is not None else None,
         name=f"add({g1.name},{g2.name})",
@@ -437,7 +423,6 @@ def add(g1: QSFunction, g2: QSFunction) -> QSFunction:
 def concat(g0: QSFunction, k: int) -> QSFunction:
     """g(x) = sum_j g0(x_j) over k consecutive chunks of the argument."""
     n0 = g0.n
-    keep = (linops.L1_DIAG, linops.SOC_BLOCKS, linops.GRAPH_TRIDIAG)
     cf0 = g0.closed_form
     closed = None
     if cf0 is not None:
@@ -454,7 +439,6 @@ def concat(g0: QSFunction, k: int) -> QSFunction:
         d=np.tile(g0.d, k),
         B=sp.kron(_eye(k), g0.B, format="csr"),
         K=cones.ConeProduct(g0.K.blocks * k),
-        strategy=g0.strategy if g0.strategy in keep else linops.DENSE,
         closed_form=closed,
         prox_kind=pk,
         name=f"concat({g0.name},{k})",
@@ -472,7 +456,6 @@ def affine_compose(g0: QSFunction, P, p) -> QSFunction:
         d=g0.d - B0 @ p,
         B=sp.csr_matrix(B0 @ P),
         K=g0.K,
-        strategy=linops.DENSE,
         closed_form=(lambda x: cf0(P @ x - p)) if cf0 is not None else None,
         name=f"affine({g0.name})",
     )
@@ -506,7 +489,6 @@ def lift_quadratic(g0: QSFunction, Q) -> QSFunction:
     K = cones.ConeProduct((cones.second_order(rank + 2),) + g0.K.blocks)
     return QSFunction(
         A=A, b=b, d=d, B=B, K=K,
-        strategy=linops.DENSE,
         name=f"lift({g0.name})",
     )
 

@@ -206,3 +206,20 @@ def max_step(K, x, dx, frac=1.0):
             if pos:
                 t = min(t, min(pos))
     return min(1.0, frac * t)
+
+
+def block_dense(K, u):
+    """Dense matrix of block(u) = P(u)^2, block by block."""
+    u = K._check(u)
+    M = K.total_dim
+    out = np.zeros((M, M))
+    for blk, sl in _blocks(K):
+        ub = u[sl]
+        if blk.kind == ORTHANT:
+            out[sl, sl] = np.diag(ub)
+        else:
+            m = blk.dim
+            J = np.diag(np.concatenate(([1.0], -np.ones(m - 1))))
+            P = 2.0 * np.outer(ub, ub) - (ub @ J @ ub) * J
+            out[sl, sl] = P @ P
+    return out

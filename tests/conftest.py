@@ -5,6 +5,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from qsprox import cones, linops, qscalc
+from cone_reference import block_dense
 
 
 def random_interior(K, rng, lo=0.3, hi=2.0):
@@ -89,7 +90,7 @@ def dense_L(g, H, u):
     ell = g.dual_dim
     Bd = g.B.toarray()
     Ad = g.A.toarray()
-    W = np.linalg.inv(cones.block_dense(g.K, u))
+    W = np.linalg.inv(block_dense(g.K, u))
     out = Ad.T @ W @ Ad
     if H is not None:
         Hinv = np.column_stack([H.solve(e) for e in np.eye(g.n)])

@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 
 from qsprox import cones, linops, pqn, problems, proxeval, qscalc
-from conftest import (catalog, dense_L, fd_gradient, random_cone_product,
-                      random_dlr_metric, random_interior)
+from cone_reference import block_dense
+from conftest import (catalog, dense_L, fd_gradient, gamma_coupled,
+                      random_cone_product, random_dlr_metric, random_interior)
 
 SOFT_THRESHOLD_TOL = 1e-6          # criterion 1
 SOFT_THRESHOLD_BUDGET = 60.0
@@ -185,7 +186,7 @@ def test_criterion_04_nt_scaling_identity():
         v = rng.uniform(0.3, 2.0, dim)
         u = cones.nt_scaling(K, s, v)
         sv = np.diag(s / v)
-        err = np.linalg.norm(cones.block_dense(K, u) - sv)
+        err = np.linalg.norm(block_dense(K, u) - sv)
         assert err <= NT_TOL * np.linalg.norm(sv)
 
 
@@ -315,7 +316,9 @@ def test_criterion_10_structured_solve_equivalence():
         ("l2", qscalc.build_l2(120), linops.SOC_BLOCKS),
         ("sum_of_norms", qscalc.build_sum_of_norms((50, 50, 60)),
          linops.SOC_BLOCKS),
-        ("separable", qscalc.build_separable(qscalc.gamma_hinge(), 150),
+        ("hinge", qscalc.build_separable(qscalc.gamma_hinge(), 150),
+         linops.L1_DIAG),
+        ("separable", qscalc.build_separable(gamma_coupled(), 150),
          linops.SEPARABLE),
     ]
     for name, g, expected in cases:

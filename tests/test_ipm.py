@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from qsprox import cones, ipm, linops, proxeval, qscalc
+from cone_reference import block_dense
 from conftest import random_dlr_metric, random_interior
 
 
@@ -235,7 +236,7 @@ def test_newton_direction_matches_dense_kkt():
     t_p = rng.standard_normal(m)
     t_mu = rng.standard_normal(m)
     dy, dv, ds = ipm.newton_direction(qp, u, Lop, t_d, t_p, t_mu)
-    Bu = cones.block_dense(K, u)
+    Bu = block_dense(K, u)
     top = np.hstack([Qd, -A.T, np.zeros((ell, m))])
     mid = np.hstack([A, np.zeros((m, m)), -np.eye(m)])
     bot = np.hstack([np.zeros((m, ell)), Bu, np.eye(m)])

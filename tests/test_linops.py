@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qsprox import linops, proxeval, qscalc
-from conftest import (catalog, dense_L, metric_dense, random_diag_metric,
-                      random_dlr_metric, random_interior)
+from qsprox import cones, linops, proxeval, qscalc
+from conftest import (catalog, dense_L, gamma_coupled, metric_dense,
+                      random_diag_metric, random_dlr_metric, random_interior)
 
 
 def swtriple_dense(t, n):
@@ -177,7 +177,9 @@ def test_expected_strategies():
     assert pairs["l1_ball"].strategy == linops.BALL_PIVOT
     assert pairs["l2"].strategy == linops.SOC_BLOCKS
     assert pairs["sum_of_norms"].strategy == linops.SOC_BLOCKS
-    assert pairs["separable_abs"].strategy == linops.SEPARABLE
+    assert pairs["separable_abs"].strategy == linops.L1_DIAG
+    assert pairs["separable_abs+hinge"].strategy == linops.SEPARABLE
+    assert pairs["separable_coupled"].strategy == linops.SEPARABLE
 
 
 def test_structured_solves_match_dense_strategy():
@@ -202,22 +204,26 @@ def test_structured_solves_match_dense_strategy():
         assert err <= 1e-8, name
 
 
-def test_strategy_mismatch_falls_back_to_dense():
-    """A forged strategy tag on incompatible data routes to the dense path
-    and bumps the diagnostics counter."""
+def test_structured_factory_error_falls_back_to_dense(monkeypatch):
+    """A structured factorization that raises routes to the dense path,
+    keeps the classified path as the requested one and bumps the
+    diagnostics counter once; the dense solve is right."""
+    def refuse(g, H, u, memo):
+        raise linops.StructuredSolveError("refused")
+
+    monkeypatch.setitem(linops._FACTORIES, linops.SOC_BLOCKS, refuse)
     g = qscalc.build_l2(5)
-    forged = qscalc.QSFunction(A=g.A, b=g.b, d=g.d, B=g.B, K=g.K,
-                               strategy=linops.L1_DIAG, name="forged")
     rng = np.random.default_rng(31)
     u = random_interior(g.K, rng)
     linops.reset_diagnostics()
-    op = linops.build_L(forged, linops.Metric.identity(5), u)
+    op = linops.build_L(g, linops.Metric.identity(5), u)
     assert op.strategy == linops.DENSE
-    assert op.requested == linops.L1_DIAG
-    assert linops.DIAGNOSTICS["strategy_mismatches"] == 1
+    assert op.requested == linops.SOC_BLOCKS
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
     q = rng.standard_normal(5)
     res = np.linalg.norm(op.apply(op.solve(q)) - q)
     assert res <= 1e-9 * (1.0 + np.linalg.norm(q))
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
 
 
 def test_banded_helpers_round_trip():
@@ -233,14 +239,16 @@ def test_banded_helpers_round_trip():
 
 
 def dense_fallback_cases(n=6):
-    """Penalties tagged for the dense path: iso-TV (3-D SOC blocks), a sum
-    of orthant penalties, an SOC block followed by an orthant, and a
-    cone indicator."""
+    """Penalties the dense matrix serves: iso-TV (3-D SOC blocks under a
+    coupling B), a sum of l1 and path TV whose stacked B B^T is wider than
+    the banded path takes (as in the benchmark's l1+tv), an SOC block
+    followed by an orthant, and a cone indicator."""
     N = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    m = linops.MAX_BANDWIDTH + 2
     return [
         ("isotropic_tv", qscalc.build_isotropic_tv(N)),
-        ("l1+tv", qscalc.add(qscalc.build_l1(n),
-                             qscalc.build_graph_l1(qscalc.path_difference_matrix(n)))),
+        ("l1+tv", qscalc.add(qscalc.build_l1(m),
+                             qscalc.build_graph_l1(qscalc.path_difference_matrix(m)))),
         ("orthant_distance", qscalc.build_orthant_distance(n)),
         ("cone_indicator", qscalc.build_cone_indicator(
             np.random.default_rng(33).standard_normal((4, n)))),
@@ -248,9 +256,12 @@ def dense_fallback_cases(n=6):
 
 
 def test_dense_path_matches_dense_formation():
+    """The dense matrix, and the solve of the path each case classifies as:
+    dense, except the cone indicator, whose 4 x 4 B B^T is banded."""
     rng = np.random.default_rng(34)
     for name, g in dense_fallback_cases():
-        assert g.strategy == linops.DENSE, name
+        expected = linops.GRAPH_TRIDIAG if name == "cone_indicator" else linops.DENSE
+        assert g.strategy == expected, name
         for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
             u = random_interior(g.K, rng)
             expect = dense_L(g, H, u)
@@ -313,3 +324,126 @@ def test_soc_path_unequal_blocks_matches_dense():
             assert op.strategy == linops.SOC_BLOCKS
             for p in (core(q), op.solve(q)):
                 assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+
+def random_leaf(rng, n):
+    """One catalog penalty on n coordinates; separable lifts with lg = 1
+    (abs, hinge) and lg = 2 (a diagonal and a coupled block)."""
+    gammas = (qscalc.gamma_abs, qscalc.gamma_hinge, gamma_coupled,
+              lambda: qscalc.add(qscalc.gamma_abs(), qscalc.gamma_hinge()))
+    leaves = (
+        lambda: qscalc.build_l1(n),
+        lambda: qscalc.build_l2(n),
+        lambda: qscalc.build_sum_of_norms((1, n - 1)),
+        lambda: qscalc.build_l1_ball(n),
+        lambda: qscalc.build_graph_l1(qscalc.path_difference_matrix(n)),
+        lambda: qscalc.build_separable(gammas[rng.integers(len(gammas))](), n),
+    )
+    return leaves[rng.integers(len(leaves))]()
+
+
+def random_composition(rng):
+    """A leaf under one or two of scale, concat, add and affine_compose
+    with a diagonal or permutation P."""
+    g = random_leaf(rng, int(rng.integers(2, 5)))
+    for _ in range(rng.integers(1, 3)):
+        op = rng.integers(4)
+        if op == 0:
+            g = qscalc.scale(g, rng.uniform(0.5, 3.0))
+        elif op == 1:
+            g = qscalc.concat(g, int(rng.integers(2, 4)))
+        elif op == 2:
+            g = qscalc.add(g, random_leaf(rng, g.n))
+        else:
+            P = (np.diag(rng.uniform(0.5, 2.0, g.n)) if rng.random() < 0.5
+                 else np.eye(g.n)[rng.permutation(g.n)])
+            g = qscalc.affine_compose(g, P, rng.standard_normal(g.n))
+    return g
+
+
+def test_classified_paths_match_dense_on_random_compositions():
+    """Calculus outputs keep a structured path when their matrices
+    qualify, and every classified path solves like the dense matrix
+    under identity, diagonal and diag+rank-3 metrics with no fallback."""
+    rng = np.random.default_rng(37)
+    seen = set()
+    for _ in range(150):
+        g = random_composition(rng)
+        seen.add(g.strategy)
+        for H in (linops.Metric.identity(g.n), random_diag_metric(rng, g.n),
+                  random_dlr_metric(rng, g.n, 3)):
+            u = random_interior(g.K, rng)
+            linops.reset_diagnostics()
+            op = linops.build_L(g, H, u)
+            assert op.strategy == op.requested == g.strategy, g.name
+            q = rng.standard_normal(g.dual_dim)
+            p = op.solve(q)
+            assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, g.name
+            p_ref = np.linalg.solve(dense_L(g, H, u), q)
+            assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref), g.name
+    assert seen == set(linops.STRATEGIES)
+
+
+def cone_layout(K):
+    """K's blocks with runs of orthant blocks merged: the same cone."""
+    out = []
+    for blk in K.blocks:
+        if out and blk.kind == out[-1][0] == cones.ORTHANT:
+            out[-1] = (cones.ORTHANT, out[-1][1] + blk.dim)
+        else:
+            out.append((blk.kind, blk.dim))
+    return out
+
+
+def same_data(g, h):
+    return (g.A.shape == h.A.shape and g.B.shape == h.B.shape
+            and (g.A != h.A).nnz == 0 and (g.B != h.B).nnz == 0
+            and cone_layout(g.K) == cone_layout(h.K))
+
+
+def test_same_matrices_get_the_same_path_whatever_the_builder():
+    D = qscalc.path_difference_matrix(4)
+    pairs = [
+        (qscalc.concat(qscalc.gamma_abs(), 5),
+         qscalc.build_separable(qscalc.gamma_abs(), 5)),
+        (qscalc.concat(qscalc.build_separable(gamma_coupled(), 2), 3),
+         qscalc.build_separable(gamma_coupled(), 6)),
+        (qscalc.concat(qscalc.build_l2(3), 2), qscalc.build_sum_of_norms((3, 3))),
+        (qscalc.concat(qscalc.build_graph_l1(D), 2),
+         qscalc.build_graph_l1(sp.block_diag([D, D]))),
+        (qscalc.scale(qscalc.scale(qscalc.build_l1_ball(5), 2.0), 0.5),
+         qscalc.build_l1_ball(5)),
+    ]
+    pairs += [(qscalc.affine_compose(g, np.eye(g.n), np.zeros(g.n)), g)
+              for _, g in catalog(6)]
+    for g, h in pairs:
+        assert same_data(g, h), (g.name, h.name)
+        assert g.strategy == h.strategy, (g.name, h.name)
+
+
+def grid_differences(side):
+    """Horizontal and vertical differences of a side x side grid, node by
+    node."""
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            p = i * side + j
+            if j + 1 < side:
+                edges.append((p, p + 1))
+            if i + 1 < side:
+                edges.append((p, p + side))
+    return qscalc.incidence_matrix(edges, side * side)
+
+
+def test_grid_graph_goes_dense_without_fallbacks():
+    """A 12 x 12 grid's B B^T is wider than the banded path takes, so the
+    graph penalty is classified dense up front and its prox runs with no
+    fallback at all."""
+    rng = np.random.default_rng(38)
+    g = qscalc.build_graph_l1(grid_differences(12))
+    assert g.strategy == linops.DENSE
+    H = random_dlr_metric(rng, g.n, 2)
+    linops.reset_diagnostics()
+    res = proxeval.prox(g, H, 2.0 * rng.standard_normal(g.n), tol=1e-8)
+    assert res.status == "optimal"
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 0
