@@ -163,22 +163,27 @@ def run_logreg(args):
 
 
 def run_describe(args):
-    text = args.spec
-    if args.spec_file:
-        with open(args.spec_file) as fh:
-            text = fh.read()
-    if text is None:
-        print("describe needs --spec or --spec-file", file=sys.stderr)
+    try:
+        text = args.spec
+        if args.spec_file:
+            with open(args.spec_file) as fh:
+                text = fh.read()
+        if text is None:
+            raise ValueError("needs --spec or --spec-file")
+        g = qscalc.parse_qs_spec(text)
+        x = None if args.at is None else np.array(_float_list(args.at))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a KeyError's text is only the missing field's name
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"describe: {what}", file=sys.stderr)
         return 2
-    g = qscalc.parse_qs_spec(text)
     print(qscalc.format_qs_spec(g))
     blocks = ", ".join(f"{b.kind}({b.dim})" for b in g.K.blocks)
     fields = {"n": g.n, "dual_dim": g.dual_dim, "rows": g.A.shape[0],
               "strategy": g.strategy}
     print(" ".join(f"{k}={v}" for k, v in fields.items()))
     print(f"cone: {blocks}")
-    if args.at:
-        x = np.array(_float_list(args.at))
+    if x is not None:
         if x.size != g.n:
             print(f"--at needs {g.n} components", file=sys.stderr)
             return 2
@@ -205,12 +210,12 @@ def build_parser():
     pt.add_argument("--out", default="prox_timing.csv")
     pt.add_argument("--full-scale", action="store_true")
 
-    def solver_args(sp, tol=1e-6):
+    def solver_args(sp):
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--p", type=int, default=None)
         sp.add_argument("--mem", type=_int_list, default=[0, 10])
         sp.add_argument("--kappa", type=float, default=0.1)
-        sp.add_argument("--tol", type=float, default=tol)
+        sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--max-iter", type=int, default=500)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--blocks", type=int, default=5)

@@ -21,12 +21,16 @@ for both the dual residual and the objective, and a direction's first-row
 residual takes Q dy from the reduced solve (``LOperator.solve(q,
 quad=True)``), whose residual check applies L, and with it Q, to the very
 dy it returns.  A direction thus costs one metric product per solve.
+
+``solve`` takes the tolerance and the iteration limit; the step fraction,
+the centering floor and the infeasibility and divergence tests are module
+constants, read at call time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,17 +42,12 @@ ITERATION_LIMIT = "iteration_limit"
 INFEASIBLE = "infeasible"
 NUMERICAL = "numerical_breakdown"
 
-
-@dataclass
-class IPMConfig:
-    tol: float = 1e-8
-    max_iter: int = 100
-    step_frac: float = 0.99
-    sigma_min: float = 1e-3
-    plateau_window: int = 20
-    plateau_factor: float = 0.99
-    dual_blowup: float = 1e8
-    var_blowup: float = 1e12
+STEP_FRAC = 0.99
+SIGMA_MIN = 1e-3
+PLATEAU_WINDOW = 20
+PLATEAU_FACTOR = 0.99
+DUAL_BLOWUP = 1e8
+VAR_BLOWUP = 1e12
 
 
 @dataclass
@@ -153,8 +152,7 @@ def newton_direction(qp: ConicQP, u, Lop, t_d, t_p, t_mu):
     return dy, dv, ds
 
 
-def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
-    cfg = config or IPMConfig()
+def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
     K = qp.K
     n = qp.c.size
     e = cones.identity_element(K)
@@ -176,9 +174,9 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
     y_max = 0.0
 
     status = ITERATION_LIMIT
-    reason = f"no convergence in {cfg.max_iter} iterations"
+    reason = f"no convergence in {max_iter} iterations"
     it = 0
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         Qy = qp.Qapply(y)
         r_d, r_p = residuals(qp, y, v, s, Qy)
         gap = float(s @ v)
@@ -194,7 +192,7 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             best_score = score
             best = (y, v, s)
 
-        if rel_d <= cfg.tol and rel_p <= cfg.tol and gap <= cfg.tol:
+        if rel_d <= tol and rel_p <= tol and gap <= tol:
             status = OPTIMAL
             trace.append(TraceEntry(it - 1, mu, gap, rel_d, rel_p, 0.0, 0.0,
                                     obj, y_max))
@@ -209,16 +207,16 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             break
 
         infeas = max(rel_d, rel_p)
-        if infeas < cfg.plateau_factor * best_infeas:
+        if infeas < PLATEAU_FACTOR * best_infeas:
             best_infeas = infeas
             stall = 0
         else:
             stall += 1
-        if stall >= cfg.plateau_window and float(np.max(np.abs(v))) > cfg.dual_blowup:
+        if stall >= PLATEAU_WINDOW and float(np.max(np.abs(v))) > DUAL_BLOWUP:
             status = INFEASIBLE
             reason = "residual plateau with a diverging dual"
             break
-        if y_max > cfg.var_blowup:
+        if y_max > VAR_BLOWUP:
             status = NUMERICAL
             reason = "iterate diverged"
             break
@@ -235,8 +233,8 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             alpha_a = min(cones.max_step(K, s, ds_a, 1.0),
                           cones.max_step(K, v, dv_a, 1.0))
             gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
-            sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else cfg.sigma_min
-            sigma = float(np.clip(sigma, cfg.sigma_min, 1.0 - cfg.sigma_min))
+            sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else SIGMA_MIN
+            sigma = float(np.clip(sigma, SIGMA_MIN, 1.0 - SIGMA_MIN))
 
             # Corrector with the scaled second-order term
             # eta = (W^{-1} ds_a) o (W dv_a).
@@ -253,8 +251,8 @@ def solve(qp: ConicQP, config: Optional[IPMConfig] = None) -> IPMResult:
             reason = f"{type(exc).__name__}: {exc}"
             break
 
-        alpha = min(cones.max_step(K, s, ds, cfg.step_frac),
-                    cones.max_step(K, v, dv, cfg.step_frac))
+        alpha = min(cones.max_step(K, s, ds, STEP_FRAC),
+                    cones.max_step(K, v, dv, STEP_FRAC))
         if not np.isfinite(alpha) or alpha <= 1e-14:
             status = NUMERICAL
             reason = f"step length {alpha:.3g} too small"

@@ -186,20 +186,18 @@ class Metric:
     """
 
     def __init__(self, inv_diag, inv_U=None, inv_M=None):
-        self.inv_diag = np.asarray(inv_diag, dtype=float)
-        n = self.inv_diag.size
+        inv_diag = np.asarray(inv_diag, dtype=float)
         if inv_U is None:
-            self.inv_U, self.inv_M = _empty_low_rank(n)
-        else:
-            self.inv_U = np.asarray(inv_U, dtype=float)
-            self.inv_M = np.asarray(inv_M, dtype=float)
-        if np.any(self.inv_diag <= 0.0):
+            inv_U, inv_M = _empty_low_rank(inv_diag.size)
+        if np.any(inv_diag <= 0.0):
             raise StructuredSolveError("metric inverse needs a positive diagonal part")
+        self._inverse = SWTriple(inv_diag, np.asarray(inv_U, dtype=float),
+                                 np.asarray(inv_M, dtype=float))
         self._direct: Optional[SWTriple] = None
 
     @property
     def n(self):
-        return self.inv_diag.size
+        return self._inverse.d.size
 
     @classmethod
     def identity(cls, n):
@@ -227,19 +225,17 @@ class Metric:
         return cls(t.d, t.U, t.M)
 
     def inverse_parts(self):
-        return self.inv_diag, self.inv_U, self.inv_M
+        t = self._inverse
+        return t.d, t.U, t.M
 
     def direct_parts(self) -> SWTriple:
         if self._direct is None:
-            self._direct = swinv(self.inv_diag, self.inv_U, self.inv_M)
+            self._direct = swinv(*self.inverse_parts())
         return self._direct
 
     def solve(self, x):
         """Apply H^{-1} (accepts a vector or a matrix of columns)."""
-        out = self.inv_diag[:, None] * x if x.ndim == 2 else self.inv_diag * x
-        if self.inv_U.shape[1]:
-            out = out + self.inv_U @ (self.inv_M @ (self.inv_U.T @ x))
-        return out
+        return self._inverse.matvec(x)
 
     def apply(self, x):
         """Apply H."""
@@ -308,24 +304,16 @@ def _memoized(memo, key, make):
 
 def _quad_inverse_parts(H: Optional[Metric], B, k: int, memo: Optional[dict] = None):
     """Triple of Q = diag(beta) H^{-1} diag(beta), beta the diagonal of the
-    top k x k block of the sparse B (B None: the identity)."""
+    top k x k block of the sparse B, which the path's rule makes diagonal."""
     def make():
-        beta = None
-        if B is not None:
-            beta = _diag_of(B if B.shape[0] == k else B.tocsr()[:k, :])
-        return _quad_parts(H, beta, k)
+        if H is None:
+            U, M = _empty_low_rank(k)
+            return np.zeros(k), U, M
+        beta = _diag_of(B if B.shape[0] == k else B.tocsr()[:k, :])
+        d1, U1, M1 = H.inverse_parts()
+        return beta * beta * d1, beta[:, None] * U1, M1
 
     return _memoized(memo, "quad", make)
-
-
-def _quad_parts(H, beta, ell):
-    if H is None:
-        U, M = _empty_low_rank(ell)
-        return np.zeros(ell), U, M
-    d1, U1, M1 = H.inverse_parts()
-    if beta is None:
-        return d1, U1, M1
-    return beta * beta * d1, beta[:, None] * U1, M1
 
 
 def _diag_of(Bsq: sp.spmatrix) -> Optional[np.ndarray]:

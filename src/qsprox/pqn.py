@@ -8,7 +8,8 @@ function.  The metric is a limited-memory BFGS approximation in compact form,
 
 kept as a diagonal-plus-low-rank pair so that W = (B + rho*I)^{-1} is one
 Woodbury inversion.  Globalization adds the shift rho on sufficient-
-decrease failures (grow by 10) and halves it after accepted steps.
+decrease failures (from ``SHIFT_SEED``, grown by ``SHIFT_GROW`` up to
+``SHIFT_CAP``) and halves it after accepted steps.
 
 Where the prox runs: while the memory holds no curvature pairs (mem 0,
 or before the first accepted pair) H is the scaled identity
@@ -20,13 +21,13 @@ step, and the residual check of a g without a closed kind, solves the
 scaled prox with the interior-point method (IPM).
 
 Inner prox tolerances follow an inexactness rule proportional to the
-prox-gradient residual; rejected trials first re-solve the prox at a
-tighter tolerance before touching the shift, since a loose prox solve can
-turn a genuine decrease into a measured ascent.  The decrease test itself
-carries a roundoff allowance scaled to |f+g|: near a minimizer of a
-large-scale objective the true per-step decrease falls below the
-evaluation noise of the objective, and a strictly monotone test would
-reject every step.
+prox-gradient residual, max(kappa * r, ``INNER_FLOOR``); rejected trials
+first re-solve the prox at a tighter tolerance before touching the shift,
+since a loose prox solve can turn a genuine decrease into a measured
+ascent.  The decrease test itself carries a roundoff allowance scaled to
+|f+g| (``NOISE_FLOOR``): near a minimizer of a large-scale objective the
+true per-step decrease falls below the evaluation noise of the objective,
+and a strictly monotone test would reject every step.
 
 What ``optimal`` certifies depends on the prox kind of g.  Every run stops
 only once the sup norm of the prox-gradient residual x - prox_g(x - grad)
@@ -64,6 +65,19 @@ STEP_FAILURE = "step_failure"
 INNER_FAILURE = "inner_failure"
 
 SHIFT_FLOOR = 1e-16
+SHIFT_SEED = 1e-4
+SHIFT_GROW = 10.0
+SHIFT_SHRINK = 0.5
+SHIFT_CAP = 1e12
+ACCEPT_COEFF = 1e-4
+NOISE_FLOOR = 1e-13
+CURVATURE_RTOL = 1e-8
+INNER_FIRST = 1e-8
+INNER_FLOOR = 1e-10
+INEXACT_SAFETY = 0.25
+# no certified re-solve asks for less: the IPM cannot certify below roundoff
+INNER_HARD_FLOOR = 1e-13
+REF_TOL = 1e-9
 FD_STEP = float(np.sqrt(np.finfo(float).eps))
 # the CG behind the error estimate stops once its error bound is at most
 # this fraction of the estimate
@@ -72,11 +86,13 @@ ESTIMATE_CG_RTOL = 1e-3
 
 @dataclass
 class PQNConfig:
-    """Solver settings.
+    """Solver settings; every other number is a module constant.
 
     ``tol`` bounds the sup norm of the prox-gradient residual at an
     ``optimal`` stop and, for the ``l1`` prox kind, also the estimated
     sup-norm distance to the minimizer (see the module docstring).
+    ``kappa`` scales the inner tolerance rule; ``fixed_sigma`` pins the H0
+    scale, which otherwise starts at ``sigma0``.
     """
 
     mem: int = 10
@@ -85,19 +101,6 @@ class PQNConfig:
     max_iter: int = 500
     sigma0: float = 1.0
     fixed_sigma: Optional[float] = None
-    accept_coeff: float = 1e-4
-    shift_seed: float = 1e-4
-    shift_grow: float = 10.0
-    shift_shrink: float = 0.5
-    shift_cap: float = 1e12
-    curvature_rtol: float = 1e-8
-    noise_floor: float = 1e-13
-    inexact_safety: float = 0.25
-    inner_hard_floor: float = 1e-13
-    inner_floor: float = 1e-10
-    inner_first: float = 1e-8
-    inner_max_iter: int = 100
-    ref_tol: float = 1e-9
     callback: Optional[Callable] = None
 
 
@@ -143,14 +146,14 @@ class InnerFailure(RuntimeError):
     """An interior-point prox that PQN needs ended without status optimal."""
 
 
-def _ipm_prox(g, H, z, tol, max_iter, usable_tol) -> proxeval.ProxResult:
+def _ipm_prox(g, H, z, tol, usable_tol) -> proxeval.ProxResult:
     """proxeval.prox at ``tol``, so that a failed prox is never used as if
     it had succeeded: a prox that ends short of optimal is used only if its
     residual meets ``usable_tol`` (>= tol; the prox is then optimal at that
     tolerance), and otherwise raises InnerFailure.  The certified re-solves
     of the shift loop ask for tolerances near roundoff that the IPM may not
     reach; their usable tolerance is the one the inexactness rule set."""
-    pres = proxeval.prox(g, H, z, tol=tol, max_iter=max_iter)
+    pres = proxeval.prox(g, H, z, tol=tol)
     if pres.status != OPTIMAL and not pres.residual <= usable_tol:
         raise InnerFailure(f"prox ended {pres.status} with residual "
                            f"{pres.residual:.3g}: {pres.reason}")
@@ -161,12 +164,10 @@ class LBFGSMemory:
     """Curvature pairs plus the BB scaling and the globalization shift."""
 
     def __init__(self, mem: int, sigma0: float = 1.0,
-                 fixed_sigma: Optional[float] = None,
-                 curvature_rtol: float = 1e-8):
+                 fixed_sigma: Optional[float] = None):
         self.mem = mem
         self.sigma = fixed_sigma if fixed_sigma is not None else sigma0
         self.fixed_sigma = fixed_sigma
-        self.curvature_rtol = curvature_rtol
         self.pairs: List[tuple] = []
         self.shift = 0.0
 
@@ -181,7 +182,7 @@ class LBFGSMemory:
         """
         sy = float(s @ y)
         ns, ny = np.linalg.norm(s), np.linalg.norm(y)
-        if sy <= self.curvature_rtol * ns * ny:
+        if sy <= CURVATURE_RTOL * ns * ny:
             return False
         if self.fixed_sigma is None:
             self.sigma = ns / ny
@@ -229,8 +230,7 @@ class LBFGSMemory:
                 self.drop_oldest()
 
 
-def prox_gradient_residual(g: qscalc.QSFunction, x, grad,
-                           config: PQNConfig):
+def prox_gradient_residual(g: qscalc.QSFunction, x, grad):
     """Residual x - prox_g(x - grad) in the identity metric.
 
     Uses the closed-form prox when g carries one, otherwise an accurate
@@ -244,8 +244,7 @@ def prox_gradient_residual(g: qscalc.QSFunction, x, grad,
     if g.prox_kind is not None and g.prox_kind.closed:
         p = proxeval.unscaled_prox(g.prox_kind, z)
     else:
-        p = _ipm_prox(g, linops.Metric.identity(x.size), z, config.ref_tol,
-                      config.inner_max_iter, config.ref_tol).x
+        p = _ipm_prox(g, linops.Metric.identity(x.size), z, REF_TOL, REF_TOL).x
     r = x - p
     rinf = float(np.max(np.abs(r))) if r.size else 0.0
     return float(np.linalg.norm(r)), rinf, p
@@ -327,7 +326,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     cfg = config or PQNConfig()
     x = np.array(x0, dtype=float)
     n = x.size
-    mem = LBFGSMemory(cfg.mem, cfg.sigma0, cfg.fixed_sigma, cfg.curvature_rtol)
+    mem = LBFGSMemory(cfg.mem, cfg.sigma0, cfg.fixed_sigma)
     F = problem.value(x) + qscalc.evaluate(g, x)
     history: List[IterateLog] = []
     t0 = time.perf_counter()
@@ -344,7 +343,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         for it in range(cfg.max_iter + 1):
             # inf stays if the residual check of x fails
             rinf, estimate = np.inf, None
-            r2, rinf, pmap = prox_gradient_residual(g, x, grad, cfg)
+            r2, rinf, pmap = prox_gradient_residual(g, x, grad)
             entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
                                pending_inner, mem.shift, pending_step, x.copy(),
                                pending_closed)
@@ -360,11 +359,11 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                 break
 
             if has_closed:
-                inner_tol = max(cfg.kappa * r2, cfg.inner_floor)
+                inner_tol = max(cfg.kappa * r2, INNER_FLOOR)
             elif r2_prev is None:
-                inner_tol = cfg.inner_first
+                inner_tol = INNER_FIRST
             else:
-                inner_tol = max(cfg.kappa * r2_prev, cfg.inner_floor)
+                inner_tol = max(cfg.kappa * r2_prev, INNER_FLOOR)
 
             # Shift loop: retry the step until the sufficient-decrease test
             # passes or the shift cap is hit.  A rejected trial is only
@@ -378,24 +377,24 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             inner_spent = 0
             all_closed = True
             trial_tol = inner_tol
-            slack = cfg.noise_floor * (1.0 + abs(F)) if np.isfinite(F) else 0.0
+            slack = NOISE_FLOOR * (1.0 + abs(F)) if np.isfinite(F) else 0.0
             while True:
-                x_new, inner_iters, closed = _step(problem, g, x, grad, mem, cfg,
+                x_new, inner_iters, closed = _step(problem, g, x, grad, mem,
                                                    trial_tol, inner_tol)
                 inner_spent += inner_iters
                 all_closed = all_closed and closed
                 F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
                 dx2 = float((x_new - x) @ (x_new - x))
-                if F_new <= F - cfg.accept_coeff * dx2 + slack:
+                if F_new <= F - ACCEPT_COEFF * dx2 + slack:
                     accepted = True
                     break
-                certified = cfg.inexact_safety * (cfg.accept_coeff * dx2 + slack)
-                certified = max(certified, cfg.inner_hard_floor)
+                certified = INEXACT_SAFETY * (ACCEPT_COEFF * dx2 + slack)
+                certified = max(certified, INNER_HARD_FLOOR)
                 if trial_tol > certified:
                     trial_tol = certified
                     continue
-                mem.shift = max(cfg.shift_grow * mem.shift, cfg.shift_seed)
-                if mem.shift > cfg.shift_cap:
+                mem.shift = max(SHIFT_GROW * mem.shift, SHIFT_SEED)
+                if mem.shift > SHIFT_CAP:
                     break
             if not accepted:
                 status = STEP_FAILURE
@@ -403,7 +402,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
 
             grad_new = problem.gradient(x_new)
             mem.update(x_new - x, grad_new - grad)
-            mem.shift *= cfg.shift_shrink
+            mem.shift *= SHIFT_SHRINK
             if mem.shift < SHIFT_FLOOR:
                 mem.shift = 0.0
             r2_prev = r2
@@ -425,8 +424,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     )
 
 
-def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, trial_tol,
-          inner_tol):
+def _step(problem, g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol):
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
     With empty memory H is c*I with c = 1/sigma + shift, and a closed prox
@@ -443,5 +441,5 @@ def _step(problem, g, x, grad, mem: LBFGSMemory, cfg: PQNConfig, trial_tol,
         return x_new, 0, True
     H = mem.metric(x.size)
     z = x - H.solve(grad)
-    pres = _ipm_prox(g, H, z, trial_tol, cfg.inner_max_iter, inner_tol)
+    pres = _ipm_prox(g, H, z, trial_tol, inner_tol)
     return pres.x, pres.iterations, False

@@ -72,7 +72,7 @@ def prox(g: QSFunction, H: linops.Metric, z, tol: float = 1e-8,
     """Evaluate prox_g^H(z) by solving the dual conic QP."""
     z = np.asarray(z, dtype=float)
     qp = dual_qp(g, H, z)
-    res = ipm.solve(qp, ipm.IPMConfig(tol=tol, max_iter=max_iter))
+    res = ipm.solve(qp, tol=tol, max_iter=max_iter)
     Bty = g.B.T @ res.y
     x = z - H.solve(Bty)
     recovery = float(np.linalg.norm(H.apply(x - z) + Bty))

@@ -29,6 +29,9 @@ import scipy.sparse as sp
 from qsprox import cones, ipm, linops
 
 INDICATOR_TOL = 1e-6
+# the conic solve behind ``evaluate``
+EVAL_TOL = 1e-8
+EVAL_MAX_ITER = 200
 
 
 class EvaluationError(RuntimeError):
@@ -511,8 +514,7 @@ def moreau_yosida(g0: QSFunction, H: linops.Metric) -> QSFunction:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(g: QSFunction, x, tol: float = 1e-8, max_iter: int = 200,
-             force_ipm: bool = False) -> float:
+def evaluate(g: QSFunction, x, force_ipm: bool = False) -> float:
     """g(x), from the closed form when available, else by conic solve."""
     x = np.asarray(x, dtype=float)
     if g.closed_form is not None and not force_ipm:
@@ -526,14 +528,14 @@ def evaluate(g: QSFunction, x, tol: float = 1e-8, max_iter: int = 200,
         Qapply=qzero, c=c, A=g.A, b=g.b, K=g.K,
         lsolver=lambda u: linops.build_L(g, None, u),
     )
-    res = ipm.solve(qp, ipm.IPMConfig(tol=tol, max_iter=max_iter))
+    res = ipm.solve(qp, tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
     if res.status == ipm.OPTIMAL:
         return float(c @ res.y)
     # Degenerate maximizers (active on several cone boundaries at once)
     # can exhaust the working precision just short of the strict test;
     # accept the best iterate when its residuals are small at a relaxed
     # tolerance.
-    relaxed = math.sqrt(tol)
+    relaxed = math.sqrt(EVAL_TOL)
     if max(res.rel_dual, res.rel_primal) <= relaxed and res.gap <= relaxed:
         return float(c @ res.y)
     if _looks_unbounded(res):

@@ -369,8 +369,7 @@ def test_criterion_12_pqn_invariants():
     slack = 1e-13 * (1.0 + max(abs(o) for o in objs))
     for a, b in zip(objs, objs[1:]):
         assert b <= a + slack
-    r2, rinf, _ = pqn.prox_gradient_residual(g, res.x,
-                                             prob.gradient(res.x), cfg)
+    r2, rinf, _ = pqn.prox_gradient_residual(g, res.x, prob.gradient(res.x))
     assert rinf <= 1e-8
 
     # (c) secant property for the newest stored pair

@@ -162,3 +162,20 @@ def test_describe_wrong_point_size_returns_2(capsys):
     rc = cli.main(["describe", "--spec", '{"kind": "l1", "n": 3}',
                    "--at", "1,2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--spec", '{"kind": "l1", "n": 3'],
+    ["--spec", '{"kind": "nope", "n": 3}'],
+    ["--spec", '{"kind": "l1"}'],
+    ["--spec", '{"kind": "l1", "n": 3}', "--at", "1,x"],
+])
+def test_describe_malformed_input_returns_2(capsys, argv):
+    assert cli.main(["describe"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("describe: ") and err.count("\n") == 1
+
+
+def test_describe_missing_spec_file_returns_2(tmp_path, capsys):
+    assert cli.main(["describe", "--spec-file", str(tmp_path / "none.json")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1

@@ -83,7 +83,7 @@ def test_scalar_qp_inactive_constraint():
     # min 1/2 y^2 - y over y >= 0: optimum y* = 1 strictly inside
     qp = make_qp([[1.0]], [1.0], [[1.0]], [0.0],
                  cones.product(cones.orthant(1)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-10))
+    res = ipm.solve(qp, tol=1e-10)
     assert res.status == ipm.OPTIMAL
     assert res.y[0] == pytest.approx(1.0, abs=1e-8)
     assert res.s[0] == pytest.approx(1.0, abs=1e-8)
@@ -94,7 +94,7 @@ def test_scalar_qp_active_constraint():
     # min 1/2 y^2 - y over y >= 2: active at y* = 2 with multiplier 1
     qp = make_qp([[1.0]], [1.0], [[1.0]], [2.0],
                  cones.product(cones.orthant(1)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-10))
+    res = ipm.solve(qp, tol=1e-10)
     assert res.status == ipm.OPTIMAL
     assert res.y[0] == pytest.approx(2.0, abs=1e-8)
     assert res.v[0] == pytest.approx(1.0, abs=1e-8)
@@ -105,7 +105,7 @@ def test_unit_disk_lp():
     A = np.vstack([np.zeros((1, 2)), np.eye(2)])
     qp = make_qp(np.zeros((2, 2)), [1.0, 0.0], A, [-1.0, 0.0, 0.0],
                  cones.product(cones.second_order(3)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-10))
+    res = ipm.solve(qp, tol=1e-10)
     assert res.status == ipm.OPTIMAL
     np.testing.assert_allclose(res.y, [1.0, 0.0], atol=1e-7)
     assert res.objective == pytest.approx(-1.0, abs=1e-7)
@@ -129,7 +129,7 @@ def test_planted_solution_corpus():
             total += dim
         K = cones.ConeProduct(tuple(blocks))
         qp, ystar = planted_qp(rng, ell, K)
-        res = ipm.solve(qp, ipm.IPMConfig(tol=tol))
+        res = ipm.solve(qp, tol=tol)
         assert res.status == ipm.OPTIMAL, f"trial {trial}: {res.status}"
         # degenerate plants (both-boundary SOC blocks) amplify the KKT
         # residual into y error, so the bound is looser than the gap tol
@@ -151,7 +151,7 @@ def test_mu_monotone_and_gap_window_decrease():
         K = cones.ConeProduct((cones.orthant(ell),
                                cones.second_order(max(2, ell // 2))))
         qp, _ = planted_qp(rng, ell, K)
-        res = ipm.solve(qp, ipm.IPMConfig(tol=1e-9))
+        res = ipm.solve(qp, tol=1e-9)
         assert res.status == ipm.OPTIMAL
         mus = [t.mu for t in res.trace]
         for a, b in zip(mus, mus[1:]):
@@ -215,7 +215,7 @@ def test_one_metric_product_per_iteration():
             return Qapply(y)
 
         qp.Qapply = counted
-        res = ipm.solve(qp, ipm.IPMConfig(tol=1e-9))
+        res = ipm.solve(qp, tol=1e-9)
         assert res.status == ipm.OPTIMAL
         # one trace entry per loop pass: each step plus the optimality check
         assert len(res.trace) == res.iterations + 1
@@ -246,14 +246,14 @@ def test_newton_direction_matches_dense_kkt():
                                rtol=1e-8, atol=1e-8)
 
 
-def test_infeasible_plateau_classification():
+def test_infeasible_plateau_classification(monkeypatch):
     """Empty feasible set (y >= 1 and y <= 0): the residual plateau with a
     diverging dual flags infeasibility once the window elapses."""
     qp = make_qp([[1.0]], [0.0], [[1.0], [-1.0]], [1.0, 0.0],
                  cones.product(cones.orthant(2)))
-    cfg = ipm.IPMConfig(tol=1e-9, max_iter=300, plateau_window=3,
-                        dual_blowup=10.0)
-    res = ipm.solve(qp, cfg)
+    monkeypatch.setattr(ipm, "PLATEAU_WINDOW", 3)
+    monkeypatch.setattr(ipm, "DUAL_BLOWUP", 10.0)
+    res = ipm.solve(qp, tol=1e-9, max_iter=300)
     assert res.status == ipm.INFEASIBLE
 
 
@@ -263,7 +263,7 @@ def test_infeasible_default_config_carries_state():
     A = np.vstack([np.zeros((1, 2)), np.eye(2)])
     qp = make_qp(np.eye(2), [0.0, 0.0], A, [1.0, 0.0, 0.0],
                  cones.product(cones.second_order(3)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-9, max_iter=300))
+    res = ipm.solve(qp, tol=1e-9, max_iter=300)
     assert res.status in (ipm.INFEASIBLE, ipm.NUMERICAL)
     assert res.iterations < 300
     assert np.all(np.isfinite(res.y))
@@ -274,7 +274,7 @@ def test_iteration_limit_keeps_state():
     A = np.vstack([np.zeros((1, 2)), np.eye(2)])
     qp = make_qp(np.zeros((2, 2)), [1.0, 0.0], A, [-1.0, 0.0, 0.0],
                  cones.product(cones.second_order(3)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-14, max_iter=3))
+    res = ipm.solve(qp, tol=1e-14, max_iter=3)
     assert res.status == ipm.ITERATION_LIMIT
     assert res.iterations <= 3
     assert np.all(np.isfinite(res.y))
@@ -284,7 +284,7 @@ def test_iteration_limit_keeps_state():
 def test_trace_is_exposed():
     qp = make_qp([[1.0]], [1.0], [[1.0]], [0.0],
                  cones.product(cones.orthant(1)))
-    res = ipm.solve(qp, ipm.IPMConfig(tol=1e-8))
+    res = ipm.solve(qp, tol=1e-8)
     assert len(res.trace) == len(res.trace) and res.trace
     t = res.trace[0]
     assert t.mu > 0 and t.gap > 0

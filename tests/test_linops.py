@@ -447,3 +447,23 @@ def test_grid_graph_goes_dense_without_fallbacks():
     res = proxeval.prox(g, H, 2.0 * rng.standard_normal(g.n), tol=1e-8)
     assert res.status == "optimal"
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qscalc.build_l2(64),
+    lambda: qscalc.build_l2(256),
+    lambda: qscalc.build_sum_of_norms([4] * 16),
+    lambda: qscalc.build_sum_of_norms([16] * 16),
+], ids=["l2-64", "l2-256", "son4x16", "son16x16"])
+def test_refined_second_order_proxes_need_no_fallback(make):
+    """The refinement pass in build_L keeps the second-order path's
+    residual inside the guard down to a 1e-8 gap; without it these proxes
+    fall back to the dense path one to three times each."""
+    g = make()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        H = random_dlr_metric(rng, g.n, 5)
+        before = linops.DIAGNOSTICS["guard_fallbacks"]
+        res = proxeval.prox(g, H, 2.0 * rng.standard_normal(g.n), tol=1e-8)
+        assert res.status == "optimal"
+        assert linops.DIAGNOSTICS["guard_fallbacks"] == before

@@ -148,8 +148,7 @@ def test_monotone_acceptance_and_fixed_point():
     for a, b in zip(objs, objs[1:]):
         assert b <= a + slack
     # fixed point: x == prox(x - grad) at the reported tolerance
-    r2, rinf, _ = pqn.prox_gradient_residual(g, res.x, prob.gradient(res.x),
-                                             cfg)
+    r2, rinf, _ = pqn.prox_gradient_residual(g, res.x, prob.gradient(res.x))
     assert rinf <= 1e-8
 
 
@@ -230,8 +229,7 @@ def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
             mem.shift = shift
             x = rng.standard_normal(n)
             grad = 2.0 * rng.standard_normal(n)
-            step, iters, closed = pqn._step(None, g, x, grad, mem,
-                                            pqn.PQNConfig(), 1e-8, 1e-8)
+            step, iters, closed = pqn._step(None, g, x, grad, mem, 1e-8, 1e-8)
             assert closed and iters == 0
             c = 1.0 / mem.sigma + shift
             z = x - grad / c
@@ -288,24 +286,24 @@ def test_inner_tolerance_rule(monkeypatch):
     res = pqn.solve(prob, g, np.zeros(n), cfg)
 
     # group calls per outer iteration: a reference-residual call at
-    # ref_tol, then the step's first trial
-    ref_calls = [t for t in recorded if t == cfg.ref_tol]
+    # REF_TOL, then the step's first trial
+    ref_calls = [t for t in recorded if t == pqn.REF_TOL]
     assert len(ref_calls) == len(res.history)
     firsts = []
     i = 0
     seen_ref = False
     for t in recorded:
-        if t == cfg.ref_tol:
+        if t == pqn.REF_TOL:
             seen_ref = True
         elif seen_ref:
             firsts.append(t)
             seen_ref = False
-    assert firsts[0] == pytest.approx(cfg.inner_first)
+    assert firsts[0] == pytest.approx(pqn.INNER_FIRST)
     # reconstruct r2 along the accepted iterates
     for k in range(1, len(firsts)):
         xk = res.history[k - 1].x
-        r2, _, _ = pqn.prox_gradient_residual(g, xk, prob.gradient(xk), cfg)
-        expect = max(cfg.kappa * r2, cfg.inner_floor)
+        r2, _, _ = pqn.prox_gradient_residual(g, xk, prob.gradient(xk))
+        expect = max(cfg.kappa * r2, pqn.INNER_FLOOR)
         assert firsts[k] == pytest.approx(expect, rel=1e-6)
 
 
@@ -338,12 +336,11 @@ def collinear_l1_instance(n=30, seed=0, spread=0.03, weight=0.5):
 
 def test_error_estimate_matches_reduced_newton_solve():
     prob, g, xstar = collinear_l1_instance()
-    cfg = pqn.PQNConfig()
     rng = np.random.default_rng(78)
     support = xstar != 0.0
     x = xstar + 1e-6 * rng.standard_normal(xstar.size) * support
     grad = prob.gradient(x)
-    _, _, p = pqn.prox_gradient_residual(g, x, grad, cfg)
+    _, _, p = pqn.prox_gradient_residual(g, x, grad)
     F = p != 0.0
     np.testing.assert_array_equal(F, support)
     AF = prob.A[:, F]
@@ -356,7 +353,7 @@ def test_error_estimate_matches_reduced_newton_solve():
     # and the on-pattern system is taken at x with x_off zeroed
     x[~support] = 1e-7 * rng.standard_normal((~support).sum())
     grad = prob.gradient(x)
-    _, _, p = pqn.prox_gradient_residual(g, x, grad, cfg)
+    _, _, p = pqn.prox_gradient_residual(g, x, grad)
     np.testing.assert_array_equal(p != 0.0, support)
     est = pqn.sup_error_estimate(prob, g, x, grad, p)
     assert abs(est - np.max(np.abs(x - xstar))) <= 1e-8
@@ -387,7 +384,7 @@ def test_non_l1_kind_stops_on_residual_alone():
     assert res.error_estimate is None
     assert [e.residual <= tol for e in res.history].index(True) == res.iterations
     grad = prob.gradient(res.x)
-    _, _, p = pqn.prox_gradient_residual(g, res.x, grad, pqn.PQNConfig())
+    _, _, p = pqn.prox_gradient_residual(g, res.x, grad)
     assert pqn.sup_error_estimate(prob, g, res.x, grad, p) is None
 
 
