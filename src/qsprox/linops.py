@@ -182,7 +182,8 @@ class Metric:
 
     The inverse side is the native storage because every consumer (dual
     quadratic term, gradient scaling, recovery) applies H^{-1}; the direct
-    triple for H itself is recovered lazily by one swinv call.
+    triple for H itself is kept as given by ``from_direct_parts`` and
+    otherwise recovered lazily by one swinv call.
     """
 
     def __init__(self, inv_diag, inv_U=None, inv_M=None):
@@ -221,8 +222,14 @@ class Metric:
     @classmethod
     def from_direct_parts(cls, d, U=None, M=None):
         """Build from H = diag(d) + U M U^T (e.g. H = I + U U^T)."""
+        d = np.asarray(d, dtype=float)
+        if U is None:
+            U, M = _empty_low_rank(d.size)
         t = swinv(d, U, M)
-        return cls(t.d, t.U, t.M)
+        H = cls(t.d, t.U, t.M)
+        H._direct = SWTriple(d, np.asarray(U, dtype=float),
+                             np.asarray(M, dtype=float))
+        return H
 
     def inverse_parts(self):
         t = self._inverse

@@ -15,19 +15,27 @@ Where the prox runs: while the memory holds no curvature pairs (mem 0,
 or before the first accepted pair) H is the scaled identity
 (1/sigma + rho)*I, and a g whose prox kind is closed (``l1``,
 ``group_l2``, ``l1_ball``, ``orthant_dist``, path ``tv1d``; see
-``qscalc.CLOSED_KINDS``) takes the step in closed form at any shift.  The
-identity-metric residual check uses the same closed rules.  Every other
-step, and the residual check of a g without a closed kind, solves the
-scaled prox with the interior-point method (IPM).
+``qscalc.CLOSED_KINDS``) takes the step in closed form at any shift.  In
+an L-BFGS metric the ``l1`` kind (any weight) takes the exact step of
+``proxeval.lowrank_l1_prox``, a damped Newton method on an equation of
+dimension 2*mem that returns a point only with a KKT certificate; if it
+gives none (iteration cap, singular Newton matrix, stalled line search)
+the step falls back to the interior-point method (IPM), and the iterate's
+log says why.  The identity-metric residual check uses the closed rules.
+Every other step (``group_l2``, ``tv1d`` and the rest in an L-BFGS
+metric), and the residual check of a g without a closed kind, solves the
+scaled prox with the IPM.
 
 Inner prox tolerances follow an inexactness rule proportional to the
-prox-gradient residual, max(kappa * r, ``INNER_FLOOR``); rejected trials
-first re-solve the prox at a tighter tolerance before touching the shift,
-since a loose prox solve can turn a genuine decrease into a measured
-ascent.  The decrease test itself carries a roundoff allowance scaled to
-|f+g| (``NOISE_FLOOR``): near a minimizer of a large-scale objective the
-true per-step decrease falls below the evaluation noise of the objective,
-and a strictly monotone test would reject every step.
+prox-gradient residual, max(kappa * r, ``INNER_FLOOR``); rejected IPM
+trials first re-solve the prox at a tighter tolerance before touching the
+shift, since a loose prox solve can turn a genuine decrease into a
+measured ascent.  An exact trial (closed form or certified Newton) would
+re-solve to the same point, so its rejection grows the shift at once.
+The decrease test itself carries a roundoff allowance scaled to |f+g|
+(``NOISE_FLOOR``): near a minimizer of a large-scale objective the true
+per-step decrease falls below the evaluation noise of the objective, and
+a strictly monotone test would reject every step.
 
 What ``optimal`` certifies depends on the prox kind of g.  Every run stops
 only once the sup norm of the prox-gradient residual x - prox_g(x - grad)
@@ -108,10 +116,13 @@ class PQNConfig:
 class IterateLog:
     """State at the start of an outer iteration.
 
-    ``inner_iterations``, ``step_norm`` and ``closed_step`` describe the
-    step that produced this iterate (0, 0.0 and False at iteration 0):
-    its IPM iterations summed over all trials, its length, and whether
-    every trial ran in closed form rather than through the IPM.
+    ``inner_iterations``, ``step_norm``, ``closed_step`` and
+    ``fallback_reason`` describe the step that produced this iterate (0,
+    0.0, False and "" at iteration 0): its IPM iterations summed over all
+    trials, its length, whether no trial ran the IPM (every trial was
+    closed form or a certified Newton step of ``proxeval.lowrank_l1_prox``,
+    which count 0 IPM iterations), and why Newton gave no certificate when
+    a trial fell back to the IPM ("" when none did).
     """
 
     iteration: int
@@ -123,6 +134,7 @@ class IterateLog:
     step_norm: float
     x: np.ndarray = None
     closed_step: bool = False
+    fallback_reason: str = ""
 
 
 @dataclass
@@ -130,7 +142,9 @@ class PQNResult:
     """Final iterate.  With status ``inner_failure`` an interior-point prox
     ended without ``optimal`` status (``reason`` says how), and x is the
     last accepted iterate; its residual is inf if that prox was the
-    residual check of x."""
+    residual check of x.  ``newton_steps`` counts the trial steps in an
+    L-BFGS metric that Newton certified, ``fallbacks`` those where it gave
+    no certificate and the IPM ran instead."""
 
     x: np.ndarray
     status: str
@@ -140,6 +154,8 @@ class PQNResult:
     history: List[IterateLog] = field(default_factory=list)
     error_estimate: Optional[float] = None
     reason: str = ""
+    newton_steps: int = 0
+    fallbacks: int = 0
 
 
 class InnerFailure(RuntimeError):
@@ -338,6 +354,8 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     pending_inner = 0
     pending_step = 0.0
     pending_closed = False
+    pending_fallback = ""
+    newton_steps = fallbacks = 0
     reason = ""
     try:
         for it in range(cfg.max_iter + 1):
@@ -346,7 +364,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             r2, rinf, pmap = prox_gradient_residual(g, x, grad)
             entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
                                pending_inner, mem.shift, pending_step, x.copy(),
-                               pending_closed)
+                               pending_closed, pending_fallback)
             history.append(entry)
             if cfg.callback is not None:
                 cfg.callback(entry)
@@ -372,17 +390,25 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             # enters the decrease bound additively, so it must be small next
             # to c·‖dx‖² plus the roundoff allowance of the objective values.
             # A loose first solve therefore gets one certified re-solve with
-            # the tolerance keyed to the observed step before the shift moves.
+            # the tolerance keyed to the observed step before the shift moves;
+            # an exact trial would re-solve to the same point.
             accepted = False
             inner_spent = 0
             all_closed = True
+            step_fallback = ""
             trial_tol = inner_tol
             slack = NOISE_FLOOR * (1.0 + abs(F)) if np.isfinite(F) else 0.0
             while True:
-                x_new, inner_iters, closed = _step(problem, g, x, grad, mem,
-                                                   trial_tol, inner_tol)
+                had_pairs = bool(mem.pairs)
+                x_new, inner_iters, closed, fallback = _step(
+                    problem, g, x, grad, mem, trial_tol, inner_tol)
                 inner_spent += inner_iters
                 all_closed = all_closed and closed
+                if fallback:
+                    fallbacks += 1
+                    step_fallback = fallback
+                elif closed and had_pairs:
+                    newton_steps += 1
                 F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
                 dx2 = float((x_new - x) @ (x_new - x))
                 if F_new <= F - ACCEPT_COEFF * dx2 + slack:
@@ -390,7 +416,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                     break
                 certified = INEXACT_SAFETY * (ACCEPT_COEFF * dx2 + slack)
                 certified = max(certified, INNER_HARD_FLOOR)
-                if trial_tol > certified:
+                if not closed and trial_tol > certified:
                     trial_tol = certified
                     continue
                 mem.shift = max(SHIFT_GROW * mem.shift, SHIFT_SEED)
@@ -409,6 +435,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             pending_inner = inner_spent
             pending_step = float(np.sqrt(dx2))
             pending_closed = all_closed
+            pending_fallback = step_fallback
             x, F, grad = x_new, F_new, grad_new
     except InnerFailure as exc:
         status, reason = INNER_FAILURE, str(exc)
@@ -421,6 +448,8 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         history=history,
         error_estimate=estimate,
         reason=reason,
+        newton_steps=newton_steps,
+        fallbacks=fallbacks,
     )
 
 
@@ -429,17 +458,26 @@ def _step(problem, g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol):
 
     With empty memory H is c*I with c = 1/sigma + shift, and a closed prox
     kind gives the exact step prox_{g/c}(x - grad/c) directly, at any
-    shift.  Otherwise the scaled prox is solved by the IPM to
-    ``trial_tol``; ``InnerFailure`` if it ends short of optimal with a
-    residual above the step's ``inner_tol``.  Returns (x+, IPM iterations,
-    whether it was closed).
+    shift.  With pairs, the ``l1`` kind takes the certified Newton step of
+    ``proxeval.lowrank_l1_prox``.  Otherwise, and when Newton gives no
+    certificate, the scaled prox is solved by the IPM to ``trial_tol``;
+    ``InnerFailure`` if it ends short of optimal with a residual above the
+    step's ``inner_tol``.  Returns (x+, IPM iterations, whether no IPM ran,
+    Newton's reason when it fell back to the IPM, else "").
     """
-    if not mem.pairs and g.prox_kind is not None and g.prox_kind.closed:
+    kind = g.prox_kind
+    if not mem.pairs and kind is not None and kind.closed:
         # 1/c, written so that it is exactly sigma at zero shift
         t = mem.sigma / (1.0 + mem.sigma * mem.shift)
-        x_new = proxeval.unscaled_prox(g.prox_kind.scaled(t), x - t * grad)
-        return x_new, 0, True
+        x_new = proxeval.unscaled_prox(kind.scaled(t), x - t * grad)
+        return x_new, 0, True, ""
     H = mem.metric(x.size)
     z = x - H.solve(grad)
+    fallback = ""
+    if kind is not None and kind.kind == "l1":
+        exact = proxeval.lowrank_l1_prox(kind.weight, H, z)
+        if not exact.reason:
+            return exact.x, 0, True, ""
+        fallback = exact.reason
     pres = _ipm_prox(g, H, z, trial_tol, inner_tol)
-    return pres.x, pres.iterations, False
+    return pres.x, pres.iterations, False, fallback

@@ -66,6 +66,18 @@ def test_solver_summary_prints_error_estimate(tmp_path, capsys):
     assert float(line.split("error_estimate=")[1]) <= 1e-6
 
 
+def test_solver_summary_counts_newton_steps_and_fallbacks(tmp_path, capsys):
+    out = tmp_path / "lsq.csv"
+    assert cli.main(["lsq-l1", "--n", "40", "--p", "20", "--mem", "0,3",
+                     "--out", str(out)]) == 0
+    lines = {ln.split(":")[0]: ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("mem=")}
+    assert "newton_steps=0 fallbacks=0" in lines["mem=0"]
+    counts = dict(f.split("=") for f in lines["mem=3"].split()
+                  if f.startswith(("newton_steps=", "fallbacks=")))
+    assert int(counts["newton_steps"]) > 0 and counts["fallbacks"] == "0"
+
+
 def test_lsq_l1_deterministic_up_to_seconds(tmp_path):
     args = ["lsq-l1", "--n", "30", "--p", "10", "--mem", "4", "--seed", "7"]
     out1 = tmp_path / "a.csv"

@@ -183,7 +183,9 @@ def test_zero_memory_equals_proximal_gradient():
 
 def test_shifted_zero_memory_steps_stay_closed(monkeypatch):
     """mem 0 from an overlong first step: the shift goes positive, and
-    every trial still runs in closed form in (1/sigma + shift) I."""
+    every trial still runs in closed form in (1/sigma + shift) I.  With
+    memory, l1 steps in the L-BFGS metric are certified Newton steps, so
+    they stay off the IPM too."""
     calls = []
     real_prox = proxeval.prox
 
@@ -204,12 +206,14 @@ def test_shifted_zero_memory_steps_stay_closed(monkeypatch):
         assert not res.history[0].closed_step
         assert all(e.closed_step for e in res.history[1:])
     assert calls == []
-    # with memory only the first step, taken before any pair, is closed
+    # with memory the first step, taken before any pair, is closed form
+    # and every later one is a certified Newton step in the L-BFGS metric
     res = pqn.solve(prob, qscalc.build_l1(n), np.zeros(n),
                     pqn.PQNConfig(mem=5, tol=1e-8))
-    assert calls
-    assert [e.closed_step for e in res.history[:3]] == [False, True, False]
-    assert not any(e.closed_step for e in res.history[2:])
+    assert calls == []
+    assert [e.closed_step for e in res.history[:3]] == [False, True, True]
+    assert all(e.closed_step for e in res.history[2:])
+    assert res.newton_steps >= res.iterations - 1 and res.fallbacks == 0
 
 
 def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
@@ -229,8 +233,9 @@ def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
             mem.shift = shift
             x = rng.standard_normal(n)
             grad = 2.0 * rng.standard_normal(n)
-            step, iters, closed = pqn._step(None, g, x, grad, mem, 1e-8, 1e-8)
-            assert closed and iters == 0
+            step, iters, closed, fallback = pqn._step(None, g, x, grad, mem,
+                                                      1e-8, 1e-8)
+            assert closed and iters == 0 and fallback == ""
             c = 1.0 / mem.sigma + shift
             z = x - grad / c
             ref = proxeval.prox(g, linops.Metric.scaled_identity(c, n), z,
@@ -415,9 +420,11 @@ def test_failed_prox_stops_with_inner_failure(monkeypatch):
         out = pqn.solve(prob, g, np.zeros(n), pqn.PQNConfig(mem=5, tol=1e-8))
         return out, len(calls)
 
-    # l1 has a closed kind, so every IPM prox is a trial step
+    # the sum of norms has a closed residual check, and its steps in the
+    # L-BFGS metric go to the IPM, so every IPM prox is a trial step
+    groups = qscalc.build_sum_of_norms((4, 4, 4))
     for k in (1, 3):
-        res, calls = run(qscalc.build_l1(n), k, 1.0)
+        res, calls = run(groups, k, 1.0)
         assert res.status == pqn.INNER_FAILURE and "injected" in res.reason
         assert calls == k
         assert np.array_equal(res.x, res.history[-1].x)
@@ -430,5 +437,70 @@ def test_failed_prox_stops_with_inner_failure(monkeypatch):
     assert calls == 1 and res.iterations == 0 and res.history == []
     assert np.array_equal(res.x, np.zeros(n)) and res.residual == np.inf
     # a non-optimal trial whose residual meets the inexactness tolerance
-    res, _ = run(qscalc.build_l1(n), 3, 0.0)
+    # (the graph penalty's second prox is its first trial step; the sum of
+    # norms does not reach tol 1e-8 on this problem even without a fault)
+    graph = qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, n))
+    res, calls = run(graph, 2, 0.0)
+    assert res.status == pqn.OPTIMAL and calls >= 2
+
+
+@pytest.mark.parametrize("newton_fault", ["iteration_cap", "singular"])
+def test_uncertified_newton_step_falls_back_to_the_ipm(monkeypatch,
+                                                      newton_fault):
+    """When Newton gives no certificate (cap of 0 iterations, or every
+    Newton system singular) the l1 step runs the IPM prox instead: the log
+    carries Newton's reason, closed_step is False, and the run still ends
+    optimal."""
+    calls = []
+    real_prox = proxeval.prox
+
+    def spy(*args, **kw):
+        calls.append(1)
+        return real_prox(*args, **kw)
+
+    monkeypatch.setattr(pqn.proxeval, "prox", spy)
+    rng = np.random.default_rng(80)
+    n = 12
+    prob, _ = quadratic_problem(rng, n, cond=10.0)
+    if newton_fault == "iteration_cap":
+        monkeypatch.setattr(proxeval, "LOWRANK_MAX_ITER", 0)
+        expected = "no certificate"
+    else:
+        def singular(*args, **kw):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        expected = "singular Newton matrix"
+    res = pqn.solve(prob, qscalc.build_l1(n), np.zeros(n),
+                    pqn.PQNConfig(mem=5, tol=1e-8))
     assert res.status == pqn.OPTIMAL
+    assert res.newton_steps == 0 and res.fallbacks == len(calls) > 0
+    first, later = res.history[1], res.history[2:]
+    assert first.closed_step and first.fallback_reason == ""
+    assert later
+    for e in later:
+        assert expected in e.fallback_reason
+        assert not e.closed_step and e.inner_iterations > 0
+
+
+def test_l1_least_squares_steps_are_all_newton():
+    """Banded least squares with l1 at mem 10: every step in the L-BFGS
+    metric is a certified Newton step, none reaches the IPM."""
+    prob, g, xstar = problems.synthetic_instance("l1", 60, 30, 2)
+    res = pqn.solve(prob, g, np.zeros(prob.n), pqn.PQNConfig(mem=10, tol=1e-6))
+    assert res.status == pqn.OPTIMAL
+    assert float(np.max(np.abs(res.x - xstar))) <= 1e-6
+    assert res.fallbacks == 0 and res.newton_steps >= res.iterations - 1
+    assert all(e.closed_step and e.inner_iterations == 0
+               for e in res.history[1:])
+
+
+def test_l1_logistic_mem10_reaches_optimal():
+    """l1-regularized logistic regression (500 rows, 200 features) whose
+    interior-point steps left the sup-error estimate at 1.4e-6 > tol for
+    500 outer iterations; with exact Newton steps it stops optimal."""
+    loss = problems.LogisticLoss(problems.logistic_synthetic(500, 200, 2043620588))
+    g = qscalc.scale(qscalc.build_l1(200), 0.01)
+    res = pqn.solve(loss, g, np.zeros(200), pqn.PQNConfig(mem=10, tol=1e-6))
+    assert res.status == pqn.OPTIMAL
+    assert res.iterations <= 60
