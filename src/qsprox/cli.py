@@ -181,7 +181,8 @@ def run_describe(args):
     print(qscalc.format_qs_spec(g))
     blocks = ", ".join(f"{b.kind}({b.dim})" for b in g.K.blocks)
     fields = {"n": g.n, "dual_dim": g.dual_dim, "rows": g.A.shape[0],
-              "strategy": g.strategy}
+              "strategy": g.strategy,
+              "reordered": str(linops.structure(g).perm is not None).lower()}
     print(" ".join(f"{k}={v}" for k, v in fields.items()))
     print(f"cone: {blocks}")
     if x is not None:

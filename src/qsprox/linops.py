@@ -20,7 +20,10 @@ nonzero:
   covering them all), B square diagonal;
 - ``separable``: A = kron(I_n, A_g), B = kron(I_n, B_g), n = B's columns;
 - ``graph_tridiag``: A single, B B^T's pattern within ``MAX_BANDWIDTH``
-  of the diagonal;
+  of the diagonal, in natural order or after reverse Cuthill-McKee
+  (tried only when no column of B holds more than ``MAX_BANDWIDTH + 1``
+  nonzeros, since a column with k of them forces bandwidth k - 1 in any
+  order);
 - ``dense``: everything else.
 
 Both the second-order path and the dense fallback start from the form
@@ -41,11 +44,12 @@ The metric term B H^{-1} B^T does not depend on u.  The operators built
 for one prox share its parts through the memo that ``reduced_solver``
 passes to ``build_L``, so each is formed once per prox, not once per
 iteration: the scaled triple of H^{-1} (its top block for the pivoted
-ball), the packed band of N diag(d1) N^T with its bandwidth and N U1 on
-the graph path, and the dense matrix the fallback adds.  An iteration
-then forms only what depends on u: the graph path adds its diagonal to
-the memoized band and factors it, and the separable path inverts its
-small per-coordinate blocks once for all of the iteration's solves.
+ball), the packed band of N diag(d1) N^T (in ``Structure.perm`` order,
+if any) with its bandwidth and N U1 on the graph path, and the dense
+matrix the fallback adds.  An iteration then forms only what depends on
+u: the graph path adds its diagonal to the memoized band and factors it,
+and the separable path inverts its small per-coordinate blocks once for
+all of the iteration's solves.
 
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7 is redone through the dense fallback and
@@ -350,7 +354,9 @@ class Structure:
     A's rows hold at most one nonzero, the diagonal A^T diag(w) A is
     ``sqAt @ w``, sqAt = (A o A)^T.  Per path: the SOC blocks' dual
     ``runs`` (starts, sizes), the ``border`` column a of A = [A1, a], a
-    separable g's blocks.
+    separable g's blocks.  ``perm`` is the reverse Cuthill-McKee order of
+    the dual coordinates under which a graph's B B^T is banded, None when
+    it is banded in natural order.
     """
 
     path: str
@@ -361,6 +367,7 @@ class Structure:
     border: Optional[np.ndarray] = None
     A_g: Optional[np.ndarray] = None
     B_g: Optional[np.ndarray] = None
+    perm: Optional[np.ndarray] = None
 
 
 def structure(g) -> Structure:
@@ -394,8 +401,12 @@ def _classify(A, B, K) -> Structure:
         blocks = _separable_blocks(A, B)
         if blocks is not None:
             return Structure(SEPARABLE, At, Bt, A_g=blocks[0], B_g=blocks[1])
-        if single and _pattern_bandwidth(B) <= MAX_BANDWIDTH:
-            return Structure(GRAPH_TRIDIAG, At, Bt, sqAt)
+        if single:
+            if _pattern_bandwidth(B) <= MAX_BANDWIDTH:
+                return Structure(GRAPH_TRIDIAG, At, Bt, sqAt)
+            perm = _band_order(B)
+            if perm is not None:
+                return Structure(GRAPH_TRIDIAG, At, Bt, sqAt, perm=perm)
     return Structure(DENSE, At, Bt)
 
 
@@ -441,6 +452,20 @@ def _separable_blocks(A, B):
     return A_g, B_g.ravel()
 
 
+def _band_order(B) -> Optional[np.ndarray]:
+    """Reverse Cuthill-McKee order of B's rows under which B B^T's pattern
+    is within ``MAX_BANDWIDTH``, or None.  B B^T is formed only when each
+    column of B holds at most ``MAX_BANDWIDTH + 1`` nonzeros."""
+    if np.max(np.diff(B.tocsc().indptr), initial=0) > MAX_BANDWIDTH + 1:
+        return None
+    # Imported here: loading csgraph adds about 1 MB of resident memory to
+    # every process, and most never reorder.
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    P = sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
+    perm = reverse_cuthill_mckee((P @ P.T).tocsr(), symmetric_mode=True)
+    return perm if _pattern_bandwidth(B[perm]) <= MAX_BANDWIDTH else None
+
+
 def _pattern_bandwidth(B) -> int:
     """Bandwidth of the pattern of B B^T, where rows i and k meet when they
     share a column of B: the widest span of rows in one column."""
@@ -464,13 +489,16 @@ def _solve_l1_diag(g, H, u, memo):
 
 
 def _graph_metric_band(g, H):
-    """The metric-only parts of the graph system: N diag(d1) N^T packed in
-    upper band storage, its bandwidth, and (N U1, M1) for the low rank."""
+    """The metric-only parts of the graph system: N diag(d1) N^T, rows and
+    columns in ``structure(g).perm`` order, packed in upper band storage,
+    its bandwidth, and (N U1, M1) for the low rank in natural order."""
     N = g.B.tocsr()
     if H is None:
         return np.zeros((1, N.shape[0])), 0, None, None
     d1, U1, M1 = H.inverse_parts()
-    T = (N @ sp.diags(d1) @ N.T).tocsr()
+    perm = structure(g).perm
+    Np = N if perm is None else N[perm]
+    T = (Np @ sp.diags(d1) @ Np.T).tocsr()
     coo = T.tocoo()
     bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
     return banded_upper_from_sparse(T, bw), bw, N @ U1, M1
@@ -478,14 +506,20 @@ def _graph_metric_band(g, H):
 
 def _solve_graph_tridiag(g, H, u, memo):
     winv = 1.0 / u
-    sig = structure(g).sqAt @ winv
+    s = structure(g)
+    sig = s.sqAt @ winv
     band, bw, NU1, M1 = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     ab = band.copy()
-    ab[bw] += sig
+    perm = s.perm
+    ab[bw] += sig if perm is None else sig[perm]
     cb = banded_factor(ab)
 
     def base_solve(q):
-        return banded_solve(cb, q)
+        if perm is None:
+            return banded_solve(cb, q)
+        p = np.empty_like(q)
+        p[perm] = banded_solve(cb, q[perm])
+        return p
 
     if NU1 is None or NU1.shape[1] == 0:
         return base_solve

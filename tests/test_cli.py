@@ -150,6 +150,16 @@ def test_describe_round_trip(capsys):
     assert any("n=5" in ln for ln in lines)
 
 
+def test_describe_reports_reordered_band(capsys):
+    """A cycle's B B^T is banded only after reordering its edges."""
+    edges = [[i, (i + 1) % 40] for i in range(40)]
+    spec = f'{{"kind": "graph_l1", "n": 40, "edges": {edges}}}'
+    assert cli.main(["describe", "--spec", spec]) == 0
+    assert "strategy=graph_tridiag reordered=true" in capsys.readouterr().out
+    assert cli.main(["describe", "--spec", '{"kind": "tv1d", "n": 40}']) == 0
+    assert "strategy=graph_tridiag reordered=false" in capsys.readouterr().out
+
+
 def test_describe_evaluates_at_point(capsys):
     rc = cli.main(["describe", "--spec", '{"kind": "l1", "n": 3}',
                    "--at", "1,-2,0"])

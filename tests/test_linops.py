@@ -1,9 +1,12 @@
 """Woodbury triples, metrics, and the structured L(u) solvers against
 dense oracles."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph
 
 from qsprox import cones, linops, proxeval, qscalc
 from conftest import (catalog, dense_L, gamma_coupled, metric_dense,
@@ -240,9 +243,9 @@ def test_banded_helpers_round_trip():
 
 def dense_fallback_cases(n=6):
     """Penalties the dense matrix serves: iso-TV (3-D SOC blocks under a
-    coupling B), a sum of l1 and path TV whose stacked B B^T is wider than
-    the banded path takes (as in the benchmark's l1+tv), an SOC block
-    followed by an orthant, and a cone indicator."""
+    coupling B), a sum of l1 and path TV whose stacked B B^T is wider in
+    natural order than the banded path takes (as in the benchmark's
+    l1+tv), an SOC block followed by an orthant, and a cone indicator."""
     N = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
     m = linops.MAX_BANDWIDTH + 2
     return [
@@ -257,10 +260,12 @@ def dense_fallback_cases(n=6):
 
 def test_dense_path_matches_dense_formation():
     """The dense matrix, and the solve of the path each case classifies as:
-    dense, except the cone indicator, whose 4 x 4 B B^T is banded."""
+    dense, except the cone indicator, whose 4 x 4 B B^T is banded, and
+    l1+tv, whose B B^T is banded after reordering."""
     rng = np.random.default_rng(34)
     for name, g in dense_fallback_cases():
-        expected = linops.GRAPH_TRIDIAG if name == "cone_indicator" else linops.DENSE
+        expected = (linops.GRAPH_TRIDIAG if name in ("cone_indicator", "l1+tv")
+                    else linops.DENSE)
         assert g.strategy == expected, name
         for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
             u = random_interior(g.K, rng)
@@ -280,8 +285,9 @@ def test_metric_term_is_not_shared_across_metrics():
     its operators use their own metric's parts, also when a metric is
     tried after the other."""
     rng = np.random.default_rng(35)
+    fallback = dict(dense_fallback_cases())
     cases = [(name, g) for name, g in catalog(6) if g.strategy != linops.DENSE]
-    cases.append(("l1+tv", dense_fallback_cases()[1][1]))
+    cases += [(name, fallback[name]) for name in ("l1+tv", "isotropic_tv")]
     assert {g.strategy for _, g in cases} == set(linops.STRATEGIES)
     for name, g in cases:
         H1 = linops.Metric.identity(g.n)
@@ -302,6 +308,66 @@ def test_metric_term_is_not_shared_across_metrics():
             res = proxeval.prox(g, H, z, tol=1e-9)
             gap = abs(proxeval.envelope_value(g, H, z, res.x) - res.envelope)
             assert res.status == "optimal" and gap <= 1e-7, name
+
+
+def reordered_band_cases(rng):
+    """Orthant penalties whose B B^T is banded only after reverse
+    Cuthill-McKee: l1+tv sums at random sizes, graph TV on a path whose
+    difference rows are shuffled, and a cycle."""
+    cases = []
+    for m in rng.integers(linops.MAX_BANDWIDTH + 2, 301, size=3):
+        cases.append((f"l1+tv/{m}", qscalc.add(
+            qscalc.build_l1(int(m)),
+            qscalc.build_graph_l1(qscalc.path_difference_matrix(int(m))))))
+    shuffled = qscalc.path_difference_matrix(500)[rng.permutation(499)]
+    cases.append(("shuffled_path", qscalc.build_graph_l1(shuffled)))
+    cycle = [(i, (i + 1) % 40) for i in range(40)]
+    cases.append(("cycle", qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, 40))))
+    return cases
+
+
+def test_reordered_band_matches_dense():
+    """The reordered banded path solves like the dense matrix under
+    identity and diag+rank-3 metrics with no guard fallback, and its prox
+    lands where the dense path's does."""
+    rng = np.random.default_rng(39)
+    for name, g in reordered_band_cases(rng):
+        s = linops.structure(g)
+        assert s.path == linops.GRAPH_TRIDIAG and s.perm is not None, name
+        for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
+            u = random_interior(g.K, rng)
+            q = rng.standard_normal(g.dual_dim)
+            linops.reset_diagnostics()
+            p = linops.build_L(g, H, u).solve(q)
+            assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
+            p_ref = np.linalg.solve(dense_L(g, H, u), q)
+            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
+        dense = copy.copy(g)
+        dense._structure = linops.Structure(linops.DENSE, s.At, s.Bt)
+        z = 2.0 * rng.standard_normal(g.n)
+        linops.reset_diagnostics()
+        res = proxeval.prox(g, H, z)
+        assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
+        ref = proxeval.prox(dense, H, z)
+        assert res.status == ref.status == "optimal", name
+        assert np.abs(res.x - ref.x).max() <= 1e-8, name
+
+
+def test_reordering_is_tried_only_where_it_can_help(monkeypatch):
+    """A graph banded in natural order keeps its order, and a column of B
+    with more than MAX_BANDWIDTH + 1 nonzeros sends g to the dense path
+    without a reordering being computed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reverse_cuthill_mckee called")
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
+    tv = qscalc.build_graph_l1(qscalc.path_difference_matrix(4096))
+    s = linops.structure(tv)
+    assert s.path == linops.GRAPH_TRIDIAG and s.perm is None
+    leaves = linops.MAX_BANDWIDTH + 2
+    star = qscalc.build_graph_l1(
+        qscalc.incidence_matrix([(0, j) for j in range(1, leaves + 1)], leaves + 1))
+    assert star.strategy == linops.DENSE
 
 
 def test_soc_path_unequal_blocks_matches_dense():
