@@ -13,18 +13,28 @@ matrices qualify.  The first rule that holds wins; K is orthant-only
 unless said otherwise, and "A single" means each row of A has at most one
 nonzero:
 
-- ``l1_diag``: A single, B square diagonal;
 - ``ball_pivot``: A = [A1, a] with A1 single, B = [D; 0] with D diagonal;
 - ``soc_blocks``: K all second-order, A single, each block's rows touch one
   contiguous run of dual coordinates (runs disjoint, in block order,
   covering them all), B square diagonal;
-- ``separable``: A = kron(I_n, A_g), B = kron(I_n, B_g), n = B's columns;
-- ``graph_tridiag``: A single, B B^T's pattern within ``MAX_BANDWIDTH``
-  of the diagonal, in natural order or after reverse Cuthill-McKee
-  (tried only when no column of B holds more than ``MAX_BANDWIDTH + 1``
-  nonzeros, since a column with k of them forces bandwidth k - 1 in any
-  order);
+- banded: C C^T's pattern within ``MAX_BANDWIDTH`` of the diagonal, where
+  C = [B, A^T], or just B when A is single, since single rows of A add
+  only to the diagonal.  Rows i and k of C C^T meet when they share a
+  column of C.  Natural order is tried first, then reverse Cuthill-McKee,
+  which is tried only when no column of C holds more than
+  ``MAX_BANDWIDTH + 1`` nonzeros: a column with k of them forces
+  bandwidth k - 1 in any order.  The path is labelled ``l1_diag`` at
+  bandwidth 0, else ``graph_tridiag`` when A is single, else
+  ``separable``;
 - ``dense``: everything else.
+
+On the banded paths L(u) = B diag(d1) B^T + A^T diag(1/u) A + (B U1) M1
+(B U1)^T, H^{-1} = diag(d1) + U1 M1 U1^T.  The first two terms are packed
+into one band in LAPACK upper storage: diagonal k of M diag(w) M^T, rows
+of M reordered, is (M[:ell-k] o M[k:]) w (``_band_maps``).  At bandwidth
+0 the band is a diagonal and ``swinv`` inverts it together with the low
+rank; otherwise it is factored by banded Cholesky and the low rank enters
+through one Woodbury update (``low_rank_update_solve``).
 
 Both the second-order path and the dense fallback start from the form
 block(u)^{-1} = block(u^{-1}) = diag(d) + R R^T of ``cones.block_parts``,
@@ -36,20 +46,17 @@ On the ``soc_blocks`` path A^T diag(d) A is diagonal and the columns of G
 have disjoint supports, so each block of the core is diagonal plus rank
 one and is solved by its own Sherman-Morrison formula, all blocks at once
 in O(ell); the metric's low-rank part then enters through one Woodbury
-update (``low_rank_update_solve``).  The dense fallback assembles the same
-sum as sparse ell x ell products and densifies only the result for the
-Cholesky factorization.
+update.  The dense fallback assembles the same sum as sparse ell x ell
+products and densifies only the result for the Cholesky factorization.
 
 The metric term B H^{-1} B^T does not depend on u.  The operators built
 for one prox share its parts through the memo that ``reduced_solver``
 passes to ``build_L``, so each is formed once per prox, not once per
 iteration: the scaled triple of H^{-1} (its top block for the pivoted
-ball), the packed band of N diag(d1) N^T (in ``Structure.perm`` order,
-if any) with its bandwidth and N U1 on the graph path, and the dense
-matrix the fallback adds.  An iteration then forms only what depends on
-u: the graph path adds its diagonal to the memoized band and factors it,
-and the separable path inverts its small per-coordinate blocks once for
-all of the iteration's solves.
+ball), the packed band of B diag(d1) B^T with B U1 on the banded paths,
+and the dense matrix the fallback adds.  An iteration then forms only
+what depends on u: the banded paths add the band of A^T diag(1/u) A to
+the memoized one and factor the sum.
 
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7 is redone through the dense fallback and
@@ -260,17 +267,6 @@ class Metric:
 # Banded helpers (SPD, no pivoting, O(n w^2) factor)
 # ---------------------------------------------------------------------------
 
-def banded_upper_from_sparse(T: sp.spmatrix, bw: int) -> np.ndarray:
-    """Pack the upper bands of a symmetric sparse matrix into LAPACK storage."""
-    T = T.tocsr()
-    m = T.shape[0]
-    ab = np.zeros((bw + 1, m))
-    for k in range(bw + 1):
-        diag = T.diagonal(k)
-        ab[bw - k, k:] = diag
-    return ab
-
-
 def banded_factor(ab: np.ndarray):
     try:
         return scipy.linalg.cholesky_banded(ab, lower=False)
@@ -353,10 +349,13 @@ class Structure:
     ``At``/``Bt`` are A^T and B^T as CSC views of the CSR arrays.  Where
     A's rows hold at most one nonzero, the diagonal A^T diag(w) A is
     ``sqAt @ w``, sqAt = (A o A)^T.  Per path: the SOC blocks' dual
-    ``runs`` (starts, sizes), the ``border`` column a of A = [A1, a], a
-    separable g's blocks.  ``perm`` is the reverse Cuthill-McKee order of
-    the dual coordinates under which a graph's B B^T is banded, None when
-    it is banded in natural order.
+    ``runs`` (starts, sizes), the ``border`` column a of A = [A1, a].  On
+    the banded paths, ``perm`` is the reverse Cuthill-McKee order of the
+    dual coordinates under which C C^T is banded, C = [B, A^T] (B when
+    A's rows are single), None when it is banded in natural order; ``bw``
+    is its bandwidth in that order, and diagonal k of A^T diag(w) A, rows
+    and columns in that order, is ``maps[k] @ w`` (``_band_maps``; k = 0
+    only when A's rows are single).
     """
 
     path: str
@@ -365,9 +364,9 @@ class Structure:
     sqAt: Optional[sp.csc_matrix] = None
     runs: Optional[tuple] = None
     border: Optional[np.ndarray] = None
-    A_g: Optional[np.ndarray] = None
-    B_g: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
+    bw: int = 0
+    maps: tuple = ()
 
 
 def structure(g) -> Structure:
@@ -387,8 +386,6 @@ def _classify(A, B, K) -> Structure:
     n = A.shape[1] - 1
     orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
     single = _rows_single_nonzero(A)
-    if orthant and single and _diag_of(B) is not None:
-        return Structure(L1_DIAG, At, Bt, sqAt)
     if (orthant and n >= 1 and B.shape[1] == n and B[n].nnz == 0
             and _diag_of(B[:n]) is not None and _rows_single_nonzero(A[:, :n])):
         return Structure(BALL_PIVOT, At, Bt, sqAt, border=A[:, n].toarray().ravel())
@@ -398,15 +395,16 @@ def _classify(A, B, K) -> Structure:
         if runs is not None:
             return Structure(SOC_BLOCKS, At, Bt, sqAt, runs)
     if orthant:
-        blocks = _separable_blocks(A, B)
-        if blocks is not None:
-            return Structure(SEPARABLE, At, Bt, A_g=blocks[0], B_g=blocks[1])
-        if single:
-            if _pattern_bandwidth(B) <= MAX_BANDWIDTH:
-                return Structure(GRAPH_TRIDIAG, At, Bt, sqAt)
-            perm = _band_order(B)
-            if perm is not None:
-                return Structure(GRAPH_TRIDIAG, At, Bt, sqAt, perm=perm)
+        # Rows of A with one nonzero add only to the diagonal.
+        order = _band_order(B if single else sp.hstack([B, At], format="csr"))
+        if order is not None:
+            perm, bw = order
+            if single:
+                maps = (sqAt if perm is None else sqAt[perm],)
+            else:
+                maps = _band_maps(At, perm, bw)
+            path = L1_DIAG if bw == 0 else GRAPH_TRIDIAG if single else SEPARABLE
+            return Structure(path, At, Bt, sqAt, perm=perm, bw=bw, maps=maps)
     return Structure(DENSE, At, Bt)
 
 
@@ -433,43 +431,46 @@ def _soc_runs(A, K):
     return np.cumsum(sizes) - sizes, sizes
 
 
-def _separable_blocks(A, B):
-    """(A_g, B_g) with A = kron(I_n, A_g) and B = kron(I_n, B_g), n >= 2
-    the column count of B and B_g a column, or None.  A_g must have full
-    column rank, or the per-coordinate blocks A_g^T diag(w) A_g are
-    singular."""
-    n = B.shape[1]
-    rows, ell = A.shape
-    if n < 2 or rows % n or ell % n:
-        return None
-    p, lg = rows // n, ell // n
-    A_g = A[:p, :lg].toarray()
-    B_g = B[:lg, :1].toarray()
-    eye = sp.identity(n, format="csr")
-    if (np.linalg.matrix_rank(A_g) < lg or (A != sp.kron(eye, A_g, format="csr")).nnz
-            or (B != sp.kron(eye, B_g, format="csr")).nnz):
-        return None
-    return A_g, B_g.ravel()
-
-
-def _band_order(B) -> Optional[np.ndarray]:
-    """Reverse Cuthill-McKee order of B's rows under which B B^T's pattern
-    is within ``MAX_BANDWIDTH``, or None.  B B^T is formed only when each
-    column of B holds at most ``MAX_BANDWIDTH + 1`` nonzeros."""
-    if np.max(np.diff(B.tocsc().indptr), initial=0) > MAX_BANDWIDTH + 1:
+def _band_order(C) -> Optional[tuple]:
+    """(perm, bw): the order of C's rows under which C C^T's pattern is
+    within ``MAX_BANDWIDTH`` (perm None for natural order, tried first,
+    else reverse Cuthill-McKee) and the bandwidth there, or None.  The
+    reordering is tried only when each column of C holds at most
+    ``MAX_BANDWIDTH + 1`` nonzeros."""
+    bw = _pattern_bandwidth(C)
+    if bw <= MAX_BANDWIDTH:
+        return None, bw
+    if np.max(np.diff(C.tocsc().indptr), initial=0) > MAX_BANDWIDTH + 1:
         return None
     # Imported here: loading csgraph adds about 1 MB of resident memory to
     # every process, and most never reorder.
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    P = sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
+    P = sp.csr_matrix((np.ones(C.nnz), C.indices, C.indptr), shape=C.shape)
     perm = reverse_cuthill_mckee((P @ P.T).tocsr(), symmetric_mode=True)
-    return perm if _pattern_bandwidth(B[perm]) <= MAX_BANDWIDTH else None
+    bw = _pattern_bandwidth(C[perm])
+    return (perm, bw) if bw <= MAX_BANDWIDTH else None
 
 
-def _pattern_bandwidth(B) -> int:
-    """Bandwidth of the pattern of B B^T, where rows i and k meet when they
-    share a column of B: the widest span of rows in one column."""
-    C = B.tocsc()
+def _band_maps(M, perm, bw):
+    """Maps m_0..m_bw with diagonal k of M diag(w) M^T, rows of M taken in
+    ``perm`` order, equal to m_k @ w: m_k = M_p[:ell - k] o M_p[k:]."""
+    Mp = M.tocsr() if perm is None else M.tocsr()[perm]
+    ell = Mp.shape[0]
+    return tuple(Mp[:ell - k].multiply(Mp[k:]) for k in range(bw + 1))
+
+
+def _add_band(ab, maps, w):
+    """Add the band of M diag(w) M^T, ``maps`` from ``_band_maps``, to ab
+    in upper band storage (diagonal k in row ``bw - k``)."""
+    bw = ab.shape[0] - 1
+    for k, m in enumerate(maps):
+        ab[bw - k, k:] += m @ w
+
+
+def _pattern_bandwidth(M) -> int:
+    """Bandwidth of the pattern of M M^T, where rows i and k meet when they
+    share a column of M: the widest span of rows in one column."""
+    C = M.tocsc()
     C.sort_indices()
     used = np.diff(C.indptr) > 0
     span = C.indices[C.indptr[1:][used] - 1] - C.indices[C.indptr[:-1][used]]
@@ -480,39 +481,29 @@ def _pattern_bandwidth(B) -> int:
 # Per-path solve factories
 # ---------------------------------------------------------------------------
 
-def _solve_l1_diag(g, H, u, memo):
-    winv = 1.0 / u
-    sig = structure(g).sqAt @ winv
-    qd, qU, qM = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
-    triple = swinv(qd + sig, qU, qM)
-    return triple.matvec
-
-
 def _graph_metric_band(g, H):
-    """The metric-only parts of the graph system: N diag(d1) N^T, rows and
-    columns in ``structure(g).perm`` order, packed in upper band storage,
-    its bandwidth, and (N U1, M1) for the low rank in natural order."""
-    N = g.B.tocsr()
-    if H is None:
-        return np.zeros((1, N.shape[0])), 0, None, None
-    d1, U1, M1 = H.inverse_parts()
-    perm = structure(g).perm
-    Np = N if perm is None else N[perm]
-    T = (Np @ sp.diags(d1) @ Np.T).tocsr()
-    coo = T.tocoo()
-    bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-    return banded_upper_from_sparse(T, bw), bw, N @ U1, M1
-
-
-def _solve_graph_tridiag(g, H, u, memo):
-    winv = 1.0 / u
+    """The metric-only parts of the banded system: B diag(d1) B^T, rows and
+    columns in ``structure(g).perm`` order, packed at its ``bw`` in upper
+    band storage, and (B U1, M1) for the low rank in natural order."""
     s = structure(g)
-    sig = s.sqAt @ winv
-    band, bw, NU1, M1 = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
+    ell = g.B.shape[0]
+    band = np.zeros((s.bw + 1, ell))
+    if H is None:
+        return (band, *_empty_low_rank(ell))
+    d1, U1, M1 = H.inverse_parts()
+    _add_band(band, _band_maps(g.B, s.perm, s.bw), d1)
+    return band, g.B @ U1, M1
+
+
+def _solve_banded(g, H, u, memo):
+    s = structure(g)
+    band, BU1, M1 = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     ab = band.copy()
-    perm = s.perm
-    ab[bw] += sig if perm is None else sig[perm]
+    _add_band(ab, s.maps, 1.0 / u)
+    if s.bw == 0:
+        return swinv(ab[0], BU1, M1).matvec
     cb = banded_factor(ab)
+    perm = s.perm
 
     def base_solve(q):
         if perm is None:
@@ -521,9 +512,7 @@ def _solve_graph_tridiag(g, H, u, memo):
         p[perm] = banded_solve(cb, q[perm])
         return p
 
-    if NU1 is None or NU1.shape[1] == 0:
-        return base_solve
-    return low_rank_update_solve(base_solve, NU1, M1)
+    return low_rank_update_solve(base_solve, BU1, M1)
 
 
 def _solve_ball_pivot(g, H, u, memo):
@@ -575,28 +564,6 @@ def _solve_soc_blocks(g, H, u, memo):
     return low_rank_update_solve(solve_d, qU, qM)
 
 
-def _solve_separable(g, H, u, memo):
-    s = structure(g)
-    A_g, B_g = s.A_g, s.B_g
-    p, lg = A_g.shape
-    nvars = g.B.shape[1]
-    winv = (1.0 / u).reshape(nvars, p)
-    # One lg x lg block Lam_i per coordinate, inverted once per iteration;
-    # the correction Lam^{-1} (q2 B_g) is q2 Lam^{-1} B_g.
-    Laminv = np.linalg.inv(np.einsum("rk,nr,rl->nkl", A_g, winv, A_g))
-    LinvB = np.einsum("nkl,l->nk", Laminv, B_g)
-    sig = LinvB @ B_g
-    direct = H.direct_parts()
-    hs = swinv(direct.d + sig, direct.U, direct.M)
-
-    def solve(q):
-        a = np.einsum("nkl,nl->nk", Laminv, q.reshape(nvars, lg))
-        q2 = hs.matvec(a @ B_g)
-        return (a - q2[:, None] * LinvB).ravel()
-
-    return solve
-
-
 def _metric_term(g, H):
     """Dense B H^{-1} B^T."""
     d1, U1, M1 = H.inverse_parts()
@@ -634,11 +601,11 @@ def _solve_dense(g, H, u, memo=None):
 
 
 _FACTORIES = {
-    L1_DIAG: _solve_l1_diag,
-    GRAPH_TRIDIAG: _solve_graph_tridiag,
+    L1_DIAG: _solve_banded,
+    GRAPH_TRIDIAG: _solve_banded,
     BALL_PIVOT: _solve_ball_pivot,
     SOC_BLOCKS: _solve_soc_blocks,
-    SEPARABLE: _solve_separable,
+    SEPARABLE: _solve_banded,
     DENSE: _solve_dense,
 }
 
@@ -672,10 +639,6 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
         return apply_split(w)[0]
 
     requested = tag = s.path
-    if tag == SEPARABLE and H is None:
-        # The separable factorization pivots on H; without a quadratic
-        # term the dense path is the only complete one.
-        tag = DENSE
 
     def refined(inner_solve, q):
         # One pass of iterative refinement; the reduced system turns

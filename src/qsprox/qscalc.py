@@ -49,9 +49,9 @@ class ProxKind:
     It plays no part in the interior-point solve, whose path is read off
     g's matrices (``linops.structure``).  The kinds in ``CLOSED_KINDS``
     have an exact prox in the identity metric (``proxeval.unscaled_prox``);
-    ``tv1d`` is w * ||N x||_1 with N the first-difference map of a path.  ``graph_l1`` is w * ||N x||_1 on
-    any other graph: it has no closed rule and carries N only for
-    subgradients.
+    ``tv1d`` is w * ||N x||_1 with N the first-difference map of a path.
+    ``graph_l1`` is w * ||N x||_1 on any other graph: it has no closed rule
+    and carries N only for subgradients.
     """
 
     kind: str
@@ -526,7 +526,7 @@ def evaluate(g: QSFunction, x, force_ipm: bool = False) -> float:
 
     qp = ipm.ConicQP(
         Qapply=qzero, c=c, A=g.A, b=g.b, K=g.K,
-        lsolver=lambda u: linops.build_L(g, None, u),
+        lsolver=linops.reduced_solver(g, None),
     )
     res = ipm.solve(qp, tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
     if res.status == ipm.OPTIMAL:
@@ -560,7 +560,9 @@ def _looks_unbounded(res: ipm.IPMResult) -> bool:
 # Serialized descriptions
 # ---------------------------------------------------------------------------
 
-def _from_spec(spec: dict) -> QSFunction:
+def _from_spec(spec) -> QSFunction:
+    if not isinstance(spec, dict):
+        raise ValueError("qs-spec must be a JSON object")
     kind = spec.get("kind")
     if kind == "l1":
         return build_l1(int(spec["n"]))
@@ -613,10 +615,7 @@ def _from_spec(spec: dict) -> QSFunction:
 
 def parse_qs_spec(text: str) -> QSFunction:
     """Build a QS function from its JSON description."""
-    spec = json.loads(text)
-    if not isinstance(spec, dict):
-        raise ValueError("qs-spec must be a JSON object")
-    return _from_spec(spec)
+    return _from_spec(json.loads(text))
 
 
 def format_qs_spec(g) -> str:

@@ -191,6 +191,8 @@ def test_describe_wrong_point_size_returns_2(capsys):
     ["--spec", '{"kind": "nope", "n": 3}'],
     ["--spec", '{"kind": "l1"}'],
     ["--spec", '{"kind": "l1", "n": 3}', "--at", "1,x"],
+    ["--spec", '{"kind": "separable", "gamma": "foo", "n": 3}'],
+    ["--spec", '{"kind": "scale", "alpha": 2, "inner": "l1"}'],
 ])
 def test_describe_malformed_input_returns_2(capsys, argv):
     assert cli.main(["describe"] + argv) == 2

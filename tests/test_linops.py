@@ -181,7 +181,7 @@ def test_expected_strategies():
     assert pairs["l2"].strategy == linops.SOC_BLOCKS
     assert pairs["sum_of_norms"].strategy == linops.SOC_BLOCKS
     assert pairs["separable_abs"].strategy == linops.L1_DIAG
-    assert pairs["separable_abs+hinge"].strategy == linops.SEPARABLE
+    assert pairs["separable_abs+hinge"].strategy == linops.GRAPH_TRIDIAG
     assert pairs["separable_coupled"].strategy == linops.SEPARABLE
 
 
@@ -234,7 +234,9 @@ def test_banded_helpers_round_trip():
     n = 12
     N = qscalc.path_difference_matrix(n)
     T = sp.csr_matrix((N @ N.T).toarray() + 0.5 * np.eye(n - 1))
-    ab = linops.banded_upper_from_sparse(T, 1)
+    ab = np.zeros((2, n - 1))
+    linops._add_band(ab, linops._band_maps(N, None, 1), np.ones(n))
+    ab[1] += 0.5
     cb = linops.banded_factor(ab)
     q = rng.standard_normal(n - 1)
     got = linops.banded_solve(cb, q)
@@ -310,19 +312,29 @@ def test_metric_term_is_not_shared_across_metrics():
             assert res.status == "optimal" and gap <= 1e-7, name
 
 
+def separable_plus_l1(n):
+    """A separable lift with two coupled dual variables per coordinate plus
+    l1: A's rows are not single, and C = [B, A^T] is banded only after
+    reordering."""
+    return qscalc.add(qscalc.build_separable(gamma_coupled(), n), qscalc.build_l1(n))
+
+
 def reordered_band_cases(rng):
-    """Orthant penalties whose B B^T is banded only after reverse
-    Cuthill-McKee: l1+tv sums at random sizes, graph TV on a path whose
-    difference rows are shuffled, and a cycle."""
+    """Orthant penalties whose C C^T is banded only after reverse
+    Cuthill-McKee, with the path each takes: l1+tv sums at random sizes,
+    graph TV on a path whose difference rows are shuffled, a cycle, and a
+    separable lift plus l1."""
     cases = []
     for m in rng.integers(linops.MAX_BANDWIDTH + 2, 301, size=3):
-        cases.append((f"l1+tv/{m}", qscalc.add(
+        cases.append((f"l1+tv/{m}", linops.GRAPH_TRIDIAG, qscalc.add(
             qscalc.build_l1(int(m)),
             qscalc.build_graph_l1(qscalc.path_difference_matrix(int(m))))))
     shuffled = qscalc.path_difference_matrix(500)[rng.permutation(499)]
-    cases.append(("shuffled_path", qscalc.build_graph_l1(shuffled)))
+    cases.append(("shuffled_path", linops.GRAPH_TRIDIAG, qscalc.build_graph_l1(shuffled)))
     cycle = [(i, (i + 1) % 40) for i in range(40)]
-    cases.append(("cycle", qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, 40))))
+    cases.append(("cycle", linops.GRAPH_TRIDIAG,
+                  qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, 40))))
+    cases.append(("coupled+l1", linops.SEPARABLE, separable_plus_l1(300)))
     return cases
 
 
@@ -331,9 +343,9 @@ def test_reordered_band_matches_dense():
     identity and diag+rank-3 metrics with no guard fallback, and its prox
     lands where the dense path's does."""
     rng = np.random.default_rng(39)
-    for name, g in reordered_band_cases(rng):
+    for name, path, g in reordered_band_cases(rng):
         s = linops.structure(g)
-        assert s.path == linops.GRAPH_TRIDIAG and s.perm is not None, name
+        assert s.path == path and s.perm is not None, name
         for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
             u = random_interior(g.K, rng)
             q = rng.standard_normal(g.dual_dim)
@@ -351,6 +363,21 @@ def test_reordered_band_matches_dense():
         ref = proxeval.prox(dense, H, z)
         assert res.status == ref.status == "optimal", name
         assert np.abs(res.x - ref.x).max() <= 1e-8, name
+
+
+def test_banded_path_takes_sizes_the_dense_path_refuses():
+    """A separable lift plus l1 with more dual coordinates than the dense
+    path takes proxes to optimal on the reordered banded path."""
+    rng = np.random.default_rng(40)
+    g = separable_plus_l1(1500)
+    assert g.dual_dim > linops.DENSE_LIMIT
+    H = random_dlr_metric(rng, g.n, 3)
+    z = 2.0 * rng.standard_normal(g.n)
+    linops.reset_diagnostics()
+    res = proxeval.prox(g, H, z)
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 0
+    gap = abs(proxeval.envelope_value(g, H, z, res.x) - res.envelope)
+    assert res.status == "optimal" and gap <= 1e-7
 
 
 def test_reordering_is_tried_only_where_it_can_help(monkeypatch):
