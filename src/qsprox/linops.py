@@ -31,10 +31,24 @@ nonzero:
 On the banded paths L(u) = B diag(d1) B^T + A^T diag(1/u) A + (B U1) M1
 (B U1)^T, H^{-1} = diag(d1) + U1 M1 U1^T.  The first two terms are packed
 into one band in LAPACK upper storage: diagonal k of M diag(w) M^T, rows
-of M reordered, is (M[:ell-k] o M[k:]) w (``_band_maps``).  At bandwidth
-0 the band is a diagonal and ``swinv`` inverts it together with the low
-rank; otherwise it is factored by banded Cholesky and the low rank enters
-through one Woodbury update (``low_rank_update_solve``).
+of M reordered, is (M[:ell-k] o M[k:]) w (``_band_maps``).  By bandwidth:
+
+- 0: the band is a diagonal, and ``swinv`` inverts it together with the
+  low rank;
+- 1: the band is tridiagonal and factored as L D L^T (LAPACK dpttrf,
+  solves by dpttrs);
+- 2 and up: banded Cholesky (dpbtrf, solves by dpbtrs).
+
+Above bandwidth 0 the low rank enters through one Woodbury update
+(``low_rank_update_solve``), whose small capacitance matrix is factored
+by LU (dgetrf, solves by dgetrs).  These routines are called directly
+from ``scipy.linalg.lapack``: the ``scipy.linalg`` wrappers add 10-20 us
+per call, which at ell = 199 is more than the routine takes.  Every
+``info`` is checked, and the wrappers' ``check_finite`` is kept as an
+explicit test: a non-finite or not positive definite band, or a singular
+or non-finite capacitance, raises StructuredSolveError, so that
+``build_L`` falls back to the dense path; a non-finite right-hand side
+raises ValueError.
 
 Both the second-order path and the dense fallback start from the form
 block(u)^{-1} = block(u^{-1}) = diag(d) + R R^T of ``cones.block_parts``,
@@ -49,14 +63,21 @@ in O(ell); the metric's low-rank part then enters through one Woodbury
 update.  The dense fallback assembles the same sum as sparse ell x ell
 products and densifies only the result for the Cholesky factorization.
 
-The metric term B H^{-1} B^T does not depend on u.  The operators built
-for one prox share its parts through the memo that ``reduced_solver``
-passes to ``build_L``, so each is formed once per prox, not once per
-iteration: the scaled triple of H^{-1} (its top block for the pivoted
-ball), the packed band of B diag(d1) B^T with B U1 on the banded paths,
-and the dense matrix the fallback adds.  An iteration then forms only
-what depends on u: the banded paths add the band of A^T diag(1/u) A to
-the memoized one and factor the sum.
+Work is formed as rarely as what it depends on allows:
+
+- per function, by ``structure``: the path, A^T and B^T, the band order
+  and the band maps of A;
+- per prox, since B H^{-1} B^T does not depend on u, in the memo that
+  ``reduced_solver`` passes to ``build_L``: M1^{-1}, the scaled triple
+  of H^{-1} (its top block for the pivoted ball), and on the banded
+  paths the packed band of B diag(d1) B^T, B U1 and one buffer for the
+  Woodbury columns; the dense matrix the fallback adds.  The band maps
+  of B are formed here too: kept per function, they cost the
+  prox-orthant benchmark about 5% of its peak resident memory;
+- per iteration, only what depends on u: the banded paths add the band
+  of A^T diag(1/u) A to a copy of the memoized one, factor the sum,
+  solve the Woodbury columns C^{-1} (B U1) in place into the buffer and
+  factor the capacitance.
 
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7 is redone through the dense fallback and
@@ -74,6 +95,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from qsprox import cones
 
@@ -127,12 +149,13 @@ def _empty_low_rank(n):
     return np.zeros((n, 0)), np.zeros((0, 0))
 
 
-def swinv(d, U=None, M=None) -> SWTriple:
+def swinv(d, U=None, M=None, Minv=None) -> SWTriple:
     """Invert diag(d) + U M U^T into the same representation.
 
     Returns (d1, U1, M1) with inverse = diag(d1) + U1 M1 U1^T, where
     d1 = 1/d, U1 = diag(d1) U and M1 = -(M^{-1} + U^T U1)^{-1} (the minus
-    sign of the Woodbury correction is folded into M1).
+    sign of the Woodbury correction is folded into M1).  A caller that
+    inverts one M for many d passes ``Minv`` = M^{-1} in place of M.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0.0):
@@ -142,11 +165,8 @@ def swinv(d, U=None, M=None) -> SWTriple:
         U1, M1 = _empty_low_rank(d.size)
         return SWTriple(d1, U1, M1)
     U = np.asarray(U, dtype=float)
-    M = np.asarray(M, dtype=float)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise StructuredSolveError("middle matrix is singular in swinv") from exc
+    if Minv is None:
+        Minv = _middle_inverse(M)
     # d1[:, None] * U, about 1.7x faster for a tall U as einsum
     U1 = np.einsum("i,ij->ij", d1, U)
     cap = Minv + U.T @ U1
@@ -159,27 +179,54 @@ def swinv(d, U=None, M=None) -> SWTriple:
     return SWTriple(d1, U1, M1)
 
 
-def low_rank_update_solve(solve_d: Callable, U, M) -> Callable:
-    """Solver for D + U M U^T given a solver for D (Woodbury on a factored D)."""
-    U = np.asarray(U, dtype=float)
-    M = np.asarray(M, dtype=float)
+def _middle_inverse(M) -> np.ndarray:
+    """M^{-1} for the middle matrix of a low-rank term U M U^T."""
+    try:
+        return np.linalg.inv(np.asarray(M, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise StructuredSolveError("middle matrix of a low-rank term is singular") from exc
+
+
+def _check_info(info, what):
+    """Raise on a LAPACK ``info`` as scipy.linalg's wrappers do: an illegal
+    argument is a ValueError; a failed factorization is reported as a
+    StructuredSolveError, so the caller can fall back."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {what}")
+    if info > 0:
+        raise StructuredSolveError(f"{what} failed at pivot {info}")
+
+
+def _check_rhs(q):
+    """A non-finite right-hand side raises ValueError, as the check_finite
+    of scipy.linalg's solve wrappers does."""
+    if not np.isfinite(q).all():
+        raise ValueError("right-hand side must not contain infs or NaNs")
+
+
+def low_rank_update_solve(solve_d: Callable, U, Minv, Z=None) -> Callable:
+    """Solver for D + U M U^T given a solver for D and Minv = M^{-1}
+    (Woodbury on a factored D).  ``Z`` = D^{-1} U when the caller has
+    solved it already, else it is solved here.  The capacitance
+    M^{-1} + U^T Z is factored by LAPACK's dgetrf, called directly."""
     if U.shape[1] == 0:
         return solve_d
-    Z = solve_d(U)
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise StructuredSolveError("middle matrix is singular in low-rank update") from exc
+    if Z is None:
+        Z = solve_d(U)
     cap = Minv + U.T @ Z
     cap = 0.5 * (cap + cap.T)
-    try:
-        cap_lu = scipy.linalg.lu_factor(cap)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise StructuredSolveError("capacitance matrix is singular in low-rank update") from exc
+    if not np.isfinite(cap).all():
+        raise StructuredSolveError("capacitance matrix is not finite in low-rank update")
+    lu, piv, info = lapack.dgetrf(cap, overwrite_a=1)
+    _check_info(info, "LU factorization of the capacitance matrix")
 
     def solve(q):
         t = solve_d(q)
-        return t - Z @ scipy.linalg.lu_solve(cap_lu, U.T @ t)
+        w = U.T @ t
+        _check_rhs(w)
+        c, info = lapack.dgetrs(lu, piv, w, overwrite_b=1)
+        _check_info(info, "capacitance solve")
+        return t - Z @ c
 
     return solve
 
@@ -264,18 +311,43 @@ class Metric:
 
 
 # ---------------------------------------------------------------------------
-# Banded helpers (SPD, no pivoting, O(n w^2) factor)
+# Banded SPD kernels (LAPACK called directly, no pivoting, O(ell bw^2) factor)
 # ---------------------------------------------------------------------------
 
-def banded_factor(ab: np.ndarray):
-    try:
-        return scipy.linalg.cholesky_banded(ab, lower=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise StructuredSolveError("banded Cholesky factorization failed") from exc
+def banded_solver(ab: np.ndarray) -> Callable:
+    """Solver for the SPD matrix held in ``ab`` in LAPACK upper band
+    storage (diagonal k in row bw - k), factored here and overwritten:
+    LDL^T by dpttrf when it is tridiagonal, banded Cholesky by dpbtrf when
+    it is wider.
 
+    The LAPACK routines are called directly, without scipy.linalg's
+    wrappers, but check as those do with ``check_finite``: a non-finite or
+    not positive definite band raises StructuredSolveError, a non-finite
+    right-hand side ValueError.  ``solve(q, overwrite=True)`` writes the
+    solution into q when q is a Fortran-ordered float array.
+    """
+    if not np.isfinite(ab).all():
+        raise StructuredSolveError("banded factorization met a non-finite entry")
+    if ab.shape[0] == 2:
+        d, e, info = lapack.dpttrf(ab[1], ab[0, 1:], overwrite_d=1, overwrite_e=1)
+        _check_info(info, "tridiagonal LDL^T factorization (dpttrf)")
 
-def banded_solve(cb, q):
-    return scipy.linalg.cho_solve_banded((cb, False), q)
+        def kernel(q, overwrite):
+            return lapack.dpttrs(d, e, q, overwrite_b=overwrite)
+    else:
+        cb, info = lapack.dpbtrf(ab, overwrite_ab=1)
+        _check_info(info, "banded Cholesky factorization (dpbtrf)")
+
+        def kernel(q, overwrite):
+            return lapack.dpbtrs(cb, q, overwrite_b=overwrite)
+
+    def solve(q, overwrite=False):
+        _check_rhs(q)
+        x, info = kernel(q, overwrite)
+        _check_info(info, "banded solve")
+        return x
+
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +382,16 @@ def _memoized(memo, key, make):
 
 
 def _quad_inverse_parts(H: Optional[Metric], B, k: int, memo: Optional[dict] = None):
-    """Triple of Q = diag(beta) H^{-1} diag(beta), beta the diagonal of the
-    top k x k block of the sparse B, which the path's rule makes diagonal."""
+    """Q = diag(beta) H^{-1} diag(beta) as (its diagonal, U, M^{-1}) of
+    diag + U M U^T, beta the diagonal of the top k x k block of the sparse
+    B, which the path's rule makes diagonal."""
     def make():
         if H is None:
             U, M = _empty_low_rank(k)
             return np.zeros(k), U, M
         beta = _diag_of(B if B.shape[0] == k else B.tocsr()[:k, :])
         d1, U1, M1 = H.inverse_parts()
-        return beta * beta * d1, beta[:, None] * U1, M1
+        return beta * beta * d1, beta[:, None] * U1, _middle_inverse(M1)
 
     return _memoized(memo, "quad", make)
 
@@ -482,37 +555,51 @@ def _pattern_bandwidth(M) -> int:
 # ---------------------------------------------------------------------------
 
 def _graph_metric_band(g, H):
-    """The metric-only parts of the banded system: B diag(d1) B^T, rows and
-    columns in ``structure(g).perm`` order, packed at its ``bw`` in upper
-    band storage, and (B U1, M1) for the low rank in natural order."""
+    """The metric-only parts of the banded system: B diag(d1) B^T, rows
+    and columns in ``structure(g).perm`` order, packed at its ``bw`` in
+    upper band storage; B U1 in natural order and M1^{-1} for the low
+    rank; and, when there is a low rank above bandwidth 0, a
+    Fortran-ordered buffer for the Woodbury columns C^{-1} (B U1), else
+    None."""
     s = structure(g)
     ell = g.B.shape[0]
     band = np.zeros((s.bw + 1, ell))
     if H is None:
-        return (band, *_empty_low_rank(ell))
+        return (band, *_empty_low_rank(ell), None)
     d1, U1, M1 = H.inverse_parts()
     _add_band(band, _band_maps(g.B, s.perm, s.bw), d1)
-    return band, g.B @ U1, M1
+    BU1 = g.B @ U1
+    Z = np.empty(BU1.shape, order="F") if s.bw and BU1.shape[1] else None
+    return band, BU1, _middle_inverse(M1), Z
 
 
 def _solve_banded(g, H, u, memo):
     s = structure(g)
-    band, BU1, M1 = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
+    band, BU1, Minv, Z = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     ab = band.copy()
     _add_band(ab, s.maps, 1.0 / u)
     if s.bw == 0:
-        return swinv(ab[0], BU1, M1).matvec
-    cb = banded_factor(ab)
+        return swinv(ab[0], BU1, Minv=Minv).matvec
+    solve_c = banded_solver(ab)
     perm = s.perm
 
     def base_solve(q):
         if perm is None:
-            return banded_solve(cb, q)
+            return solve_c(q)
         p = np.empty_like(q)
-        p[perm] = banded_solve(cb, q[perm])
+        p[perm] = solve_c(q[perm])
         return p
 
-    return low_rank_update_solve(base_solve, BU1, M1)
+    if Z is not None:
+        # Z is one buffer per prox, solved in place by each iteration's
+        # operator.  That is safe because ipm.solve never calls an earlier
+        # iteration's LOperator after it builds the next one.
+        Z[...] = BU1 if perm is None else BU1[perm]
+        Z = solve_c(Z, overwrite=True)
+        if perm is not None:
+            Z, Zp = np.empty_like(BU1), Z
+            Z[perm] = Zp
+    return low_rank_update_solve(base_solve, BU1, Minv, Z)
 
 
 def _solve_ball_pivot(g, H, u, memo):
@@ -524,8 +611,8 @@ def _solve_ball_pivot(g, H, u, memo):
     sig = (s.sqAt @ winv)[:n]
     last = s.At @ (s.border * winv)
     mvec, phi0 = last[:n], last[n]
-    qd, qU, qM = _quad_inverse_parts(H, g.B, n, memo)
-    triple = swinv(qd + sig, qU, qM)
+    qd, qU, qMinv = _quad_inverse_parts(H, g.B, n, memo)
+    triple = swinv(qd + sig, qU, Minv=qMinv)
     c1 = triple.matvec(mvec)
     schur = phi0 - mvec @ c1
     if schur <= 0.0:
@@ -545,7 +632,7 @@ def _solve_soc_blocks(g, H, u, memo):
     # lives on the block's own dual coordinates; gv holds all g_j at once.
     s = structure(g)
     starts, sizes = s.runs
-    qd, qU, qM = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
+    qd, qU, qMinv = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
     d, r = _inverse_parts(g, u)
     D = qd + s.sqAt @ d
     if not (D > 0.0).all():
@@ -561,7 +648,7 @@ def _solve_soc_blocks(g, H, u, memo):
         coef = np.add.reduceat(gv * t, starts, axis=-1) / cap
         return (t - Dg * np.repeat(coef, sizes, axis=-1)).T
 
-    return low_rank_update_solve(solve_d, qU, qM)
+    return low_rank_update_solve(solve_d, qU, qMinv)
 
 
 def _metric_term(g, H):

@@ -5,6 +5,7 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
@@ -70,11 +71,11 @@ def test_low_rank_update_solve():
     rng = np.random.default_rng(23)
     d = rng.uniform(0.5, 2.0, 6)
     U = rng.standard_normal((6, 2))
-    M = np.eye(2)
+    M = np.array([[2.0, 0.5], [0.5, 1.0]])
     def solve_d(q):
         return q / d if q.ndim == 1 else q / d[:, None]
 
-    solve = linops.low_rank_update_solve(solve_d, U, M)
+    solve = linops.low_rank_update_solve(solve_d, U, np.linalg.inv(M))
     q = rng.standard_normal(6)
     expect = np.linalg.solve(np.diag(d) + U @ M @ U.T, q)
     np.testing.assert_allclose(solve(q), expect, atol=1e-10)
@@ -230,17 +231,142 @@ def test_structured_factory_error_falls_back_to_dense(monkeypatch):
 
 
 def test_banded_helpers_round_trip():
+    """The band packed by ``_band_maps``/``_add_band`` is factored and
+    solved at bandwidth 1 (LDL^T) and 2 (Cholesky), for one right-hand side
+    and for several written in place."""
     rng = np.random.default_rng(32)
     n = 12
     N = qscalc.path_difference_matrix(n)
-    T = sp.csr_matrix((N @ N.T).toarray() + 0.5 * np.eye(n - 1))
-    ab = np.zeros((2, n - 1))
-    linops._add_band(ab, linops._band_maps(N, None, 1), np.ones(n))
-    ab[1] += 0.5
-    cb = linops.banded_factor(ab)
-    q = rng.standard_normal(n - 1)
-    got = linops.banded_solve(cb, q)
-    np.testing.assert_allclose(T @ got, q, atol=1e-10)
+    for M in (N, N[:-1] + N[1:]):
+        bw = linops._pattern_bandwidth(M)
+        T = (M @ M.T).toarray() + 0.5 * np.eye(M.shape[0])
+        ab = np.zeros((bw + 1, M.shape[0]))
+        linops._add_band(ab, linops._band_maps(M, None, bw), np.ones(n))
+        ab[bw] += 0.5
+        solve = linops.banded_solver(ab)
+        q = rng.standard_normal(M.shape[0])
+        np.testing.assert_allclose(T @ solve(q), q, atol=1e-10)
+        Q = np.asfortranarray(rng.standard_normal((M.shape[0], 3)))
+        expect = np.linalg.solve(T, Q)
+        assert solve(Q, overwrite=True) is Q
+        np.testing.assert_allclose(Q, expect, atol=1e-10)
+
+
+def wide_graph_tv(rng, n, shuffle):
+    """Graph TV over edges (i, i + 1) and (i, i + 2): C C^T has bandwidth
+    4 in edge order, and is banded only after reordering when the edges
+    are shuffled."""
+    edges = [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]
+    if shuffle:
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+    return qscalc.build_graph_l1(qscalc.incidence_matrix(edges, n))
+
+
+def random_banded_case(rng, kind):
+    """A penalty of random size on the banded path: bandwidth 0, 1 in
+    natural order (a path), 1 after reverse Cuthill-McKee (a shuffled
+    path), >= 2 in natural order and >= 2 after reordering (a sum of l1
+    and path TV, or shuffled edges)."""
+    n = int(rng.integers(linops.MAX_BANDWIDTH + 2, 120))
+    if kind == "bw0":
+        return (qscalc.build_l1(n) if rng.random() < 0.5
+                else qscalc.build_separable(qscalc.gamma_hinge(), n))
+    N = qscalc.path_difference_matrix(n)
+    if kind == "bw1":
+        return qscalc.build_graph_l1(N)
+    if kind == "bw1_rcm":
+        return qscalc.build_graph_l1(N[rng.permutation(n - 1)])
+    if kind == "wide_rcm" and rng.random() < 0.5:
+        return qscalc.add(qscalc.build_l1(n), qscalc.build_graph_l1(N))
+    return wide_graph_tv(rng, n, shuffle=kind == "wide_rcm")
+
+
+def test_banded_path_matches_dense_on_random_draws():
+    """24 seeded draws over bandwidth 0, 1 (natural and reordered) and
+    >= 2 (natural and reordered), each under a rank-0 and a rank-r metric:
+    the banded operator solves like the dense path to 1e-10 with no guard
+    fallback.  At bandwidth >= 2 the directly called dpbtrf/dpbtrs give
+    scipy.linalg's banded Cholesky solve bit for bit."""
+    kinds = ("bw0", "bw1", "bw1_rcm", "wide", "wide_rcm")
+    for draw in range(24):
+        rng = np.random.default_rng(1000 + draw)
+        kind = kinds[draw % len(kinds)]
+        g = random_banded_case(rng, kind)
+        s = linops.structure(g)
+        assert (s.perm is not None) == kind.endswith("_rcm"), kind
+        assert {"bw0": s.bw == 0, "bw1": s.bw == 1, "bw1_rcm": s.bw == 1}.get(
+            kind, s.bw >= 2), kind
+        for H in (random_diag_metric(rng, g.n),
+                  random_dlr_metric(rng, g.n, int(rng.integers(1, 6)))):
+            u = random_interior(g.K, rng, 1e-3, 1e2)
+            q = rng.standard_normal(g.dual_dim)
+            linops.reset_diagnostics()
+            op = linops.build_L(g, H, u)
+            p = op.solve(q)
+            assert op.strategy == s.path, kind
+            assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, kind
+            p_ref = linops._solve_dense(g, H, u)(q)
+            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), kind
+            if s.bw >= 2:
+                ab = np.zeros((s.bw + 1, g.dual_dim))
+                linops._add_band(ab, linops._band_maps(g.B, s.perm, s.bw),
+                                 H.inverse_parts()[0])
+                linops._add_band(ab, s.maps, 1.0 / u)
+                cb = scipy.linalg.cholesky_banded(ab)
+                solve = linops.banded_solver(ab.copy())
+                for rhs in (q, rng.standard_normal((g.dual_dim, 3))):
+                    np.testing.assert_array_equal(
+                        solve(rhs), scipy.linalg.cho_solve_banded((cb, False), rhs))
+
+
+def spd_band(rng, bw, ell=30):
+    """A random diagonally dominant SPD band in upper storage."""
+    ab = rng.uniform(-1.0, 1.0, (bw + 1, ell))
+    ab[bw] = 2.0 * bw + 1.0 + rng.random(ell)
+    return ab
+
+
+def test_banded_failures_raise_and_fall_back_to_dense():
+    """A band that is not positive definite, or holds a NaN, makes the
+    LDL^T (bandwidth 1) and Cholesky (bandwidth 3) kernels raise
+    StructuredSolveError, as does a singular or non-finite Woodbury
+    capacitance; a non-finite right-hand side raises ValueError.  In
+    ``build_L`` such a band sends the operator to the dense path, with one
+    guard fallback counted, and its solve is right."""
+    rng = np.random.default_rng(44)
+    for bw in (1, 3):
+        for k, bad in ((bw, -5.0), (bw, np.nan), (bw - 1, np.nan), (0, np.inf)):
+            ab = spd_band(rng, bw)
+            ab[k, 7] = bad
+            with pytest.raises(linops.StructuredSolveError):
+                linops.banded_solver(ab)
+        solve = linops.banded_solver(spd_band(rng, bw))
+        q = rng.standard_normal(30)
+        q[4] = np.nan
+        with pytest.raises(ValueError):
+            solve(q)
+    U = np.eye(4)[:, :1]
+    for Minv in (np.array([[-1.0]]), np.array([[np.nan]])):
+        with pytest.raises(linops.StructuredSolveError):
+            linops.low_rank_update_solve(lambda q: q, U, Minv)
+
+    for g in (qscalc.build_graph_l1(qscalc.path_difference_matrix(40)),
+              wide_graph_tv(rng, 40, shuffle=False)):
+        s = linops.structure(g)
+        H = random_dlr_metric(rng, g.n, 2)
+        u = random_interior(g.K, rng)
+        q = rng.standard_normal(g.dual_dim)
+        p_ref = np.linalg.solve(dense_L(g, H, u), q)
+        for bad in (-1e6, np.nan):
+            memo = {}
+            linops.build_L(g, H, u, memo)
+            memo["band"][0][s.bw, 5] = bad
+            linops.reset_diagnostics()
+            op = linops.build_L(g, H, u, memo)
+            assert op.strategy == linops.DENSE and op.requested == s.path
+            assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
+            p = op.solve(q)
+            assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
 
 def dense_fallback_cases(n=6):

@@ -11,6 +11,21 @@ The last line is the sha256 over all job digests.  BLAS and OpenMP run at
 one thread, as ``bench/run.py`` pins them, so two checkouts that print the
 same total computed bit-identical results on the host that ran both.
 Nothing is timed.
+
+A change that alters the arithmetic on purpose (a different LAPACK
+routine, a reordered sum) cannot keep the total; it reports its drift
+instead.  Run the parent checkout with ``--dump`` and the change with
+``--against``:
+
+    python3 tools/pass_digest.py --seeds 1 2 3 --dump parent.npz
+    python3 tools/pass_digest.py --seeds 1 2 3 --against parent.npz
+
+``--dump FILE.npz`` stores each job's final x, its dual y (proxes only)
+and its IPM iterations (a PQN solve's summed over its steps).
+``--against FILE.npz`` appends to each job's line max |dx|, max |dy| and
+the change in IPM iterations from the stored run, and ends with the
+largest of each over all jobs, to set against a drift bound such as
+1e-10.
 """
 
 import os
@@ -49,18 +64,61 @@ def result_digest(res) -> str:
     return h.hexdigest()
 
 
+def result_parts(res) -> dict:
+    """The values ``--dump`` stores and ``--against`` compares."""
+    history = getattr(res, "history", None)
+    ipm_iters = res.iterations if history is None else sum(
+        entry.inner_iterations for entry in history)
+    return {"x": res.x, "y": getattr(res, "y", np.zeros(0)), "ipm": ipm_iters}
+
+
+def drift(parts, ref, key) -> tuple:
+    """(max |dx|, max |dy|, change in IPM iterations) against the stored
+    run; a size mismatch reads as an infinite drift."""
+    def max_diff(a, b):
+        return float(np.max(np.abs(a - b), initial=0.0)) if a.shape == b.shape else np.inf
+
+    return (max_diff(parts["x"], ref[f"{key}:x"]), max_diff(parts["y"], ref[f"{key}:y"]),
+            int(parts["ipm"] - ref[f"{key}:ipm"]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--dump", metavar="FILE.npz",
+                        help="store each job's x, y and IPM iterations")
+    parser.add_argument("--against", metavar="FILE.npz",
+                        help="report each job's drift from a --dump run")
     args = parser.parse_args(argv)
+    ref = None
+    if args.against:
+        with np.load(args.against) as run:
+            ref = dict(run)
+    stored = {}
+    worst = [0.0, 0.0, 0]
     total = hashlib.sha256()
     for name, workload in workloads.WORKLOADS.items():
         for seed in args.seeds:
             for i, job in enumerate(workload.setup(seed, False)):
-                digest = result_digest(job.run())
+                res = job.run()
+                digest = result_digest(res)
                 total.update(digest.encode())
-                print(f"{name} seed={seed} job={i} {job.name} {digest}")
+                line = f"{name} seed={seed} job={i} {job.name} {digest}"
+                key = f"{name}/{seed}/{i}"
+                parts = result_parts(res)
+                if args.dump:
+                    stored.update({f"{key}:{k}": v for k, v in parts.items()})
+                if ref is not None:
+                    dx, dy, dipm = drift(parts, ref, key)
+                    worst = [max(worst[0], dx), max(worst[1], dy), max(worst[2], abs(dipm))]
+                    line += f" dx={dx:.1e} dy={dy:.1e} dipm={dipm:+d}"
+                print(line)
     print(f"total {total.hexdigest()}")
+    if ref is not None:
+        print(f"drift max |dx|={worst[0]:.1e} max |dy|={worst[1]:.1e} "
+              f"max |dipm|={worst[2]}")
+    if args.dump:
+        np.savez(args.dump, **stored)
     return 0
 
 
