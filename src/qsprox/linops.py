@@ -6,12 +6,12 @@ The reduced system matrix is
 
 where H is an SPD metric kept in diagonal-plus-low-rank inverse form and
 block(u) is the cone scaling operator.  ``build_L`` hands back an operator
-with ``apply``/``solve`` closures specialized to one of six solve paths.
-``structure(g)`` picks the path from g's dual data (A, B, K) alone, once
-per function, so a calculus output gets a structured path whenever its
-matrices qualify.  The first rule that holds wins; K is orthant-only
-unless said otherwise, and "A single" means each row of A has at most one
-nonzero:
+with ``apply``/``solve`` closures, served by one structured solver or by
+the dense fallback.  ``structure(g)`` labels the path from g's dual data
+(A, B, K) alone, once per function, so a calculus output gets a
+structured path whenever its matrices qualify.  The first rule that holds
+wins; K is orthant-only unless said otherwise, and "A single" means each
+row of A has at most one nonzero:
 
 - ``ball_pivot``: A = [A1, a] with A1 single, B = [D; 0] with D diagonal;
 - ``soc_blocks``: K all second-order, A single, each block's rows touch one
@@ -28,63 +28,67 @@ nonzero:
   ``separable``;
 - ``dense``: everything else.
 
-On the banded paths L(u) = B diag(d1) B^T + A^T diag(1/u) A + (B U1) M1
-(B U1)^T, H^{-1} = diag(d1) + U1 M1 U1^T.  The first two terms are packed
-into one band in LAPACK upper storage: diagonal k of M diag(w) M^T, rows
-of M reordered, is (M[:ell-k] o M[k:]) w (``_band_maps``).  By bandwidth:
+Every label but ``dense`` runs the one structured solver,
+``_solve_banded``.  With block(u)^{-1} = block(u^{-1}) = diag(d) +
+sum_j r_j r_j^T (``cones.block_parts``) and H^{-1} = diag(d1) +
+U1 M1 U1^T, it splits L(u), on ``ball_pivot`` over every dual coordinate
+but the last, as
 
-- 0: the band is a diagonal, and ``swinv`` inverts it together with the
-  low rank;
-- 1: the band is tridiagonal and factored as L D L^T (LAPACK dpttrf,
-  solves by dpttrs);
+    L(u) = S + (B U1) M1 (B U1)^T,
+    S = B diag(d1) B^T + A^T diag(d) A + sum_j g_j g_j^T,   g_j = A^T r_j.
+
+The first two terms of the core S are packed into one band in LAPACK
+upper storage: diagonal k of M diag(w) M^T, rows of M reordered, is
+(M[:ell-k] o M[k:]) w (``_band_maps``).  ``banded_solver`` factors the
+band by its width:
+
+- 0: a diagonal, applied by its reciprocal;
+- 1: tridiagonal, factored as L D L^T (LAPACK dpttrf, solves by dpttrs);
 - 2 and up: banded Cholesky (dpbtrf, solves by dpbtrs).
 
-Above bandwidth 0 the low rank enters through one Woodbury update
-(``low_rank_update_solve``), whose small capacitance matrix is factored
-by LU (dgetrf, solves by dgetrs).  These routines are called directly
-from ``scipy.linalg.lapack``: the ``scipy.linalg`` wrappers add 10-20 us
-per call, which at ell = 199 is more than the routine takes.  Every
-``info`` is checked, and the wrappers' ``check_finite`` is kept as an
-explicit test: a non-finite or not positive definite band, or a singular
-or non-finite capacitance, raises StructuredSolveError, so that
-``build_L`` falls back to the dense path; a non-finite right-hand side
-raises ValueError.
+The g_j are nonzero only on ``soc_blocks``, whose band is a diagonal and
+whose g_j have disjoint supports, so each block of S is diagonal plus
+rank one and is solved by its own Sherman-Morrison formula, all blocks at
+once in O(ell).  The metric's low rank then enters through one Woodbury
+update (``low_rank_update_solve``), whose small capacitance matrix is
+factored by LU (dgetrf, solves by dgetrs).  On ``ball_pivot`` the border,
+the dual coordinate whose column a of A is dense, is last eliminated by
+a scalar Schur complement.
 
-Both the second-order path and the dense fallback start from the form
-block(u)^{-1} = block(u^{-1}) = diag(d) + R R^T of ``cones.block_parts``,
-R holding one column per second-order block (``cones.block_columns``), so
+The LAPACK routines are called directly from ``scipy.linalg.lapack``: the
+``scipy.linalg`` wrappers add 10-20 us per call, which at ell = 199 is
+more than the routine takes.  Every ``info`` is checked, and the
+wrappers' ``check_finite`` is kept as an explicit test: a non-finite or
+not positive definite band, or a singular or non-finite capacitance,
+raises StructuredSolveError, so that ``build_L`` falls back to the dense
+path; a non-finite right-hand side raises ValueError.
 
-    A^T block(u)^{-1} A = A^T diag(d) A + G G^T,   G = A^T R.
-
-On the ``soc_blocks`` path A^T diag(d) A is diagonal and the columns of G
-have disjoint supports, so each block of the core is diagonal plus rank
-one and is solved by its own Sherman-Morrison formula, all blocks at once
-in O(ell); the metric's low-rank part then enters through one Woodbury
-update.  The dense fallback assembles the same sum as sparse ell x ell
-products and densifies only the result for the Cholesky factorization.
+The dense fallback assembles the same sum as sparse ell x ell products,
+with sum_j g_j g_j^T = G G^T, G = A^T R and R holding one column per
+second-order block (``cones.block_columns``), and densifies only the
+result for the Cholesky factorization.
 
 Work is formed as rarely as what it depends on allows:
 
-- per function, by ``structure``: the path, A^T and B^T, the band order
-  and the band maps of A;
+- per function, by ``structure``: the path, A^T and B^T, the band order,
+  the band maps of A and a border's column;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
-  ``reduced_solver`` passes to ``build_L``: M1^{-1}, the scaled triple
-  of H^{-1} (its top block for the pivoted ball), and on the banded
-  paths the packed band of B diag(d1) B^T, B U1 and one buffer for the
-  Woodbury columns; the dense matrix the fallback adds.  The band maps
-  of B are formed here too: kept per function, they cost the
-  prox-orthant benchmark about 5% of its peak resident memory;
-- per iteration, only what depends on u: the banded paths add the band
-  of A^T diag(1/u) A to a copy of the memoized one, factor the sum,
-  solve the Woodbury columns C^{-1} (B U1) in place into the buffer and
-  factor the capacitance.
+  ``reduced_solver`` passes to ``build_L``: the packed band of
+  B diag(d1) B^T, B U1, M1^{-1} and one buffer for the Woodbury columns;
+  the dense matrix the fallback adds.  The band maps of B are formed here
+  too: kept per function, they cost the prox-orthant benchmark about 5%
+  of its peak resident memory;
+- per iteration, only what depends on u: the band of A^T diag(d) A is
+  added to a copy of the memoized one, the sum is factored, the Woodbury
+  columns S^{-1} (B U1) are solved in place into the buffer and the
+  capacitance is factored.
 
 Every structured solve is followed by a cheap residual check; a solve whose
-relative residual exceeds 1e-7 is redone through the dense fallback and
-counted in the module diagnostics.  The check applies L to the point the
-solve returns; with ``quad=True`` the solve also hands back the metric
-part B H^{-1} B^T p of that product, which is the IPM's Q p, so a Newton
-direction needs no metric product of its own.
+relative residual exceeds 1e-7, or is not a number, is redone through the
+dense fallback and counted in the module diagnostics.  The check applies L
+to the point the solve returns; with ``quad=True`` the solve also hands
+back the metric part B H^{-1} B^T p of that product, which is the IPM's
+Q p, so a Newton direction needs no metric product of its own.
 """
 
 from __future__ import annotations
@@ -149,13 +153,12 @@ def _empty_low_rank(n):
     return np.zeros((n, 0)), np.zeros((0, 0))
 
 
-def swinv(d, U=None, M=None, Minv=None) -> SWTriple:
+def swinv(d, U=None, M=None) -> SWTriple:
     """Invert diag(d) + U M U^T into the same representation.
 
     Returns (d1, U1, M1) with inverse = diag(d1) + U1 M1 U1^T, where
     d1 = 1/d, U1 = diag(d1) U and M1 = -(M^{-1} + U^T U1)^{-1} (the minus
-    sign of the Woodbury correction is folded into M1).  A caller that
-    inverts one M for many d passes ``Minv`` = M^{-1} in place of M.
+    sign of the Woodbury correction is folded into M1).
     """
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0.0):
@@ -165,11 +168,9 @@ def swinv(d, U=None, M=None, Minv=None) -> SWTriple:
         U1, M1 = _empty_low_rank(d.size)
         return SWTriple(d1, U1, M1)
     U = np.asarray(U, dtype=float)
-    if Minv is None:
-        Minv = _middle_inverse(M)
     # d1[:, None] * U, about 1.7x faster for a tall U as einsum
     U1 = np.einsum("i,ij->ij", d1, U)
-    cap = Minv + U.T @ U1
+    cap = _middle_inverse(M) + U.T @ U1
     cap = 0.5 * (cap + cap.T)
     try:
         M1 = -np.linalg.inv(cap)
@@ -317,8 +318,8 @@ class Metric:
 def banded_solver(ab: np.ndarray) -> Callable:
     """Solver for the SPD matrix held in ``ab`` in LAPACK upper band
     storage (diagonal k in row bw - k), factored here and overwritten:
-    LDL^T by dpttrf when it is tridiagonal, banded Cholesky by dpbtrf when
-    it is wider.
+    applied by its reciprocal when it is a diagonal, LDL^T by dpttrf when
+    it is tridiagonal, banded Cholesky by dpbtrf when it is wider.
 
     The LAPACK routines are called directly, without scipy.linalg's
     wrappers, but check as those do with ``check_finite``: a non-finite or
@@ -328,7 +329,15 @@ def banded_solver(ab: np.ndarray) -> Callable:
     """
     if not np.isfinite(ab).all():
         raise StructuredSolveError("banded factorization met a non-finite entry")
-    if ab.shape[0] == 2:
+    if ab.shape[0] == 1:
+        if not (ab[0] > 0.0).all():
+            raise StructuredSolveError("diagonal core has a nonpositive entry")
+        dinv = 1.0 / ab[0]
+
+        def kernel(q, overwrite):
+            scale = dinv if q.ndim == 1 else dinv[:, None]
+            return np.multiply(scale, q, out=q if overwrite else None), 0
+    elif ab.shape[0] == 2:
         d, e, info = lapack.dpttrf(ab[1], ab[0, 1:], overwrite_d=1, overwrite_e=1)
         _check_info(info, "tridiagonal LDL^T factorization (dpttrf)")
 
@@ -345,6 +354,32 @@ def banded_solver(ab: np.ndarray) -> Callable:
         _check_rhs(q)
         x, info = kernel(q, overwrite)
         _check_info(info, "banded solve")
+        return x
+
+    return solve
+
+
+def _rank_one_blocks_solver(D, gv, runs) -> Callable:
+    """Solver for diag(D) + sum_j g_j g_j^T where g_j is ``gv`` on the
+    j-th of the contiguous ``runs`` (starts, sizes) and zero elsewhere:
+    each block is diagonal plus rank one and is solved by its own
+    Sherman-Morrison formula, all blocks at once.  ``solve(q,
+    overwrite=True)`` writes the solution into q."""
+    if not (D > 0.0).all():
+        raise StructuredSolveError("nonpositive diagonal in the second-order core")
+    starts, sizes = runs
+    Dg = gv / D
+    cap = 1.0 + np.add.reduceat(gv * Dg, starts)
+
+    def solve(q, overwrite=False):
+        # Columns of a block right-hand side become rows, so that every
+        # product runs along the long axis.
+        t = np.ascontiguousarray(q.T) / D
+        coef = np.add.reduceat(gv * t, starts, axis=-1) / cap
+        x = (t - Dg * np.repeat(coef, sizes, axis=-1)).T
+        if overwrite:
+            q[...] = x
+            return q
         return x
 
     return solve
@@ -381,29 +416,10 @@ def _memoized(memo, key, make):
     return memo[key]
 
 
-def _quad_inverse_parts(H: Optional[Metric], B, k: int, memo: Optional[dict] = None):
-    """Q = diag(beta) H^{-1} diag(beta) as (its diagonal, U, M^{-1}) of
-    diag + U M U^T, beta the diagonal of the top k x k block of the sparse
-    B, which the path's rule makes diagonal."""
-    def make():
-        if H is None:
-            U, M = _empty_low_rank(k)
-            return np.zeros(k), U, M
-        beta = _diag_of(B if B.shape[0] == k else B.tocsr()[:k, :])
-        d1, U1, M1 = H.inverse_parts()
-        return beta * beta * d1, beta[:, None] * U1, _middle_inverse(M1)
-
-    return _memoized(memo, "quad", make)
-
-
-def _diag_of(Bsq: sp.spmatrix) -> Optional[np.ndarray]:
-    """Diagonal of a square sparse matrix, or None if it has off-diagonal terms."""
-    if Bsq.shape[0] != Bsq.shape[1]:
-        return None
-    diag = Bsq.diagonal()
-    if Bsq.nnz != np.count_nonzero(diag):
-        return None
-    return diag
+def _is_diagonal(M: sp.spmatrix) -> bool:
+    """Whether M is square with every stored entry nonzero and on its
+    diagonal."""
+    return M.shape[0] == M.shape[1] and M.nnz == np.count_nonzero(M.diagonal())
 
 
 def _inverse_parts(g, u):
@@ -419,22 +435,22 @@ def _inverse_parts(g, u):
 class Structure:
     """The solve path g's matrices admit, with the pieces it reuses.
 
-    ``At``/``Bt`` are A^T and B^T as CSC views of the CSR arrays.  Where
-    A's rows hold at most one nonzero, the diagonal A^T diag(w) A is
-    ``sqAt @ w``, sqAt = (A o A)^T.  Per path: the SOC blocks' dual
-    ``runs`` (starts, sizes), the ``border`` column a of A = [A1, a].  On
-    the banded paths, ``perm`` is the reverse Cuthill-McKee order of the
-    dual coordinates under which C C^T is banded, C = [B, A^T] (B when
-    A's rows are single), None when it is banded in natural order; ``bw``
-    is its bandwidth in that order, and diagonal k of A^T diag(w) A, rows
-    and columns in that order, is ``maps[k] @ w`` (``_band_maps``; k = 0
-    only when A's rows are single).
+    ``At``/``Bt`` are A^T and B^T as CSC views of the CSR arrays.  The
+    band covers every dual coordinate but, when there is a ``border``
+    column a of A = [A1, a], the last.  ``perm`` is the reverse
+    Cuthill-McKee order of those coordinates under which C C^T is banded,
+    C = [B, A^T] (B when A's rows are single), None when it is banded in
+    natural order; ``bw`` is its bandwidth in that order, and diagonal k
+    of A^T diag(w) A (A1 on a border), rows and columns in that order, is
+    ``maps[k] @ w`` (``_band_maps``; k = 0 only when A's rows are single,
+    where that is (A o A)^T w).  ``runs`` (starts, sizes) are the SOC
+    blocks' contiguous runs of dual coordinates.  A ``dense`` structure
+    keeps only the transposes.
     """
 
     path: str
     At: sp.csc_matrix
     Bt: sp.csc_matrix
-    sqAt: Optional[sp.csc_matrix] = None
     runs: Optional[tuple] = None
     border: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
@@ -460,13 +476,14 @@ def _classify(A, B, K) -> Structure:
     orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
     single = _rows_single_nonzero(A)
     if (orthant and n >= 1 and B.shape[1] == n and B[n].nnz == 0
-            and _diag_of(B[:n]) is not None and _rows_single_nonzero(A[:, :n])):
-        return Structure(BALL_PIVOT, At, Bt, sqAt, border=A[:, n].toarray().ravel())
+            and _is_diagonal(B[:n]) and _rows_single_nonzero(A[:, :n])):
+        return Structure(BALL_PIVOT, At, Bt, border=A[:, n].toarray().ravel(),
+                         maps=(sqAt[:n],))
     if all(b.kind == cones.SECOND_ORDER for b in K.blocks) and single \
-            and _diag_of(B) is not None:
+            and _is_diagonal(B):
         runs = _soc_runs(A, K)
         if runs is not None:
-            return Structure(SOC_BLOCKS, At, Bt, sqAt, runs)
+            return Structure(SOC_BLOCKS, At, Bt, runs, maps=(sqAt,))
     if orthant:
         # Rows of A with one nonzero add only to the diagonal.
         order = _band_order(B if single else sp.hstack([B, At], format="csr"))
@@ -477,7 +494,7 @@ def _classify(A, B, K) -> Structure:
             else:
                 maps = _band_maps(At, perm, bw)
             path = L1_DIAG if bw == 0 else GRAPH_TRIDIAG if single else SEPARABLE
-            return Structure(path, At, Bt, sqAt, perm=perm, bw=bw, maps=maps)
+            return Structure(path, At, Bt, perm=perm, bw=bw, maps=maps)
     return Structure(DENSE, At, Bt)
 
 
@@ -551,36 +568,46 @@ def _pattern_bandwidth(M) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Per-path solve factories
+# Solve factories: the structured solver and the dense fallback
 # ---------------------------------------------------------------------------
 
 def _graph_metric_band(g, H):
-    """The metric-only parts of the banded system: B diag(d1) B^T, rows
-    and columns in ``structure(g).perm`` order, packed at its ``bw`` in
-    upper band storage; B U1 in natural order and M1^{-1} for the low
-    rank; and, when there is a low rank above bandwidth 0, a
-    Fortran-ordered buffer for the Woodbury columns C^{-1} (B U1), else
-    None."""
+    """The metric-only parts of the structured system, over the band's
+    coordinates: B diag(d1) B^T, rows and columns in ``structure(g).perm``
+    order, packed at its ``bw`` in upper band storage; B U1 in natural
+    order and M1^{-1} for the low rank; and, when there is a low rank, a
+    buffer for the Woodbury columns S^{-1} (B U1), else None."""
     s = structure(g)
-    ell = g.B.shape[0]
+    B = g.B if s.border is None else g.B[:-1]
+    ell = B.shape[0]
     band = np.zeros((s.bw + 1, ell))
     if H is None:
         return (band, *_empty_low_rank(ell), None)
     d1, U1, M1 = H.inverse_parts()
-    _add_band(band, _band_maps(g.B, s.perm, s.bw), d1)
-    BU1 = g.B @ U1
-    Z = np.empty(BU1.shape, order="F") if s.bw and BU1.shape[1] else None
+    _add_band(band, _band_maps(B, s.perm, s.bw), d1)
+    BU1 = B @ U1
+    # LAPACK and the second-order core solve in Fortran order; a diagonal
+    # scales B U1 in its own C order, which spares a transposing copy.
+    order = "C" if s.bw == 0 and s.runs is None else "F"
+    Z = np.empty(BU1.shape, order=order) if BU1.shape[1] else None
     return band, BU1, _middle_inverse(M1), Z
 
 
 def _solve_banded(g, H, u, memo):
+    """The structured solve of L(u) for every path but ``dense`` (module
+    docstring): the core's band, its SOC blocks' rank-one terms, the
+    metric's low rank by Woodbury, then a border by its Schur
+    complement."""
     s = structure(g)
     band, BU1, Minv, Z = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
+    # Off ``soc_blocks`` K is all orthant: block(u)^{-1} = diag(1/u).
+    d, r = (1.0 / u, None) if s.runs is None else _inverse_parts(g, u)
     ab = band.copy()
-    _add_band(ab, s.maps, 1.0 / u)
-    if s.bw == 0:
-        return swinv(ab[0], BU1, Minv=Minv).matvec
-    solve_c = banded_solver(ab)
+    _add_band(ab, s.maps, d)
+    if r is None:
+        solve_c = banded_solver(ab)
+    else:
+        solve_c = _rank_one_blocks_solver(ab[0], s.At @ r, s.runs)
     perm = s.perm
 
     def base_solve(q):
@@ -599,56 +626,26 @@ def _solve_banded(g, H, u, memo):
         if perm is not None:
             Z, Zp = np.empty_like(BU1), Z
             Z[perm] = Zp
-    return low_rank_update_solve(base_solve, BU1, Minv, Z)
-
-
-def _solve_ball_pivot(g, H, u, memo):
-    # With A = [A1, a], A^T diag(w) A = [[diag(sig), m], [m^T, phi0]]
-    # and its last column is A^T diag(w) a.
-    s = structure(g)
-    n = g.A.shape[1] - 1
-    winv = 1.0 / u
-    sig = (s.sqAt @ winv)[:n]
-    last = s.At @ (s.border * winv)
+    solve = low_rank_update_solve(base_solve, BU1, Minv, Z)
+    if s.border is None:
+        return solve
+    # With A = [A1, a], A^T diag(d) A = [[A1^T diag(d) A1, m], [m^T, phi0]],
+    # its last column A^T diag(d) a.
+    n = ab.shape[1]
+    last = s.At @ (s.border * d)
     mvec, phi0 = last[:n], last[n]
-    qd, qU, qMinv = _quad_inverse_parts(H, g.B, n, memo)
-    triple = swinv(qd + sig, qU, Minv=qMinv)
-    c1 = triple.matvec(mvec)
+    c1 = solve(mvec)
     schur = phi0 - mvec @ c1
-    if schur <= 0.0:
-        raise StructuredSolveError("nonpositive pivot in bounded-ball solve")
+    if not schur > 0.0:
+        raise StructuredSolveError("nonpositive pivot in bordered solve")
 
-    def solve(q):
+    def bordered(q):
         qy, qt = q[:n], q[n]
-        t = triple.matvec(qy)
+        t = solve(qy)
         pt = (qt - mvec @ t) / schur
         return np.concatenate([t - c1 * pt, [pt]])
 
-    return solve
-
-
-def _solve_soc_blocks(g, H, u, memo):
-    # Block j of the core is diag(D) + g_j g_j^T with g_j = A^T r_j, which
-    # lives on the block's own dual coordinates; gv holds all g_j at once.
-    s = structure(g)
-    starts, sizes = s.runs
-    qd, qU, qMinv = _quad_inverse_parts(H, g.B, g.A.shape[1], memo)
-    d, r = _inverse_parts(g, u)
-    D = qd + s.sqAt @ d
-    if not (D > 0.0).all():
-        raise StructuredSolveError("nonpositive diagonal in the second-order core")
-    gv = s.At @ r
-    Dg = gv / D
-    cap = 1.0 + np.add.reduceat(gv * Dg, starts)
-
-    def solve_d(q):
-        # Columns of a block right-hand side become rows, so that every
-        # product runs along the long axis.
-        t = np.ascontiguousarray(q.T) / D
-        coef = np.add.reduceat(gv * t, starts, axis=-1) / cap
-        return (t - Dg * np.repeat(coef, sizes, axis=-1)).T
-
-    return low_rank_update_solve(solve_d, qU, qMinv)
+    return bordered
 
 
 def _metric_term(g, H):
@@ -685,16 +682,6 @@ def _solve_dense(g, H, u, memo=None):
         return scipy.linalg.cho_solve(cf, q)
 
     return solve
-
-
-_FACTORIES = {
-    L1_DIAG: _solve_banded,
-    GRAPH_TRIDIAG: _solve_banded,
-    BALL_PIVOT: _solve_ball_pivot,
-    SOC_BLOCKS: _solve_soc_blocks,
-    SEPARABLE: _solve_banded,
-    DENSE: _solve_dense,
-}
 
 
 def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator:
@@ -745,7 +732,7 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     inner = None
     if tag != DENSE:
         try:
-            inner = _FACTORIES[tag](g, H, u, memo)
+            inner = _solve_banded(g, H, u, memo)
         except StructuredSolveError:
             DIAGNOSTICS["guard_fallbacks"] += 1
     if inner is None:
@@ -758,7 +745,7 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
         nonlocal fallback
         if fallback is None:
             p, Qp, res = refined(inner, q)
-            if res > GUARD_TOL:
+            if not res <= GUARD_TOL:
                 DIAGNOSTICS["guard_fallbacks"] += 1
                 fallback = _solve_dense(g, H, u, memo)
         if fallback is not None:

@@ -215,7 +215,7 @@ def test_structured_factory_error_falls_back_to_dense(monkeypatch):
     def refuse(g, H, u, memo):
         raise linops.StructuredSolveError("refused")
 
-    monkeypatch.setitem(linops._FACTORIES, linops.SOC_BLOCKS, refuse)
+    monkeypatch.setattr(linops, "_solve_banded", refuse)
     g = qscalc.build_l2(5)
     rng = np.random.default_rng(31)
     u = random_interior(g.K, rng)
@@ -228,6 +228,25 @@ def test_structured_factory_error_falls_back_to_dense(monkeypatch):
     res = np.linalg.norm(op.apply(op.solve(q)) - q)
     assert res <= 1e-9 * (1.0 + np.linalg.norm(q))
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
+
+
+def test_structured_nan_solve_falls_back_to_dense(monkeypatch):
+    """A structured solve that returns NaN fails the residual guard: the
+    operator redoes it densely, counts one guard fallback and returns the
+    dense solve."""
+    def nan_solve(g, H, u, memo):
+        return lambda q: np.full_like(q, np.nan)
+
+    monkeypatch.setattr(linops, "_solve_banded", nan_solve)
+    g, H = qscalc.build_l1(6), linops.Metric.identity(6)
+    rng = np.random.default_rng(45)
+    u = random_interior(g.K, rng)
+    linops.reset_diagnostics()
+    op = linops.build_L(g, H, u)
+    q = rng.standard_normal(6)
+    p = op.solve(q)
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
+    np.testing.assert_allclose(p, np.linalg.solve(dense_L(g, H, u), q), rtol=1e-10)
 
 
 def test_banded_helpers_round_trip():
@@ -263,14 +282,23 @@ def wide_graph_tv(rng, n, shuffle):
 
 
 def random_banded_case(rng, kind):
-    """A penalty of random size on the banded path: bandwidth 0, 1 in
-    natural order (a path), 1 after reverse Cuthill-McKee (a shuffled
+    """A penalty of random size on the structured solver: bandwidth 0, 1
+    in natural order (a path), 1 after reverse Cuthill-McKee (a shuffled
     path), >= 2 in natural order and >= 2 after reordering (a sum of l1
-    and path TV, or shuffled edges)."""
+    and path TV, or shuffled edges); the l1 ball, bordered at bandwidth 0,
+    and second-order blocks of random sizes, each possibly scaled."""
     n = int(rng.integers(linops.MAX_BANDWIDTH + 2, 120))
     if kind == "bw0":
         return (qscalc.build_l1(n) if rng.random() < 0.5
                 else qscalc.build_separable(qscalc.gamma_hinge(), n))
+    if kind in ("ball", "soc"):
+        if kind == "ball":
+            g = qscalc.build_l1_ball(n)
+        else:
+            cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, 8)),
+                                      replace=False))
+            g = qscalc.build_sum_of_norms(np.diff(np.concatenate(([0], cuts, [n]))))
+        return qscalc.scale(g, rng.uniform(0.5, 3.0)) if rng.random() < 0.5 else g
     N = qscalc.path_difference_matrix(n)
     if kind == "bw1":
         return qscalc.build_graph_l1(N)
@@ -282,20 +310,23 @@ def random_banded_case(rng, kind):
 
 
 def test_banded_path_matches_dense_on_random_draws():
-    """24 seeded draws over bandwidth 0, 1 (natural and reordered) and
-    >= 2 (natural and reordered), each under a rank-0 and a rank-r metric:
-    the banded operator solves like the dense path to 1e-10 with no guard
-    fallback.  At bandwidth >= 2 the directly called dpbtrf/dpbtrs give
-    scipy.linalg's banded Cholesky solve bit for bit."""
-    kinds = ("bw0", "bw1", "bw1_rcm", "wide", "wide_rcm")
-    for draw in range(24):
+    """35 seeded draws over bandwidth 0, 1 (natural and reordered), >= 2
+    (natural and reordered), the l1 ball and second-order blocks, each
+    under a rank-0 and a rank-r metric: the structured operator solves
+    like the dense path to 1e-10 with no guard fallback.  At bandwidth
+    >= 2 the directly called dpbtrf/dpbtrs give scipy.linalg's banded
+    Cholesky solve bit for bit."""
+    kinds = ("bw0", "bw1", "bw1_rcm", "wide", "wide_rcm", "ball", "soc")
+    paths = {"ball": linops.BALL_PIVOT, "soc": linops.SOC_BLOCKS}
+    for draw in range(35):
         rng = np.random.default_rng(1000 + draw)
         kind = kinds[draw % len(kinds)]
         g = random_banded_case(rng, kind)
         s = linops.structure(g)
+        assert s.path == paths.get(kind, s.path), kind
         assert (s.perm is not None) == kind.endswith("_rcm"), kind
-        assert {"bw0": s.bw == 0, "bw1": s.bw == 1, "bw1_rcm": s.bw == 1}.get(
-            kind, s.bw >= 2), kind
+        assert {"bw1": s.bw == 1, "bw1_rcm": s.bw == 1, "wide": s.bw >= 2,
+                "wide_rcm": s.bw >= 2}.get(kind, s.bw == 0), kind
         for H in (random_diag_metric(rng, g.n),
                   random_dlr_metric(rng, g.n, int(rng.integers(1, 6)))):
             u = random_interior(g.K, rng, 1e-3, 1e2)
@@ -331,8 +362,11 @@ def test_banded_failures_raise_and_fall_back_to_dense():
     LDL^T (bandwidth 1) and Cholesky (bandwidth 3) kernels raise
     StructuredSolveError, as does a singular or non-finite Woodbury
     capacitance; a non-finite right-hand side raises ValueError.  In
-    ``build_L`` such a band sends the operator to the dense path, with one
-    guard fallback counted, and its solve is right."""
+    ``build_L`` such a band, at bandwidth 0 too, sends the operator to the
+    dense path, with one guard fallback counted, and its solve is right.
+    A NaN in the scaling point of an l1 prox is refused by the diagonal
+    kernel and then by the dense fallback, so the operator raises instead
+    of returning a NaN solve."""
     rng = np.random.default_rng(44)
     for bw in (1, 3):
         for k, bad in ((bw, -5.0), (bw, np.nan), (bw - 1, np.nan), (0, np.inf)):
@@ -351,7 +385,7 @@ def test_banded_failures_raise_and_fall_back_to_dense():
             linops.low_rank_update_solve(lambda q: q, U, Minv)
 
     for g in (qscalc.build_graph_l1(qscalc.path_difference_matrix(40)),
-              wide_graph_tv(rng, 40, shuffle=False)):
+              wide_graph_tv(rng, 40, shuffle=False), qscalc.build_l1(40)):
         s = linops.structure(g)
         H = random_dlr_metric(rng, g.n, 2)
         u = random_interior(g.K, rng)
@@ -367,6 +401,13 @@ def test_banded_failures_raise_and_fall_back_to_dense():
             assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
             p = op.solve(q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+
+    u = np.full(12, 0.7)
+    u[3] = np.nan
+    linops.reset_diagnostics()
+    with pytest.raises(linops.StructuredSolveError):
+        linops.build_L(qscalc.build_l1(6), linops.Metric.identity(6), u)
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
 
 
 def dense_fallback_cases(n=6):
@@ -525,8 +566,9 @@ def test_reordering_is_tried_only_where_it_can_help(monkeypatch):
 
 def test_soc_path_unequal_blocks_matches_dense():
     """Blocks of sizes 2, 7, 1 and 16 at metric rank 0 and rank 3: the
-    per-block Sherman-Morrison core, before any guard or refinement, and
-    the guarded operator both match the dense matrix."""
+    structured solve (per-block Sherman-Morrison core and Woodbury
+    update), before any guard or refinement, and the guarded operator
+    both match the dense matrix."""
     rng = np.random.default_rng(36)
     g = qscalc.build_sum_of_norms((2, 7, 1, 16))
     for H in (random_diag_metric(rng, g.n), random_dlr_metric(rng, g.n, 3)):
@@ -535,7 +577,7 @@ def test_soc_path_unequal_blocks_matches_dense():
             L = dense_L(g, H, u)
             q = rng.standard_normal(g.dual_dim)
             p_ref = np.linalg.solve(L, q)
-            core = linops._solve_soc_blocks(g, H, u, None)
+            core = linops._solve_banded(g, H, u, None)
             Q = rng.standard_normal((g.dual_dim, 3))
             np.testing.assert_allclose(core(Q), np.linalg.solve(L, Q),
                                        rtol=1e-10, atol=1e-10 * np.abs(Q).max())
