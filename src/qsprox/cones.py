@@ -217,17 +217,25 @@ def identity_element(K: ConeProduct) -> np.ndarray:
     return e
 
 
+def min_eigenvalue(K: ConeProduct, x) -> float:
+    """Smallest Jordan eigenvalue of x: the least orthant entry and the
+    least x0 - ||xbar|| over the second-order blocks.  x is in K when it
+    is >= 0 and in its interior when it is > 0."""
+    x = K._check(x)
+    parts = [] if K.orth is None else [x[K.orth]]
+    for _, (X,) in _groups(K, x):
+        parts.append(X[:, 0] - np.sqrt(_dot(X[:, 1:], X[:, 1:])))
+    return float(np.min([p.min() for p in parts]))
+
+
 def contains(K: ConeProduct, x, strict: bool = False, tol: float = 0.0) -> bool:
     """Membership test; with strict=True, interior membership.
 
     tol relaxes (non-strict) or tightens (strict) each block test by an
     absolute margin, so boundary points within tol resolve consistently.
     """
-    x = K._check(x)
-    parts = [] if K.orth is None else [x[K.orth]]
-    for _, (X,) in _groups(K, x):
-        parts.append(X[:, 0] - np.sqrt(_dot(X[:, 1:], X[:, 1:])))
-    return all((p > tol).all() if strict else (p >= -tol).all() for p in parts)
+    lam = min_eigenvalue(K, x)
+    return lam > tol if strict else lam >= -tol
 
 
 def jordan_product(K: ConeProduct, a, b) -> np.ndarray:
@@ -400,6 +408,11 @@ def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
     return out
 
 
+# Second-order blocks whose entries lie within this factor of 1 form the
+# step's quadratic in ``max_step`` without overflow or underflow.
+_STEP_SAFE = 2.0 ** 200
+
+
 def max_step(K: ConeProduct, x, dx, frac: float = 1.0) -> float:
     """Largest alpha <= 1 with x + t*dx in K for t in [0, alpha], damped by frac.
 
@@ -423,19 +436,36 @@ def max_step(K: ConeProduct, x, dx, frac: float = 1.0) -> float:
     for _, (X, D) in _groups(K, x, dx):
         # gamma2(x + t dx) = a t^2 + 2 b t + c with c > 0 at an interior x;
         # the first positive root is where the boundary is reached.
+        # b^2 - ac is quartic in the entries: it neither overflows nor
+        # underflows while they stay below _STEP_SAFE and the heads x0 (the
+        # largest entries of an interior x) above its inverse.  Otherwise
+        # each block pair is scaled by the power of two that brings its
+        # largest entry into [0.5, 1), which leaves the roots those of the
+        # unscaled pair, to the bit.
+        head = X[:, 0]
+        if (head.max() > _STEP_SAFE or head.min() < 1.0 / _STEP_SAFE
+                or np.abs(D).max() > _STEP_SAFE):
+            big = np.maximum(np.abs(X).max(axis=1), np.abs(D).max(axis=1))
+            scale = np.ldexp(1.0, -np.frexp(big)[1])[:, None]
+            X, D = X * scale, D * scale
         JD = _J(D)
         a = _dot(D, JD)
         b = _dot(X, JD)
         c = _gamma2(X)
-        quad = np.abs(a) > 1e-300
         disc = b * b - a * c
+        quad = np.abs(a) > 1e-300
         real = quad & (disc >= 0.0)
-        lin = ~quad & (b < 0.0)
         sq = np.sqrt(disc[real])
-        ar, br = a[real], b[real]
-        roots = np.concatenate(((-br - sq) / ar, (-br + sq) / ar,
-                                -c[lin] / (2.0 * b[lin])))
-        pos = roots[roots > 0.0]
-        if pos.size:
-            t = min(t, pos.min())
+        ar, nbr = a[real], -b[real]
+        # The head x0 + t dx0 reaches 0 no earlier than the boundary; its
+        # crossing stands in for the root that roundoff can hide (disc < 0)
+        # when the step runs through the apex.  A head that does not fall
+        # gives the root 0, which is no crossing.
+        roots = [(nbr - sq) / ar, (nbr + sq) / ar,
+                 X[:, 0] / np.where(D[:, 0] < 0.0, -D[:, 0], np.inf)]
+        if not quad.all():
+            lin = ~quad & (b < 0.0)
+            roots.append(-c[lin] / (2.0 * b[lin]))
+        roots = np.concatenate(roots)
+        t = min(t, roots.min(initial=np.inf, where=roots > 0.0))
     return min(1.0, frac * t)

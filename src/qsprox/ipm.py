@@ -22,9 +22,30 @@ residual takes Q dy from the reduced solve (``LOperator.solve(q,
 quad=True)``), whose residual check applies L, and with it Q, to the very
 dy it returns.  A direction thus costs one metric product per solve.
 
+The start (``initial_point``) depends on whether y = 0 is strictly
+feasible, that is whether -b lies inside K.  Where it does (l1, tv, their
+sums and lifts by gamma_abs, l2, sums of norms, iso-TV), the run starts
+from y = 0, s = e max(1, ||b||_inf), v = e, which is primal feasible and
+centred.  Elsewhere (the l1 ball, hinge lifts, the cone indicator,
+orthant_distance) that point can be far from dual feasibility: the l1
+ball's scalar dual has a dense column of A, so A^T e is 2n there, and the
+residual 2n - 1 it leaves took some 25 short steps to work off.  There
+the run starts from the least-squares point (Mehrotra, SIAM J. Optim.
+1992; the default start of CVXOPT's coneqp),
+
+    y0 = L(e)^{-1} (c + A^T b),    s_hat = A y0 - b,
+    s  = s_hat + k max(0, -lmin(s_hat)) e,
+    v  = -s_hat + k max(0, -lmin(-s_hat)) e,
+
+with lmin the smallest Jordan eigenvalue (``cones.min_eigenvalue``) and
+k = START_SHIFT.  y0 minimizes 1/2 y^T Q y - c^T y + 1/2 ||A y - b||^2 at
+the cost of one reduced factorization, made through the QP's ``lsolver``
+and so sharing its per-problem memo.  When s_hat lies on the cone's
+boundary no shift moves it inside, and the run takes the fixed start.
+
 ``solve`` takes the tolerance and the iteration limit; the step fraction,
-the centering floor and the infeasibility and divergence tests are module
-constants, read at call time.
+the start shift, the centering floor and the infeasibility and divergence
+tests are module constants, read at call time.
 """
 
 from __future__ import annotations
@@ -43,6 +64,10 @@ INFEASIBLE = "infeasible"
 NUMERICAL = "numerical_breakdown"
 
 STEP_FRAC = 0.99
+# k of the least-squares start (module docstring): s and v are shifted
+# along e by k times their most negative Jordan eigenvalue.  Chosen by a
+# sweep of l1-ball and hinge proxes (ball iterations least at k = 4).
+START_SHIFT = 4.0
 SIGMA_MIN = 1e-3
 PLATEAU_WINDOW = 20
 PLATEAU_FACTOR = 0.99
@@ -152,15 +177,38 @@ def newton_direction(qp: ConicQP, u, Lop, t_d, t_p, t_mu):
     return dy, dv, ds
 
 
+def initial_point(qp: ConicQP):
+    """The first iterate (y, v, s) of ``solve`` (module docstring).
+
+    A failed least-squares solve raises, as a failed step's solve does.
+    """
+    K, b = qp.K, qp.b
+    e = cones.identity_element(K)
+    y = np.zeros(qp.c.size)
+    v = e.copy()
+    s = e * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
+    if cones.min_eigenvalue(K, -b) > 0.0:
+        return y, v, s
+    y_ls = qp.lsolver(e).solve(qp.c + qp.At @ b)
+    s_hat = qp.A @ y_ls - b
+    s_ls = s_hat + START_SHIFT * max(0.0, -cones.min_eigenvalue(K, s_hat)) * e
+    v_ls = START_SHIFT * max(0.0, -cones.min_eigenvalue(K, -s_hat)) * e - s_hat
+    if cones.min_eigenvalue(K, s_ls) > 0.0 and cones.min_eigenvalue(K, v_ls) > 0.0:
+        return y_ls, v_ls, s_ls
+    # s_hat on the boundary (s_hat = 0 included): no shift moves it inside.
+    return y, v, s
+
+
 def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
     K = qp.K
-    n = qp.c.size
     e = cones.identity_element(K)
     deg = K.degree
 
-    y = np.zeros(n)
-    s = e * max(1.0, float(np.max(np.abs(qp.b))) if qp.b.size else 1.0)
-    v = e.copy()
+    try:
+        y, v, s = initial_point(qp)
+    except (cones.ConeError, linops.StructuredSolveError) as exc:
+        return _result(qp, np.zeros(qp.c.size), e, e, NUMERICAL, 0, [],
+                       f"least-squares start: {type(exc).__name__}: {exc}")
 
     norm_c = np.linalg.norm(qp.c)
     norm_b = np.linalg.norm(qp.b)
@@ -186,6 +234,13 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
         rel_d = nd / (1.0 + norm_c)
         rel_p = np_ / (1.0 + norm_b)
         obj = float(0.5 * (y @ Qy) - qp.c @ y)
+
+        # s and v interior give s'v > 0; a negative gap means a step left
+        # the cone, and the point must not pass the optimality test.
+        if gap < 0.0:
+            status = NUMERICAL
+            reason = f"iterate left the cone: gap s'v = {gap:.3g} < 0"
+            break
 
         score = max(rel_d, rel_p, gap)
         if score < best_score:
@@ -269,6 +324,12 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
     # endgame), unless the loop ended on the optimality test.
     if status != OPTIMAL:
         y, v, s = best
+    return _result(qp, y, v, s, status, it if status != OPTIMAL else it - 1,
+                   trace, "" if status == OPTIMAL else reason)
+
+
+def _result(qp: ConicQP, y, v, s, status, iterations, trace, reason) -> IPMResult:
+    """The IPMResult of a run that ends at (y, v, s)."""
     Qy = qp.Qapply(y)
     r_d, r_p = residuals(qp, y, v, s, Qy)
     gap = float(s @ v)
@@ -278,13 +339,13 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
     return IPMResult(
         status=status,
         y=y, v=v, s=s,
-        iterations=it if status != OPTIMAL else it - 1,
+        iterations=iterations,
         gap=gap,
-        rel_dual=nd / (1.0 + norm_c),
-        rel_primal=np_ / (1.0 + norm_b),
+        rel_dual=nd / (1.0 + np.linalg.norm(qp.c)),
+        rel_primal=np_ / (1.0 + np.linalg.norm(qp.b)),
         norm_dual=nd,
         norm_primal=np_,
         objective=obj,
         trace=trace,
-        reason="" if status == OPTIMAL else reason,
+        reason=reason,
     )

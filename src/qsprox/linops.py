@@ -318,8 +318,9 @@ class Metric:
 def banded_solver(ab: np.ndarray) -> Callable:
     """Solver for the SPD matrix held in ``ab`` in LAPACK upper band
     storage (diagonal k in row bw - k), factored here and overwritten:
-    applied by its reciprocal when it is a diagonal, LDL^T by dpttrf when
-    it is tridiagonal, banded Cholesky by dpbtrf when it is wider.
+    applied by its reciprocal, which ``ab`` then holds, when it is a
+    diagonal, LDL^T by dpttrf when it is tridiagonal, banded Cholesky by
+    dpbtrf when it is wider.
 
     The LAPACK routines are called directly, without scipy.linalg's
     wrappers, but check as those do with ``check_finite``: a non-finite or
@@ -332,7 +333,7 @@ def banded_solver(ab: np.ndarray) -> Callable:
     if ab.shape[0] == 1:
         if not (ab[0] > 0.0).all():
             raise StructuredSolveError("diagonal core has a nonpositive entry")
-        dinv = 1.0 / ab[0]
+        dinv = np.reciprocal(ab[0], out=ab[0])
 
         def kernel(q, overwrite):
             scale = dinv if q.ndim == 1 else dinv[:, None]
@@ -576,7 +577,8 @@ def _graph_metric_band(g, H):
     coordinates: B diag(d1) B^T, rows and columns in ``structure(g).perm``
     order, packed at its ``bw`` in upper band storage; B U1 in natural
     order and M1^{-1} for the low rank; and, when there is a low rank, a
-    buffer for the Woodbury columns S^{-1} (B U1), else None."""
+    buffer for the Woodbury columns S^{-1} (B U1), else None.  B U1 is
+    checked finite here, once per prox."""
     s = structure(g)
     B = g.B if s.border is None else g.B[:-1]
     ell = B.shape[0]
@@ -586,6 +588,8 @@ def _graph_metric_band(g, H):
     d1, U1, M1 = H.inverse_parts()
     _add_band(band, _band_maps(B, s.perm, s.bw), d1)
     BU1 = B @ U1
+    if not np.isfinite(BU1).all():
+        raise StructuredSolveError("metric's low-rank columns B U1 are not finite")
     # LAPACK and the second-order core solve in Fortran order; a diagonal
     # scales B U1 in its own C order, which spares a transposing copy.
     order = "C" if s.bw == 0 and s.runs is None else "F"
@@ -620,9 +624,13 @@ def _solve_banded(g, H, u, memo):
     if Z is not None:
         # Z is one buffer per prox, solved in place by each iteration's
         # operator.  That is safe because ipm.solve never calls an earlier
-        # iteration's LOperator after it builds the next one.
-        Z[...] = BU1 if perm is None else BU1[perm]
-        Z = solve_c(Z, overwrite=True)
+        # iteration's LOperator after it builds the next one.  A diagonal
+        # core (ab now holds its reciprocal) scales B U1 into Z in one pass.
+        if r is None and s.bw == 0:
+            np.multiply(ab[0][:, None], BU1, out=Z)
+        else:
+            Z[...] = BU1 if perm is None else BU1[perm]
+            Z = solve_c(Z, overwrite=True)
         if perm is not None:
             Z, Zp = np.empty_like(BU1), Z
             Z[perm] = Zp

@@ -180,6 +180,18 @@ def scaling_solve(K, u, x):
     return out
 
 
+def min_eigenvalue(K, x):
+    x = K._check(x)
+    lam = np.inf
+    for blk, sl in _blocks(K):
+        xb = x[sl]
+        if blk.kind == ORTHANT:
+            lam = min(lam, np.min(xb))
+        else:
+            lam = min(lam, xb[0] - np.linalg.norm(xb[1:]))
+    return lam
+
+
 def max_step(K, x, dx, frac=1.0):
     t = np.inf
     for blk, sl in _blocks(K):
@@ -202,6 +214,8 @@ def max_step(K, x, dx, frac=1.0):
                     roots = [(-b - sq) / a, (-b + sq) / a]
             elif b < 0.0:
                 roots = [-c / (2.0 * b)]
+            if db[0] < 0.0:
+                roots.append(xb[0] / -db[0])
             pos = [r for r in roots if r > 0.0]
             if pos:
                 t = min(t, min(pos))

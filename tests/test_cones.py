@@ -351,3 +351,38 @@ def test_boundary_block_raises_in_every_position():
             cones.block_solve(K, x, q)
         with pytest.raises(cones.ConeError):
             cones.jordan_solve(K, x, q)
+
+
+def test_min_eigenvalue_matches_block_reference():
+    rng = np.random.default_rng(43)
+    for K in differential_products():
+        for x in (rng.standard_normal(K.total_dim), random_interior(K, rng)):
+            assert cones.min_eigenvalue(K, x) == pytest.approx(
+                ref.min_eigenvalue(K, x), rel=1e-12, abs=1e-14)
+            assert (cones.min_eigenvalue(K, x) > 0.0) == cones.contains(K, x, strict=True)
+
+
+def test_max_step_stops_a_crossing_through_the_apex():
+    """Along -e from 1.3 e the step meets the boundary at the apex, where
+    b^2 - ac rounds below 0 and the quadratic has no root; the head
+    crossing x0 / -dx0 ends the step there."""
+    K = cones.product(cones.second_order(3))
+    x = np.array([1.3, 0.0, 0.0])
+    dx = np.array([-2.7, 0.0, 0.0])
+    assert cones.max_step(K, x, dx) == pytest.approx(1.3 / 2.7, rel=1e-15)
+    assert cones.contains(K, x + cones.max_step(K, x, dx, 0.99) * dx, strict=True)
+
+
+def test_max_step_is_scale_free_and_does_not_overflow():
+    """Scaling x and dx by a power of two leaves the step as it is, to the
+    bit, from entries near the underflow threshold to entries near the
+    overflow threshold, where the step's quadratic is formed on rescaled
+    blocks."""
+    rng = np.random.default_rng(44)
+    for K in differential_products()[:20]:
+        x = random_interior(K, rng)
+        dx = 3.0 * rng.standard_normal(K.total_dim)
+        a = cones.max_step(K, x, dx)
+        with np.errstate(all="raise"):
+            for k in (-1000, -500, -60, 60, 600, 1000):
+                assert cones.max_step(K, np.ldexp(x, k), np.ldexp(dx, k)) == a

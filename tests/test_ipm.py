@@ -288,3 +288,107 @@ def test_trace_is_exposed():
     assert len(res.trace) == len(res.trace) and res.trace
     t = res.trace[0]
     assert t.mu > 0 and t.gap > 0
+
+
+def test_negative_gap_is_not_optimal(monkeypatch):
+    """A step that oversteps the cone leaves residuals at zero and a
+    negative gap s'v; the run ends numerical_breakdown at its best
+    interior iterate instead of passing the optimality test."""
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    qp = make_qp(np.eye(2), [3.0, -3.0], A, -np.ones(4),
+                 cones.product(cones.orthant(4)))
+    monkeypatch.setattr(cones, "max_step", lambda K, x, dx, frac=1.0: 1.0)
+    res = ipm.solve(qp, tol=1e-9)
+    assert res.status == ipm.NUMERICAL
+    assert "left the cone" in res.reason
+    assert res.gap > 0.0
+    assert cones.contains(qp.K, res.s, strict=True)
+    assert cones.contains(qp.K, res.v, strict=True)
+
+
+def test_start_rule():
+    """Where -b is interior to K (l1, tv, l2, a sum of norms) the first
+    iterate is (0, e max(1, |b|_inf), e), bit for bit.  Elsewhere (the
+    ball, the hinge lift) it is the least-squares point y0 of
+    L(e) y0 = c + A^T b with s and v shifted along e from +-(A y0 - b):
+    strictly interior, and primal-residual-free before the shift.  The
+    run starts from that point."""
+    rng = np.random.default_rng(56)
+    n = 40
+    cases = (("l1", True, qscalc.build_l1(n)),
+             ("tv", True, qscalc.build_graph_l1(qscalc.path_difference_matrix(n))),
+             ("l2", True, qscalc.build_l2(n)),
+             ("son", True, qscalc.build_sum_of_norms((2, 3, 4))),
+             ("ball", False, qscalc.build_l1_ball(n)),
+             ("hinge", False, qscalc.build_separable(qscalc.gamma_hinge(), n)))
+    for name, fixed, g in cases:
+        H = random_dlr_metric(rng, g.n, 2)
+        qp = proxeval.dual_qp(g, H, 2.0 * rng.standard_normal(g.n))
+        e = cones.identity_element(g.K)
+        y, v, s = ipm.initial_point(qp)
+        assert (cones.min_eigenvalue(g.K, -qp.b) > 0.0) == fixed, name
+        if fixed:
+            np.testing.assert_array_equal(y, np.zeros(qp.c.size))
+            np.testing.assert_array_equal(s, e * max(1.0, np.max(np.abs(qp.b))))
+            np.testing.assert_array_equal(v, e)
+        else:
+            assert cones.min_eigenvalue(g.K, s) > 0.0, name
+            assert cones.min_eigenvalue(g.K, v) > 0.0, name
+            s_hat = qp.A @ y - qp.b
+            ts, tv = (s - s_hat)[0], (v + s_hat)[0]
+            assert ts >= 0.0 and tv >= 0.0, name
+            np.testing.assert_allclose(s, s_hat + ts * e, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(v, tv * e - s_hat, rtol=0, atol=1e-12)
+            # y0 minimizes 1/2 y'Qy - c'y + 1/2 |A y - b|^2
+            grad = qp.Qapply(y) - qp.c + qp.At @ s_hat
+            assert np.linalg.norm(grad) <= 1e-10 * (1.0 + np.linalg.norm(qp.c)), name
+        res = ipm.solve(qp, tol=1e-8)
+        assert res.status == ipm.OPTIMAL, name
+        assert res.trace[0].gap == float(s @ v), name
+
+
+def test_start_on_the_boundary_is_the_fixed_start():
+    """The cone indicator's prox at z = 0 has b = 0 and c = 0, so y0 = 0
+    and s_hat = 0, which no shift moves inside K: the run takes the fixed
+    start and still ends optimal."""
+    g = qscalc.build_cone_indicator(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                              [0.0, 0.0, 1.0]]))
+    qp = proxeval.dual_qp(g, linops.Metric.identity(3), np.zeros(3))
+    y, v, s = ipm.initial_point(qp)
+    e = cones.identity_element(g.K)
+    np.testing.assert_array_equal(y, np.zeros(3))
+    np.testing.assert_array_equal(v, e)
+    np.testing.assert_array_equal(s, e)
+    assert ipm.solve(qp).status == ipm.OPTIMAL
+
+
+def test_failed_start_solve_ends_with_a_status():
+    """A least-squares start whose reduced solve fails ends the run
+    numerical_breakdown with its reason, without raising."""
+    g = qscalc.build_l1_ball(8)
+    qp = proxeval.dual_qp(g, linops.Metric.identity(8), np.ones(8))
+
+    def refused(u):
+        raise linops.StructuredSolveError("refused")
+
+    qp.lsolver = refused
+    res = ipm.solve(qp)
+    assert res.status == ipm.NUMERICAL
+    assert res.iterations == 0
+    assert "least-squares start" in res.reason and "refused" in res.reason
+
+
+@pytest.mark.parametrize("rank", [0, 2, 20])
+def test_l1_ball_prox_iterations(rank):
+    """The l1-ball prox at n = 4096 in an L-BFGS-shaped metric
+    diag(d) + U U^T ends optimal within 16 iterations.  From the fixed
+    start y = 0 these draws take 23, most of them short steps that shrink
+    the dual residual 2n - 1 of the ball's dense column."""
+    n = 4096
+    rng = np.random.default_rng(57 + rank)
+    d = rng.uniform(0.5, 2.0, n)
+    U = rng.standard_normal((n, rank)) * (2.0 / np.sqrt(n))
+    H = linops.Metric.from_direct_parts(d, U, np.eye(rank))
+    res = proxeval.prox(qscalc.build_l1_ball(n), H, 2.0 * rng.standard_normal(n))
+    assert res.status == ipm.OPTIMAL
+    assert res.iterations <= 16

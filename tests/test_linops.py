@@ -728,3 +728,17 @@ def test_refined_second_order_proxes_need_no_fallback(make):
         res = proxeval.prox(g, H, 2.0 * rng.standard_normal(g.n), tol=1e-8)
         assert res.status == "optimal"
         assert linops.DIAGNOSTICS["guard_fallbacks"] == before
+
+
+def test_non_finite_metric_low_rank_ends_with_a_status():
+    """A metric whose low-rank columns hold an inf is refused once per prox
+    by the bandwidth-0 memo (B U1 is checked where it is formed), then by
+    the dense fallback: the l1 prox ends numerical_breakdown instead of
+    raising from the Woodbury buffer's solve."""
+    U = np.ones((6, 1))
+    U[2, 0] = np.inf
+    H = linops.Metric(np.ones(6), U, np.eye(1))
+    with np.errstate(invalid="ignore"):
+        res = proxeval.prox(qscalc.build_l1(6), H, np.ones(6))
+    assert res.status == "numerical_breakdown"
+    assert "StructuredSolveError" in res.reason

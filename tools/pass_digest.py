@@ -25,7 +25,8 @@ and its IPM iterations (a PQN solve's summed over its steps).
 ``--against FILE.npz`` appends to each job's line max |dx|, max |dy| and
 the change in IPM iterations from the stored run, and ends with the
 largest of each over all jobs, to set against a drift bound such as
-1e-10.
+1e-10, and with each workload's IPM iterations summed over its jobs and
+seeds, stored run -> this run.
 """
 
 import os
@@ -96,6 +97,8 @@ def main(argv=None) -> int:
             ref = dict(run)
     stored = {}
     worst = [0.0, 0.0, 0]
+    # workload -> [stored IPM iterations, this run's]
+    ipm_totals = {}
     total = hashlib.sha256()
     for name, workload in workloads.WORKLOADS.items():
         for seed in args.seeds:
@@ -112,11 +115,17 @@ def main(argv=None) -> int:
                     dx, dy, dipm = drift(parts, ref, key)
                     worst = [max(worst[0], dx), max(worst[1], dy), max(worst[2], abs(dipm))]
                     line += f" dx={dx:.1e} dy={dy:.1e} dipm={dipm:+d}"
+                    totals = ipm_totals.setdefault(name, [0, 0])
+                    totals[0] += int(ref[f"{key}:ipm"])
+                    totals[1] += int(parts["ipm"])
                 print(line)
     print(f"total {total.hexdigest()}")
     if ref is not None:
         print(f"drift max |dx|={worst[0]:.1e} max |dy|={worst[1]:.1e} "
               f"max |dipm|={worst[2]}")
+        for name, (before, after) in ipm_totals.items():
+            change = f"{100.0 * (after - before) / before:+.1f}%" if before else "n/a"
+            print(f"ipm_iters {name} {before} -> {after} ({change})")
     if args.dump:
         np.savez(args.dump, **stored)
     return 0
