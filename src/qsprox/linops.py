@@ -405,7 +405,6 @@ class LOperator:
     solve: Callable
     strategy: str
     requested: str
-    ell: int
 
 
 def _memoized(memo, key, make):
@@ -705,7 +704,6 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     s = structure(g)
     A, B, At, Bt = g.A, g.B, s.At, s.Bt
     K = g.K
-    ell = A.shape[1]
     u = np.asarray(u, dtype=float)
 
     def apply_split(w):
@@ -760,7 +758,7 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
             p, Qp, _ = refined(fallback, q)
         return (p, Qp) if quad else p
 
-    return LOperator(apply, solve, tag, requested, ell)
+    return LOperator(apply, solve, tag, requested)
 
 
 def reduced_solver(g, H: Optional[Metric]) -> Callable:

@@ -11,27 +11,28 @@ Woodbury inversion.  Globalization adds the shift rho on sufficient-
 decrease failures (from ``SHIFT_SEED``, grown by ``SHIFT_GROW`` up to
 ``SHIFT_CAP``) and halves it after accepted steps.
 
-Where the prox runs: while the memory holds no curvature pairs (mem 0,
-or before the first accepted pair) H is the scaled identity
-(1/sigma + rho)*I, and a g whose prox kind is closed (``l1``,
-``group_l2``, ``l1_ball``, ``orthant_dist``, path ``tv1d``; see
-``qscalc.CLOSED_KINDS``) takes the step in closed form at any shift.  In
-an L-BFGS metric the ``l1`` kind (any weight) takes the exact step of
-``proxeval.lowrank_l1_prox``, a damped Newton method on an equation of
-dimension 2*mem that returns a point only with a KKT certificate; if it
-gives none (iteration cap, singular Newton matrix, stalled line search)
-the step falls back to the interior-point method (IPM), and the iterate's
-log says why.  The identity-metric residual check uses the closed rules.
-Every other step (``group_l2``, ``tv1d`` and the rest in an L-BFGS
-metric), and the residual check of a g without a closed kind, solves the
-scaled prox with the IPM.
+Where the prox runs: every step and every residual check asks
+``proxeval.exact_prox`` for the prox in its metric, and only when that
+returns no point solves the scaled prox with the interior-point method
+(IPM).  While the memory holds no curvature pairs (mem 0, or before the
+first accepted pair) H is the scaled identity (1/sigma + rho)*I, and a g
+whose prox kind is closed (``l1``, ``group_l2``, ``l1_ball``,
+``orthant_dist``, path ``tv1d``; see ``qscalc.CLOSED_KINDS``) takes the
+step in closed form at any shift; so does the identity-metric residual
+check.  In an L-BFGS metric the ``l1`` kind (any weight) takes the exact
+step of ``proxeval.lowrank_l1_prox``, a damped Newton method on an
+equation of dimension 2*mem that returns a point only with a KKT
+certificate; if it gives none (iteration cap, singular Newton matrix,
+stalled line search) the step falls back to the IPM, and the iterate's
+log says why.
 
-Inner prox tolerances follow an inexactness rule proportional to the
-prox-gradient residual, max(kappa * r, ``INNER_FLOOR``); rejected IPM
-trials first re-solve the prox at a tighter tolerance before touching the
-shift, since a loose prox solve can turn a genuine decrease into a
-measured ascent.  An exact trial (closed form or certified Newton) would
-re-solve to the same point, so its rejection grows the shift at once.
+Inner prox tolerances follow one inexactness rule, proportional to the
+prox-gradient residual r just computed at the iterate:
+max(kappa * r, ``INNER_FLOOR``).  Rejected IPM trials first re-solve the
+prox at a tighter tolerance before touching the shift, since a loose prox
+solve can turn a genuine decrease into a measured ascent.  An exact trial
+(closed form or certified Newton) would re-solve to the same point, so
+its rejection grows the shift at once.
 The decrease test itself carries a roundoff allowance scaled to |f+g|
 (``NOISE_FLOOR``): near a minimizer of a large-scale objective the true
 per-step decrease falls below the evaluation noise of the objective, and
@@ -80,7 +81,6 @@ SHIFT_CAP = 1e12
 ACCEPT_COEFF = 1e-4
 NOISE_FLOOR = 1e-13
 CURVATURE_RTOL = 1e-8
-INNER_FIRST = 1e-8
 INNER_FLOOR = 1e-10
 INEXACT_SAFETY = 0.25
 # no certified re-solve asks for less: the IPM cannot certify below roundoff
@@ -232,7 +232,9 @@ class LBFGSMemory:
         theta = 1.0 / self.sigma
         while True:
             if not self.pairs:
-                return linops.Metric.scaled_identity(theta + self.shift, n)
+                # inverse 1/(theta + shift), exactly sigma at zero shift
+                return linops.Metric(
+                    np.full(n, self.sigma / (1.0 + self.sigma * self.shift)))
             U, M = self._compact(theta)
             try:
                 Mmid = -np.linalg.inv(M)
@@ -249,18 +251,18 @@ class LBFGSMemory:
 def prox_gradient_residual(g: qscalc.QSFunction, x, grad):
     """Residual x - prox_g(x - grad) in the identity metric.
 
-    Uses the closed-form prox when g carries one, otherwise an accurate
-    interior-point prox solve (``InnerFailure`` if that solve is not
-    optimal).  Returns (two-norm, inf-norm, prox point);
+    Uses ``proxeval.exact_prox`` when it has a rule for g, otherwise an
+    accurate interior-point prox solve (``InnerFailure`` if that solve is
+    not optimal).  Returns (two-norm, inf-norm, prox point);
     the prox point doubles as an exact active-pattern probe for closed
     kinds, since it carries hard zeros.  ``solve`` hands that probe to
     ``sup_error_estimate`` for the ``l1`` kind.
     """
     z = x - grad
-    if g.prox_kind is not None and g.prox_kind.closed:
-        p = proxeval.unscaled_prox(g.prox_kind, z)
-    else:
-        p = _ipm_prox(g, linops.Metric.identity(x.size), z, REF_TOL, REF_TOL).x
+    H = linops.Metric.identity(x.size)
+    p, _ = proxeval.exact_prox(g.prox_kind, H, z)
+    if p is None:
+        p = _ipm_prox(g, H, z, REF_TOL, REF_TOL).x
     r = x - p
     rinf = float(np.max(np.abs(r))) if r.size else 0.0
     return float(np.linalg.norm(r)), rinf, p
@@ -347,9 +349,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     history: List[IterateLog] = []
     t0 = time.perf_counter()
 
-    has_closed = g.prox_kind is not None and g.prox_kind.closed
     grad = problem.gradient(x)
-    r2_prev = None
     status = ITERATION_LIMIT
     pending_inner = 0
     pending_step = 0.0
@@ -376,12 +376,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             if it == cfg.max_iter:
                 break
 
-            if has_closed:
-                inner_tol = max(cfg.kappa * r2, INNER_FLOOR)
-            elif r2_prev is None:
-                inner_tol = INNER_FIRST
-            else:
-                inner_tol = max(cfg.kappa * r2_prev, INNER_FLOOR)
+            inner_tol = max(cfg.kappa * r2, INNER_FLOOR)
 
             # Shift loop: retry the step until the sufficient-decrease test
             # passes or the shift cap is hit.  A rejected trial is only
@@ -431,7 +426,6 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             mem.shift *= SHIFT_SHRINK
             if mem.shift < SHIFT_FLOOR:
                 mem.shift = 0.0
-            r2_prev = r2
             pending_inner = inner_spent
             pending_step = float(np.sqrt(dx2))
             pending_closed = all_closed
@@ -456,28 +450,17 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
 def _step(problem, g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol):
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
-    With empty memory H is c*I with c = 1/sigma + shift, and a closed prox
-    kind gives the exact step prox_{g/c}(x - grad/c) directly, at any
-    shift.  With pairs, the ``l1`` kind takes the certified Newton step of
-    ``proxeval.lowrank_l1_prox``.  Otherwise, and when Newton gives no
-    certificate, the scaled prox is solved by the IPM to ``trial_tol``;
-    ``InnerFailure`` if it ends short of optimal with a residual above the
-    step's ``inner_tol``.  Returns (x+, IPM iterations, whether no IPM ran,
-    Newton's reason when it fell back to the IPM, else "").
+    ``proxeval.exact_prox`` takes the step when it has a rule for g in H.
+    Otherwise, and when Newton gives no certificate, the scaled prox is
+    solved by the IPM to ``trial_tol``; ``InnerFailure`` if it ends short
+    of optimal with a residual above the step's ``inner_tol``.  Returns
+    (x+, IPM iterations, whether no IPM ran, Newton's reason when it fell
+    back to the IPM, else "").
     """
-    kind = g.prox_kind
-    if not mem.pairs and kind is not None and kind.closed:
-        # 1/c, written so that it is exactly sigma at zero shift
-        t = mem.sigma / (1.0 + mem.sigma * mem.shift)
-        x_new = proxeval.unscaled_prox(kind.scaled(t), x - t * grad)
-        return x_new, 0, True, ""
     H = mem.metric(x.size)
     z = x - H.solve(grad)
-    fallback = ""
-    if kind is not None and kind.kind == "l1":
-        exact = proxeval.lowrank_l1_prox(kind.weight, H, z)
-        if not exact.reason:
-            return exact.x, 0, True, ""
-        fallback = exact.reason
+    x_new, fallback = proxeval.exact_prox(g.prox_kind, H, z)
+    if x_new is not None:
+        return x_new, 0, True, ""
     pres = _ipm_prox(g, H, z, trial_tol, inner_tol)
     return pres.x, pres.iterations, False, fallback

@@ -22,8 +22,13 @@ metric H = diag(d) + U M U^T of rank r, the shape of the L-BFGS metric
 Becker, Fadili & Ochs, SIAM J. Optim. 2019).  It finds the root of an
 r-dimensional equation by damped semismooth Newton, each evaluation one
 soft threshold and two n x r products, and returns a point only with a
-KKT certificate; it is the outer solver's step in that metric and the
-reference for the interior-point l1 prox at sizes the dense checks refuse.
+KKT certificate; it is the reference for the interior-point l1 prox at
+sizes the dense checks refuse.
+
+``exact_prox`` routes a prox to these rules by the shape of the metric: a
+scaled identity takes every closed kind, a diagonal-plus-low-rank metric
+takes ``l1`` alone, and any other pair (g, H) has no exact rule and is
+left to ``prox``.  The outer solver asks it for every step.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
     """Conic QP whose solution y gives prox_g^H(z) = z - H^{-1} B^T y."""
     z = np.asarray(z, dtype=float)
     c = g.B @ z + g.d
-    B, Bt = g.B, g.B.T
+    B, Bt = g.B, linops.structure(g).Bt
 
     if H is None:
         def Qapply(y):
@@ -82,7 +87,7 @@ def prox(g: QSFunction, H: linops.Metric, z, tol: float = 1e-8,
     z = np.asarray(z, dtype=float)
     qp = dual_qp(g, H, z)
     res = ipm.solve(qp, tol=tol, max_iter=max_iter)
-    Bty = g.B.T @ res.y
+    Bty = linops.structure(g).Bt @ res.y
     x = z - H.solve(Bty)
     recovery = float(np.linalg.norm(H.apply(x - z) + Bty))
     return ProxResult(
@@ -202,6 +207,27 @@ def lowrank_l1_prox(weight, H: linops.Metric, z) -> LowRankProxResult:
         x, LOWRANK_MAX_ITER, residual,
         f"no certificate after {LOWRANK_MAX_ITER} Newton iterations "
         f"(residual {residual:.3g})")
+
+
+def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
+    """(prox point, reason) of an exact rule for the tagged function in H.
+
+    The route is read off H: a scaled identity (1/t) I takes any closed
+    kind by ``unscaled_prox`` with the weight scaled by t, a diagonal-plus-
+    low-rank H takes the ``l1`` kind by ``lowrank_l1_prox``.  Otherwise, or
+    when Newton gives no certificate, the point is None and the caller
+    solves the prox by the IPM; ``reason`` is Newton's stop reason then,
+    and "" when no rule applied.
+    """
+    if kind is None:
+        return None, ""
+    d, U, _ = H.inverse_parts()
+    if not U.shape[1] and kind.closed and (d == d[0]).all():
+        return unscaled_prox(kind.scaled(d[0]), z), ""
+    if kind.kind == "l1":
+        res = lowrank_l1_prox(kind.weight, H, z)
+        return (None if res.reason else res.x), res.reason
+    return None, ""
 
 
 def envelope_value(g: QSFunction, H: linops.Metric, z, x) -> float:

@@ -519,25 +519,20 @@ def evaluate(g: QSFunction, x, force_ipm: bool = False) -> float:
     x = np.asarray(x, dtype=float)
     if g.closed_form is not None and not force_ipm:
         return g.closed_form(x)
-    c = g.B @ x + g.d
+    # imported here because proxeval imports this module
+    from qsprox.proxeval import dual_qp
 
-    def qzero(y):
-        return np.zeros_like(y)
-
-    qp = ipm.ConicQP(
-        Qapply=qzero, c=c, A=g.A, b=g.b, K=g.K,
-        lsolver=linops.reduced_solver(g, None),
-    )
+    qp = dual_qp(g, None, x)
     res = ipm.solve(qp, tol=EVAL_TOL, max_iter=EVAL_MAX_ITER)
     if res.status == ipm.OPTIMAL:
-        return float(c @ res.y)
+        return float(qp.c @ res.y)
     # Degenerate maximizers (active on several cone boundaries at once)
     # can exhaust the working precision just short of the strict test;
     # accept the best iterate when its residuals are small at a relaxed
     # tolerance.
     relaxed = math.sqrt(EVAL_TOL)
     if max(res.rel_dual, res.rel_primal) <= relaxed and res.gap <= relaxed:
-        return float(c @ res.y)
+        return float(qp.c @ res.y)
     if _looks_unbounded(res):
         return math.inf
     if res.status == ipm.INFEASIBLE:

@@ -26,8 +26,7 @@ def dense_lsolver(Qd, A, K):
 
         return linops.LOperator(
             apply=lambda w: L @ w, solve=solve,
-            strategy=linops.DENSE, requested=linops.DENSE,
-            ell=Qd.shape[0])
+            strategy=linops.DENSE, requested=linops.DENSE)
     return make
 
 

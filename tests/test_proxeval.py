@@ -1,7 +1,8 @@
 """Scaled proximal operators through the dual conic QP: closed-form helper
 checks, worked examples, recovery and envelope identities, metric-norm
-nonexpansiveness, and the Newton l1 prox in diagonal-plus-low-rank
-metrics against dense and interior-point references."""
+nonexpansiveness, the Newton l1 prox in diagonal-plus-low-rank metrics
+against dense and interior-point references, and the routes of
+exact_prox."""
 
 import numpy as np
 import pytest
@@ -374,3 +375,79 @@ def test_lowrank_l1_prox_without_low_rank_is_soft_threshold():
     assert res.reason == "" and res.iterations == 0
     np.testing.assert_array_equal(res.x, proxeval.soft_threshold(z, 0.7 / d))
 
+
+
+# ---------------------------------------------------------------------------
+# Routing to the exact rules
+# ---------------------------------------------------------------------------
+
+def test_exact_prox_in_the_scaled_identity_is_the_closed_step():
+    """Every closed catalog kind in the empty-memory L-BFGS metric, at
+    shifts 0, 0.3 and 25, gets the closed step
+    unscaled_prox(kind.scaled(t), x - t grad), t = sigma / (1 + sigma shift),
+    bit for bit."""
+    rng = np.random.default_rng(93)
+    n = 6
+    closed = [(name, g) for name, g in catalog(n)
+              if g.prox_kind is not None and g.prox_kind.closed]
+    assert {g.prox_kind.kind for _, g in closed} == set(qscalc.CLOSED_KINDS)
+    for name, g in closed:
+        for shift in (0.0, 0.3, 25.0):
+            mem = pqn.LBFGSMemory(0, sigma0=rng.uniform(0.2, 2.0))
+            mem.shift = shift
+            H = mem.metric(n)
+            x = rng.standard_normal(n)
+            grad = 2.0 * rng.standard_normal(n)
+            step, reason = proxeval.exact_prox(g.prox_kind, H,
+                                               x - H.solve(grad))
+            t = mem.sigma / (1.0 + mem.sigma * shift)
+            ref = proxeval.unscaled_prox(g.prox_kind.scaled(t), x - t * grad)
+            assert reason == "", name
+            np.testing.assert_array_equal(step, ref, err_msg=name)
+
+
+def test_exact_prox_takes_l1_by_newton_in_a_low_rank_metric():
+    rng = np.random.default_rng(94)
+    n = 40
+    for rank in (1, 4, 12):
+        H = diag_plus_rank_metric(rng, n, rank)
+        z = 2.0 * rng.standard_normal(n)
+        x, reason = proxeval.exact_prox(ProxKind("l1", 0.7), H, z)
+        ref = proxeval.lowrank_l1_prox(0.7, H, z)
+        assert reason == "" and ref.reason == ""
+        np.testing.assert_array_equal(x, ref.x)
+
+
+def test_exact_prox_without_a_newton_certificate_gives_the_reason(monkeypatch):
+    monkeypatch.setattr(proxeval, "LOWRANK_MAX_ITER", 0)
+    rng = np.random.default_rng(95)
+    n = 40
+    H = diag_plus_rank_metric(rng, n, 4)
+    z = 2.0 * rng.standard_normal(n)
+    x, reason = proxeval.exact_prox(ProxKind("l1"), H, z)
+    assert x is None
+    assert reason and reason == proxeval.lowrank_l1_prox(1.0, H, z).reason
+
+
+def test_exact_prox_has_no_rule_for_other_pairs():
+    """No rule: closed kinds other than l1 in a metric with low rank or a
+    varying diagonal, graph_l1 in any metric, and untagged functions."""
+    rng = np.random.default_rng(96)
+    n = 8
+    low_rank = diag_plus_rank_metric(rng, n, 2)
+    diagonal = linops.Metric.diagonal(rng.uniform(0.5, 2.0, n))
+    kinds = [qscalc.build_l2(n).prox_kind,
+             qscalc.build_graph_l1(qscalc.path_difference_matrix(n)).prox_kind,
+             qscalc.build_l1_ball(n).prox_kind]
+    assert [k.kind for k in kinds] == ["group_l2", "tv1d", "l1_ball"]
+    z = rng.standard_normal(n)
+    for kind in kinds:
+        for H in (low_rank, diagonal):
+            assert proxeval.exact_prox(kind, H, z) == (None, "")
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    graph = qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, n)).prox_kind
+    assert graph.kind == "graph_l1"
+    for H in (linops.Metric.identity(n), linops.Metric.scaled_identity(3.0, n),
+              diagonal, low_rank):
+        assert proxeval.exact_prox(graph, H, z) == (None, "")
+        assert proxeval.exact_prox(None, H, z) == (None, "")
