@@ -20,7 +20,10 @@ built once per QP (``ConicQP.At``), Q y is applied once per iteration
 for both the dual residual and the objective, and a direction's first-row
 residual takes Q dy from the reduced solve (``LOperator.solve(q,
 quad=True)``), whose residual check applies L, and with it Q, to the very
-dy it returns.  A direction thus costs one metric product per solve.
+dy it returns.  A direction thus costs one metric product per solve.  The
+loop keeps what it measured at its head as an ``IPMResult`` record, and
+the report is the record of the iterate it returns, so the returned
+point is not measured again.
 
 The start (``initial_point``) depends on whether y = 0 is strictly
 feasible, that is whether -b lies inside K.  Where it does (l1, tv, their
@@ -50,7 +53,7 @@ tests are module constants, read at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List
 
 import numpy as np
@@ -111,7 +114,8 @@ class ConicQP:
 
 @dataclass
 class IPMResult:
-    """Final (or best) iterate; ``reason`` says why a non-optimal run stopped."""
+    """Final (or best) iterate as measured at the head of its loop pass;
+    ``reason`` says why a non-optimal run stopped."""
 
     status: str
     y: np.ndarray
@@ -200,40 +204,50 @@ def initial_point(qp: ConicQP):
 
 
 def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     K = qp.K
     e = cones.identity_element(K)
     deg = K.degree
+    norm_c = np.linalg.norm(qp.c)
+    norm_b = np.linalg.norm(qp.b)
+
+    def measure(y, v, s):
+        """The record of the iterate (y, v, s) and its residuals r_d, r_p;
+        ``solve`` fills in status, iterations, trace and reason."""
+        Qy = qp.Qapply(y)
+        r_d, r_p = residuals(qp, y, v, s, Qy)
+        nd = float(np.linalg.norm(r_d))
+        np_ = float(np.linalg.norm(r_p))
+        rec = IPMResult(ITERATION_LIMIT, y, v, s, 0, float(s @ v),
+                        nd / (1.0 + norm_c), np_ / (1.0 + norm_b), nd, np_,
+                        float(0.5 * (y @ Qy) - qp.c @ y))
+        return rec, r_d, r_p
 
     try:
         y, v, s = initial_point(qp)
     except (cones.ConeError, linops.StructuredSolveError) as exc:
-        return _result(qp, np.zeros(qp.c.size), e, e, NUMERICAL, 0, [],
-                       f"least-squares start: {type(exc).__name__}: {exc}")
+        return replace(measure(np.zeros(qp.c.size), e, e)[0], status=NUMERICAL,
+                       reason=f"least-squares start: {type(exc).__name__}: {exc}")
 
-    norm_c = np.linalg.norm(qp.c)
-    norm_b = np.linalg.norm(qp.b)
     trace: List[TraceEntry] = []
     best_infeas = np.inf
     stall = 0
     best_score = np.inf
-    # y, v and s are rebound, never written in place, so the best iterate
-    # is kept by reference.
-    best = (y, v, s)
+    # y, v and s are rebound, never written in place, so a record keeps
+    # its iterate by reference.
+    best = None
     y_max = 0.0
 
     status = ITERATION_LIMIT
     reason = f"no convergence in {max_iter} iterations"
     it = 0
     for it in range(1, max_iter + 1):
-        Qy = qp.Qapply(y)
-        r_d, r_p = residuals(qp, y, v, s, Qy)
-        gap = float(s @ v)
+        rec, r_d, r_p = measure(y, v, s)
+        if best is None:
+            best = rec  # the start stands until an iterate scores better
+        gap, rel_d, rel_p = rec.gap, rec.rel_dual, rec.rel_primal
         mu = gap / deg
-        nd = float(np.linalg.norm(r_d))
-        np_ = float(np.linalg.norm(r_p))
-        rel_d = nd / (1.0 + norm_c)
-        rel_p = np_ / (1.0 + norm_b)
-        obj = float(0.5 * (y @ Qy) - qp.c @ y)
 
         # s and v interior give s'v > 0; a negative gap means a step left
         # the cone, and the point must not pass the optimality test.
@@ -245,12 +259,12 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
         score = max(rel_d, rel_p, gap)
         if score < best_score:
             best_score = score
-            best = (y, v, s)
+            best = rec
 
         if rel_d <= tol and rel_p <= tol and gap <= tol:
             status = OPTIMAL
             trace.append(TraceEntry(it - 1, mu, gap, rel_d, rel_p, 0.0, 0.0,
-                                    obj, y_max))
+                                    rec.objective, y_max))
             break
 
         # Endgame regression: once a nearly converged iterate starts
@@ -317,35 +331,12 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
         v = v + alpha * dv
         s = s + alpha * ds
         y_max = float(np.max(np.abs(y))) if y.size else 0.0
-        trace.append(TraceEntry(it, mu, gap, rel_d, rel_p, sigma, alpha, obj,
-                                y_max))
+        trace.append(TraceEntry(it, mu, gap, rel_d, rel_p, sigma, alpha,
+                                rec.objective, y_max))
 
+    if status == OPTIMAL:
+        return replace(rec, status=status, iterations=it - 1, trace=trace)
     # Report the best iterate seen (the last one can be degraded by the
-    # endgame), unless the loop ended on the optimality test.
-    if status != OPTIMAL:
-        y, v, s = best
-    return _result(qp, y, v, s, status, it if status != OPTIMAL else it - 1,
-                   trace, "" if status == OPTIMAL else reason)
-
-
-def _result(qp: ConicQP, y, v, s, status, iterations, trace, reason) -> IPMResult:
-    """The IPMResult of a run that ends at (y, v, s)."""
-    Qy = qp.Qapply(y)
-    r_d, r_p = residuals(qp, y, v, s, Qy)
-    gap = float(s @ v)
-    nd = float(np.linalg.norm(r_d))
-    np_ = float(np.linalg.norm(r_p))
-    obj = float(0.5 * (y @ Qy) - qp.c @ y)
-    return IPMResult(
-        status=status,
-        y=y, v=v, s=s,
-        iterations=iterations,
-        gap=gap,
-        rel_dual=nd / (1.0 + np.linalg.norm(qp.c)),
-        rel_primal=np_ / (1.0 + np.linalg.norm(qp.b)),
-        norm_dual=nd,
-        norm_primal=np_,
-        objective=obj,
-        trace=trace,
-        reason=reason,
-    )
+    # endgame); the loop measured it at the head of its pass.
+    return replace(best, status=status, iterations=it, trace=trace,
+                   reason=reason)

@@ -17,9 +17,9 @@ returns no point solves the scaled prox with the interior-point method
 (IPM).  While the memory holds no curvature pairs (mem 0, or before the
 first accepted pair) H is the scaled identity (1/sigma + rho)*I, and a g
 whose prox kind is closed (``l1``, ``group_l2``, ``l1_ball``,
-``orthant_dist``, path ``tv1d``; see ``qscalc.CLOSED_KINDS``) takes the
-step in closed form at any shift; so does the identity-metric residual
-check.  In an L-BFGS metric the ``l1`` kind (any weight) takes the exact
+``orthant_dist``, path ``tv1d``: the keys of ``proxeval.CLOSED_RULES``)
+takes the step in closed form at any shift; so does the identity-metric
+residual check.  In an L-BFGS metric the ``l1`` kind (any weight) takes the exact
 step of ``proxeval.lowrank_l1_prox``, a damped Newton method on an
 equation of dimension 2*mem that returns a point only with a KKT
 certificate; if it gives none (iteration cap, singular Newton matrix,

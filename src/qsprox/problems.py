@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.special import expit
 
-from qsprox import proxeval, qscalc
+from qsprox import linops, proxeval, qscalc
 
 ERROR_CLAMP = 1e-300
 
@@ -107,35 +107,36 @@ def gen_conditioned(n: int, alpha_l: float, alpha_mu: float) -> np.ndarray:
 # Instances with a planted minimizer
 # ---------------------------------------------------------------------------
 
-def _subgradient(kind: qscalc.ProxKind, xstar: np.ndarray) -> np.ndarray:
-    w = kind.weight
-    if kind.kind == "l1":
-        return w * np.sign(xstar)
-    if kind.kind == "group_l2":
+def _subgradient(g: qscalc.QSFunction, xstar: np.ndarray) -> np.ndarray:
+    kind = g.prox_kind.kind if g.prox_kind is not None else None
+    if kind in ("l1", "tv1d", "graph_l1"):
+        # g = ||B x||_1
+        return g.B.T @ np.sign(g.B @ xstar)
+    if kind == "group_l2":
+        w = g.prox_kind.weight
         v = np.zeros_like(xstar)
         off = 0
-        for ni in kind.sizes:
+        for ni in g.prox_kind.sizes:
             nb = np.linalg.norm(xstar[off:off + ni])
             if nb > 0.0:
                 v[off:off + ni] = w * xstar[off:off + ni] / nb
             off += ni
         return v
-    if kind.kind in ("tv1d", "graph_l1"):
-        return w * (kind.N.T @ np.sign(kind.N @ xstar))
-    raise ValueError(f"no subgradient rule for kind {kind.kind!r}")
+    raise ValueError(f"no subgradient rule for kind {kind!r}")
 
 
 def known_solution_rhs(A, g: qscalc.QSFunction, xstar) -> np.ndarray:
     """Right-hand side b making xstar the minimizer of 1/2||Ax-b||^2 + g(x)."""
     xstar = np.asarray(xstar, dtype=float)
-    v = _subgradient(g.prox_kind, xstar)
+    v = _subgradient(g, xstar)
     if sp.issparse(A):
         u = sp.linalg.spsolve(sp.csc_matrix(A.T), v)
     else:
         u = np.linalg.solve(np.asarray(A).T, v)
     b = A @ xstar + u
-    if g.prox_kind.closed:
-        p = proxeval.unscaled_prox(g.prox_kind, xstar + v)
+    p, _ = proxeval.exact_prox(g.prox_kind, linops.Metric.identity(g.n),
+                               xstar + v)
+    if p is not None:
         err = float(np.max(np.abs(p - xstar)))
         if err > 1e-8 * (1.0 + float(np.max(np.abs(xstar)))):
             raise ValueError("planted point fails the fixed-point check; "

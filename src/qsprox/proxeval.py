@@ -9,12 +9,14 @@ as x = z - H^{-1} B^T y, and the optimal value of the regularized problem
 (the Moreau-Yosida envelope at z) equals the negated optimal dual
 objective.
 
-``unscaled_prox`` holds the closed-form rules used as oracles and as the
-fast path of the outer solver: soft threshold (``l1``), block soft
-threshold (``group_l2``), sort-based l1-ball projection (``l1_ball``), the
-one-sided norm (``orthant_dist``) and Condat's direct algorithm for 1-D
-total variation on a path (``tv1d``).  Each is exact in any scaled-identity
-metric c*I after dividing the weight by c.
+``CLOSED_RULES`` holds the closed-form rules used as oracles and as the
+fast path of the outer solver, keyed by prox kind: soft threshold
+(``l1``), block soft threshold (``group_l2``), sort-based l1-ball
+projection (``l1_ball``), the one-sided norm (``orthant_dist``) and
+Condat's direct algorithm for 1-D total variation on a path (``tv1d``).
+Its key set is the list of closed kinds.  Each rule is exact in any
+scaled-identity metric c*I after dividing the weight by c;
+``unscaled_prox`` applies the rule of a kind.
 
 ``lowrank_l1_prox`` is the exact ``l1`` prox in a diagonal-plus-low-rank
 metric H = diag(d) + U M U^T of rank r, the shape of the L-BFGS metric
@@ -222,7 +224,7 @@ def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
     if kind is None:
         return None, ""
     d, U, _ = H.inverse_parts()
-    if not U.shape[1] and kind.closed and (d == d[0]).all():
+    if not U.shape[1] and kind.kind in CLOSED_RULES and (d == d[0]).all():
         return unscaled_prox(kind.scaled(d[0]), z), ""
     if kind.kind == "l1":
         res = lowrank_l1_prox(kind.weight, H, z)
@@ -341,20 +343,21 @@ def tv1d_prox(z, w: float) -> np.ndarray:
             umax = -lam
 
 
+# The closed prox rules in the identity metric, rule(kind, z); the key set
+# is the list of closed kinds.
+CLOSED_RULES = {
+    "l1": lambda kind, z: soft_threshold(z, kind.weight),
+    "group_l2": lambda kind, z: block_soft_threshold(
+        z, kind.weight, kind.sizes or (z.size,)),
+    "l1_ball": lambda kind, z: project_l1_ball(z),
+    "orthant_dist": lambda kind, z: np.minimum(z, 0.0) + block_soft_threshold(
+        np.maximum(z, 0.0), kind.weight, (z.size,)),
+    "tv1d": lambda kind, z: tv1d_prox(z, kind.weight),
+}
+
+
 def unscaled_prox(kind: ProxKind, z) -> np.ndarray:
     """prox of the tagged function in the identity metric."""
-    z = np.asarray(z, dtype=float)
-    w = kind.weight
-    if kind.kind == "l1":
-        return soft_threshold(z, w)
-    if kind.kind == "group_l2":
-        sizes = kind.sizes if kind.sizes else (z.size,)
-        return block_soft_threshold(z, w, sizes)
-    if kind.kind == "l1_ball":
-        return project_l1_ball(z)
-    if kind.kind == "orthant_dist":
-        pos = np.maximum(z, 0.0)
-        return np.minimum(z, 0.0) + block_soft_threshold(pos, w, (z.size,))
-    if kind.kind == "tv1d":
-        return tv1d_prox(z, w)
-    raise ClosedFormUnavailable(f"no closed-form prox for kind {kind.kind!r}")
+    if kind.kind not in CLOSED_RULES:
+        raise ClosedFormUnavailable(f"no closed-form prox for kind {kind.kind!r}")
+    return CLOSED_RULES[kind.kind](kind, np.asarray(z, dtype=float))

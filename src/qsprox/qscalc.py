@@ -38,33 +38,24 @@ class EvaluationError(RuntimeError):
     """Raised when the conic evaluation of g(x) fails to converge."""
 
 
-# prox kinds with an exact rule in ``proxeval.unscaled_prox``
-CLOSED_KINDS = ("l1", "group_l2", "l1_ball", "orthant_dist", "tv1d")
-
-
 @dataclass(eq=False)
 class ProxKind:
     """Tag naming an exact prox rule for g, for the PQN step.
 
     It plays no part in the interior-point solve, whose path is read off
-    g's matrices (``linops.structure``).  The kinds in ``CLOSED_KINDS``
-    have an exact prox in the identity metric (``proxeval.unscaled_prox``);
+    g's matrices (``linops.structure``).  The kinds that key
+    ``proxeval.CLOSED_RULES`` have an exact prox in the identity metric;
     ``tv1d`` is w * ||N x||_1 with N the first-difference map of a path.
-    ``graph_l1`` is w * ||N x||_1 on any other graph: it has no closed rule
-    and carries N only for subgradients.
+    ``graph_l1`` is w * ||N x||_1 on any other graph and has no closed
+    rule.  For both, g's B is w * N.
     """
 
     kind: str
     weight: float = 1.0
     sizes: tuple = ()
-    N: Optional[sp.csr_matrix] = None
-
-    @property
-    def closed(self) -> bool:
-        return self.kind in CLOSED_KINDS
 
     def scaled(self, alpha: float) -> "ProxKind":
-        return ProxKind(self.kind, self.weight * alpha, self.sizes, self.N)
+        return ProxKind(self.kind, self.weight * alpha, self.sizes)
 
 
 @dataclass(eq=False)
@@ -288,7 +279,7 @@ def build_graph_l1(N) -> QSFunction:
         A=A, b=-np.ones(2 * m), d=np.zeros(m), B=N,
         K=cones.product(cones.orthant(2 * m)),
         closed_form=lambda x: float(np.sum(np.abs(N @ x))),
-        prox_kind=ProxKind(kind, N=N),
+        prox_kind=ProxKind(kind),
         name="graph_l1",
     )
 

@@ -201,8 +201,8 @@ def test_newton_direction_row_residuals():
 
 def test_one_metric_product_per_iteration():
     """Q y is applied once per pass of the IPM loop, for both the dual
-    residual and the objective, plus once for the final report; the
-    directions take Q dy from the reduced solve."""
+    residual and the objective; the directions take Q dy from the reduced
+    solve."""
     rng = np.random.default_rng(55)
     for g in (qscalc.build_l1(8), qscalc.build_sum_of_norms((3, 5))):
         H = random_dlr_metric(rng, g.n, 2)
@@ -218,7 +218,7 @@ def test_one_metric_product_per_iteration():
         assert res.status == ipm.OPTIMAL
         # one trace entry per loop pass: each step plus the optimality check
         assert len(res.trace) == res.iterations + 1
-        assert len(calls) == len(res.trace) + 1
+        assert len(calls) == len(res.trace)
 
 
 def test_newton_direction_matches_dense_kkt():
@@ -375,6 +375,14 @@ def test_failed_start_solve_ends_with_a_status():
     assert res.status == ipm.NUMERICAL
     assert res.iterations == 0
     assert "least-squares start" in res.reason and "refused" in res.reason
+
+
+def test_max_iter_below_one_is_rejected():
+    """The report is a record measured in a loop pass, so a run needs one."""
+    qp = proxeval.dual_qp(qscalc.build_l1(3), linops.Metric.identity(3),
+                          np.ones(3))
+    with pytest.raises(ValueError, match="max_iter"):
+        ipm.solve(qp, max_iter=0)
 
 
 @pytest.mark.parametrize("rank", [0, 2, 20])

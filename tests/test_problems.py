@@ -81,6 +81,75 @@ def test_known_solution_rhs_zero_point():
     np.testing.assert_allclose(b, np.zeros(3))
 
 
+def test_known_solution_rhs_untagged_g_is_a_value_error():
+    """A sum carries no prox kind, so there is no subgradient rule."""
+    g = qscalc.add(qscalc.build_l1(3), qscalc.build_l1(3))
+    with pytest.raises(ValueError, match="no subgradient rule"):
+        problems.known_solution_rhs(np.eye(3), g, np.ones(3))
+
+
+def old_subgradient(g0, alpha, xstar):
+    """v for alpha * g0 by the per-kind formulas w sign(x*) and
+    w N^T sign(N x*), with w = alpha and N = g0's B, and the group rule."""
+    kind = g0.prox_kind.kind
+    if kind == "l1":
+        return alpha * np.sign(xstar)
+    if kind in ("tv1d", "graph_l1"):
+        N = g0.B
+        return alpha * (N.T @ np.sign(N @ xstar))
+    v = np.zeros_like(xstar)
+    off = 0
+    for ni in g0.prox_kind.sizes:
+        nb = np.linalg.norm(xstar[off:off + ni])
+        if nb > 0.0:
+            v[off:off + ni] = alpha * xstar[off:off + ni] / nb
+        off += ni
+    return v
+
+
+def grid_edges(side):
+    """Edges of the side x side grid graph, row-major node order."""
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            if c + 1 < side:
+                edges.append((i, i + 1))
+            if r + 1 < side:
+                edges.append((i, i + side))
+    return edges
+
+
+def test_known_solution_rhs_subgradient_of_scaled_norms():
+    """For alpha * ||B x||_1 the subgradient B^T sign(B x*) gives, bit for
+    bit, the b of the per-kind formulas, and the planted point passes the
+    fixed-point check; a grid's graph_l1 (no closed rule) plants too."""
+    rng = np.random.default_rng(17)
+    n = 12
+    sizes = (4, 4, 4)
+    grid = qscalc.build_graph_l1(qscalc.incidence_matrix(grid_edges(3), 9))
+    assert grid.prox_kind.kind not in proxeval.CLOSED_RULES
+    cases = [
+        (qscalc.build_l1(n), problems.planted_point(rng, n, "l1")),
+        (qscalc.build_graph_l1(qscalc.path_difference_matrix(n)),
+         np.repeat([1.5, -0.5, 0.25], 4)),
+        (qscalc.build_sum_of_norms(sizes),
+         problems.planted_point(rng, n, "group", sizes)),
+        (grid, np.repeat([2.0, 0.0, -1.0], 3)),
+    ]
+    for g0, xstar in cases:
+        m = xstar.size
+        A = np.eye(m) + 0.1 * rng.standard_normal((m, m))
+        for alpha in (0.3, 2.5):
+            g = qscalc.scale(g0, alpha)
+            b = problems.known_solution_rhs(A, g, xstar)
+            u = np.linalg.solve(A.T, old_subgradient(g0, alpha, xstar))
+            assert np.array_equal(b, A @ xstar + u), (g0.name, alpha)
+            z = xstar - A.T @ (A @ xstar - b)
+            p = proxeval.prox(g, linops.Metric.identity(m), z, tol=1e-11).x
+            assert np.max(np.abs(p - xstar)) <= 1e-6, (g0.name, alpha)
+
+
 def test_known_solution_group_fixed_point():
     g = qscalc.build_sum_of_norms((2, 2))
     xstar = np.array([1.0, -1.0, 0.0, 0.0])
@@ -98,7 +167,7 @@ def test_synthetic_instances_plant_minimizers():
         prob, g, xstar = problems.synthetic_instance(flavor, 60, 20, seed=3)
         grad = prob.gradient(xstar)
         z = xstar - grad
-        if g.prox_kind.closed:
+        if g.prox_kind.kind in proxeval.CLOSED_RULES:
             p = proxeval.unscaled_prox(g.prox_kind, z)
             tol = 1e-10
         else:

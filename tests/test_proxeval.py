@@ -53,12 +53,12 @@ def test_unscaled_prox_kinds():
         proxeval.unscaled_prox(ProxKind("orthant_dist"), z2), [-2.0, 2.0])
     # path TV with w = 1: the outer samples move 1 toward the middle one
     np.testing.assert_allclose(
-        proxeval.unscaled_prox(ProxKind("tv1d", N=qscalc.path_difference_matrix(3)),
-                               np.array([3.0, 0.0, -3.0])),
+        proxeval.unscaled_prox(ProxKind("tv1d"), np.array([3.0, 0.0, -3.0])),
         [2.0, 0.0, -2.0])
     cycle = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 0)], 3)
     g = qscalc.build_graph_l1(cycle)
-    assert g.prox_kind.kind == "graph_l1" and not g.prox_kind.closed
+    assert g.prox_kind.kind == "graph_l1"
+    assert g.prox_kind.kind not in proxeval.CLOSED_RULES
     with pytest.raises(proxeval.ClosedFormUnavailable):
         proxeval.unscaled_prox(g.prox_kind, np.array([3.0, 0.0, -3.0]))
 
@@ -163,7 +163,7 @@ def test_prox_matches_unscaled_closed_forms():
     rng = np.random.default_rng(60)
     H = linops.Metric.identity(5)
     for name, g in catalog(5):
-        if g.prox_kind is None or not g.prox_kind.closed:
+        if g.prox_kind is None or g.prox_kind.kind not in proxeval.CLOSED_RULES:
             continue
         for _ in range(3):
             z = rng.standard_normal(5) * 2.0
@@ -389,8 +389,9 @@ def test_exact_prox_in_the_scaled_identity_is_the_closed_step():
     rng = np.random.default_rng(93)
     n = 6
     closed = [(name, g) for name, g in catalog(n)
-              if g.prox_kind is not None and g.prox_kind.closed]
-    assert {g.prox_kind.kind for _, g in closed} == set(qscalc.CLOSED_KINDS)
+              if g.prox_kind is not None
+              and g.prox_kind.kind in proxeval.CLOSED_RULES]
+    assert {g.prox_kind.kind for _, g in closed} == set(proxeval.CLOSED_RULES)
     for name, g in closed:
         for shift in (0.0, 0.3, 25.0):
             mem = pqn.LBFGSMemory(0, sigma0=rng.uniform(0.2, 2.0))

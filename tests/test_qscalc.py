@@ -276,19 +276,18 @@ def test_qs_spec_tv_and_graph():
 
 def test_graph_l1_prox_kind_follows_the_shape_of_n():
     """Only a path difference map (any row signs) gets the closed tv1d
-    kind; every other graph keeps N under the non-closed graph_l1 kind."""
+    kind; every other graph gets the non-closed graph_l1 kind."""
     D = qscalc.path_difference_matrix(5)
     flipped = sp.diags([1.0, -1.0, -1.0, 1.0]) @ D
     path_edges = qscalc.incidence_matrix([(1, 0), (1, 2), (3, 2), (3, 4)], 5)
     for N in (D, flipped, path_edges):
         kind = qscalc.build_graph_l1(N).prox_kind
-        assert kind.kind == "tv1d" and kind.closed
+        assert kind.kind == "tv1d" and kind.kind in proxeval.CLOSED_RULES
     cycle = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5)
     reordered = D[[1, 0, 2, 3]]
     for N in (cycle, reordered, 2.0 * D, D[:3]):
         kind = qscalc.build_graph_l1(N).prox_kind
-        assert kind.kind == "graph_l1" and not kind.closed
-        assert (kind.N != sp.csr_matrix(N)).nnz == 0
+        assert kind.kind == "graph_l1" and kind.kind not in proxeval.CLOSED_RULES
 
 
 def test_qs_spec_errors():
