@@ -93,6 +93,7 @@ Q p, so a Newton direction needs no metric product of its own.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -718,8 +719,6 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     def apply(w):
         return apply_split(w)[0]
 
-    requested = tag = s.path
-
     def refined(inner_solve, q):
         # One pass of iterative refinement; the reduced system turns
         # ill-conditioned as the scaling point degenerates near optimality
@@ -735,17 +734,14 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
             r = q - Lp
         return p, Qp, np.linalg.norm(r) / nq
 
-    inner = None
-    if tag != DENSE:
+    inner = fallback = None
+    if s.path != DENSE:
         try:
             inner = _solve_banded(g, H, u, memo)
         except StructuredSolveError:
             DIAGNOSTICS["guard_fallbacks"] += 1
     if inner is None:
-        tag = DENSE
         fallback = _solve_dense(g, H, u, memo)
-    else:
-        fallback = None
 
     def solve(q, quad=False):
         nonlocal fallback
@@ -754,11 +750,17 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
             if not res <= GUARD_TOL:
                 DIAGNOSTICS["guard_fallbacks"] += 1
                 fallback = _solve_dense(g, H, u, memo)
+                if op_ref() is not None:  # None once no caller holds op
+                    op_ref().strategy = DENSE
         if fallback is not None:
             p, Qp, _ = refined(fallback, q)
         return (p, Qp) if quad else p
 
-    return LOperator(apply, solve, tag, requested)
+    op = LOperator(apply, solve, DENSE if inner is None else s.path, s.path)
+    # weak: op holds solve, and a cycle would keep each operator's factors
+    # alive until the garbage collector runs
+    op_ref = weakref.ref(op)
+    return op
 
 
 def reduced_solver(g, H: Optional[Metric]) -> Callable:

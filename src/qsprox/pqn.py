@@ -11,10 +11,12 @@ Woodbury inversion.  Globalization adds the shift rho on sufficient-
 decrease failures (from ``SHIFT_SEED``, grown by ``SHIFT_GROW`` up to
 ``SHIFT_CAP``) and halves it after accepted steps.
 
-Where the prox runs: every step and every residual check asks
-``proxeval.exact_prox`` for the prox in its metric, and only when that
-returns no point solves the scaled prox with the interior-point method
-(IPM).  While the memory holds no curvature pairs (mem 0, or before the
+Where the prox runs: every step and every residual check takes its prox
+by ``proxeval.routed_prox``, which asks ``proxeval.exact_prox`` for the
+prox in its metric and only when that returns no point solves the scaled
+prox with the interior-point method (IPM).  Each prox comes back as one
+``proxeval.RoutedProx`` record, and the solver logs and decides from it
+alone.  While the memory holds no curvature pairs (mem 0, or before the
 first accepted pair) H is the scaled identity (1/sigma + rho)*I, and a g
 whose prox kind is closed (``l1``, ``group_l2``, ``l1_ball``,
 ``orthant_dist``, path ``tv1d``: the keys of ``proxeval.CLOSED_RULES``)
@@ -32,7 +34,10 @@ max(kappa * r, ``INNER_FLOOR``).  Rejected IPM trials first re-solve the
 prox at a tighter tolerance before touching the shift, since a loose prox
 solve can turn a genuine decrease into a measured ascent.  An exact trial
 (closed form or certified Newton) would re-solve to the same point, so
-its rejection grows the shift at once.
+its rejection grows the shift at once.  That test reads one field of the
+trial's record, the rule that gave x ("did the IPM give x?"); the log's
+``closed_step`` is a second read of the same field over all of a step's
+trials ("did no trial run the IPM?").
 The decrease test itself carries a roundoff allowance scaled to |f+g|
 (``NOISE_FLOOR``): near a minimizer of a large-scale objective the true
 per-step decrease falls below the evaluation noise of the objective, and
@@ -118,11 +123,12 @@ class IterateLog:
 
     ``inner_iterations``, ``step_norm``, ``closed_step`` and
     ``fallback_reason`` describe the step that produced this iterate (0,
-    0.0, False and "" at iteration 0): its IPM iterations summed over all
-    trials, its length, whether no trial ran the IPM (every trial was
-    closed form or a certified Newton step of ``proxeval.lowrank_l1_prox``,
-    which count 0 IPM iterations), and why Newton gave no certificate when
-    a trial fell back to the IPM ("" when none did).
+    0.0, False and "" at iteration 0).  All but the length are read off
+    the ``proxeval.RoutedProx`` records of the step's trials: the IPM
+    iterations summed over the trials, whether no trial's rule was the
+    IPM (every trial was closed form or a certified Newton step of
+    ``proxeval.lowrank_l1_prox``, which count 0 IPM iterations), and the
+    last trial's Newton fallback reason ("" when no trial fell back).
     """
 
     iteration: int
@@ -142,9 +148,10 @@ class PQNResult:
     """Final iterate.  With status ``inner_failure`` an interior-point prox
     ended without ``optimal`` status (``reason`` says how), and x is the
     last accepted iterate; its residual is inf if that prox was the
-    residual check of x.  ``newton_steps`` counts the trial steps in an
-    L-BFGS metric that Newton certified, ``fallbacks`` those where it gave
-    no certificate and the IPM ran instead."""
+    residual check of x.  ``newton_steps`` counts the trial steps whose
+    record names the certified Newton rule, ``fallbacks`` those whose
+    record carries Newton's reason for giving no certificate, so that the
+    IPM ran instead."""
 
     x: np.ndarray
     status: str
@@ -156,24 +163,6 @@ class PQNResult:
     reason: str = ""
     newton_steps: int = 0
     fallbacks: int = 0
-
-
-class InnerFailure(RuntimeError):
-    """An interior-point prox that PQN needs ended without status optimal."""
-
-
-def _ipm_prox(g, H, z, tol, usable_tol) -> proxeval.ProxResult:
-    """proxeval.prox at ``tol``, so that a failed prox is never used as if
-    it had succeeded: a prox that ends short of optimal is used only if its
-    residual meets ``usable_tol`` (>= tol; the prox is then optimal at that
-    tolerance), and otherwise raises InnerFailure.  The certified re-solves
-    of the shift loop ask for tolerances near roundoff that the IPM may not
-    reach; their usable tolerance is the one the inexactness rule set."""
-    pres = proxeval.prox(g, H, z, tol=tol)
-    if pres.status != OPTIMAL and not pres.residual <= usable_tol:
-        raise InnerFailure(f"prox ended {pres.status} with residual "
-                           f"{pres.residual:.3g}: {pres.reason}")
-    return pres
 
 
 class LBFGSMemory:
@@ -251,18 +240,16 @@ class LBFGSMemory:
 def prox_gradient_residual(g: qscalc.QSFunction, x, grad):
     """Residual x - prox_g(x - grad) in the identity metric.
 
-    Uses ``proxeval.exact_prox`` when it has a rule for g, otherwise an
-    accurate interior-point prox solve (``InnerFailure`` if that solve is
-    not optimal).  Returns (two-norm, inf-norm, prox point);
+    Takes the prox by ``proxeval.routed_prox``: an exact rule for g when
+    there is one, otherwise an accurate interior-point prox solve
+    (``proxeval.InnerFailure`` if that solve is not optimal at
+    ``REF_TOL``).  Returns (two-norm, inf-norm, prox point);
     the prox point doubles as an exact active-pattern probe for closed
     kinds, since it carries hard zeros.  ``solve`` hands that probe to
     ``sup_error_estimate`` for the ``l1`` kind.
     """
-    z = x - grad
-    H = linops.Metric.identity(x.size)
-    p, _ = proxeval.exact_prox(g.prox_kind, H, z)
-    if p is None:
-        p = _ipm_prox(g, H, z, REF_TOL, REF_TOL).x
+    p = proxeval.routed_prox(g, linops.Metric.identity(x.size), x - grad,
+                             REF_TOL, REF_TOL).x
     r = x - p
     rinf = float(np.max(np.abs(r))) if r.size else 0.0
     return float(np.linalg.norm(r)), rinf, p
@@ -342,8 +329,9 @@ def sup_error_estimate(problem, g: qscalc.QSFunction, x, grad,
 
 def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None) -> PQNResult:
     cfg = config or PQNConfig()
+    if cfg.max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float)
-    n = x.size
     mem = LBFGSMemory(cfg.mem, cfg.sigma0, cfg.fixed_sigma)
     F = problem.value(x) + qscalc.evaluate(g, x)
     history: List[IterateLog] = []
@@ -351,10 +339,10 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
 
     grad = problem.gradient(x)
     status = ITERATION_LIMIT
-    pending_inner = 0
-    pending_step = 0.0
-    pending_closed = False
-    pending_fallback = ""
+    # the records of the trials of the step that produced x, and that
+    # step's squared length
+    trials: List[proxeval.RoutedProx] = []
+    dx2 = 0.0
     newton_steps = fallbacks = 0
     reason = ""
     try:
@@ -362,9 +350,12 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             # inf stays if the residual check of x fails
             rinf, estimate = np.inf, None
             r2, rinf, pmap = prox_gradient_residual(g, x, grad)
-            entry = IterateLog(it, time.perf_counter() - t0, F, rinf,
-                               pending_inner, mem.shift, pending_step, x.copy(),
-                               pending_closed, pending_fallback)
+            entry = IterateLog(
+                it, time.perf_counter() - t0, F, rinf,
+                sum(t.iterations for t in trials), mem.shift,
+                float(np.sqrt(dx2)), x.copy(),
+                bool(trials) and all(t.rule != proxeval.IPM for t in trials),
+                next((t.fallback for t in reversed(trials) if t.fallback), ""))
             history.append(entry)
             if cfg.callback is not None:
                 cfg.callback(entry)
@@ -387,51 +378,38 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             # A loose first solve therefore gets one certified re-solve with
             # the tolerance keyed to the observed step before the shift moves;
             # an exact trial would re-solve to the same point.
-            accepted = False
-            inner_spent = 0
-            all_closed = True
-            step_fallback = ""
+            trials = []
             trial_tol = inner_tol
             slack = NOISE_FLOOR * (1.0 + abs(F)) if np.isfinite(F) else 0.0
             while True:
-                had_pairs = bool(mem.pairs)
-                x_new, inner_iters, closed, fallback = _step(
-                    problem, g, x, grad, mem, trial_tol, inner_tol)
-                inner_spent += inner_iters
-                all_closed = all_closed and closed
-                if fallback:
-                    fallbacks += 1
-                    step_fallback = fallback
-                elif closed and had_pairs:
-                    newton_steps += 1
-                F_new = problem.value(x_new) + qscalc.evaluate(g, x_new)
-                dx2 = float((x_new - x) @ (x_new - x))
+                trial = _step(g, x, grad, mem, trial_tol, inner_tol)
+                trials.append(trial)
+                newton_steps += trial.rule == proxeval.NEWTON
+                fallbacks += bool(trial.fallback)
+                F_new = problem.value(trial.x) + qscalc.evaluate(g, trial.x)
+                dx2 = float((trial.x - x) @ (trial.x - x))
                 if F_new <= F - ACCEPT_COEFF * dx2 + slack:
-                    accepted = True
                     break
                 certified = INEXACT_SAFETY * (ACCEPT_COEFF * dx2 + slack)
                 certified = max(certified, INNER_HARD_FLOOR)
-                if not closed and trial_tol > certified:
+                if trial.rule == proxeval.IPM and trial_tol > certified:
                     trial_tol = certified
                     continue
                 mem.shift = max(SHIFT_GROW * mem.shift, SHIFT_SEED)
                 if mem.shift > SHIFT_CAP:
                     break
-            if not accepted:
+            # an accepted trial leaves the shift at or below the cap
+            if mem.shift > SHIFT_CAP:
                 status = STEP_FAILURE
                 break
 
-            grad_new = problem.gradient(x_new)
-            mem.update(x_new - x, grad_new - grad)
+            grad_new = problem.gradient(trial.x)
+            mem.update(trial.x - x, grad_new - grad)
             mem.shift *= SHIFT_SHRINK
             if mem.shift < SHIFT_FLOOR:
                 mem.shift = 0.0
-            pending_inner = inner_spent
-            pending_step = float(np.sqrt(dx2))
-            pending_closed = all_closed
-            pending_fallback = step_fallback
-            x, F, grad = x_new, F_new, grad_new
-    except InnerFailure as exc:
+            x, F, grad = trial.x, F_new, grad_new
+    except proxeval.InnerFailure as exc:
         status, reason = INNER_FAILURE, str(exc)
 
     return PQNResult(
@@ -447,20 +425,14 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     )
 
 
-def _step(problem, g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol):
+def _step(g, x, grad, mem: LBFGSMemory, trial_tol,
+          inner_tol) -> proxeval.RoutedProx:
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
-    ``proxeval.exact_prox`` takes the step when it has a rule for g in H.
-    Otherwise, and when Newton gives no certificate, the scaled prox is
-    solved by the IPM to ``trial_tol``; ``InnerFailure`` if it ends short
-    of optimal with a residual above the step's ``inner_tol``.  Returns
-    (x+, IPM iterations, whether no IPM ran, Newton's reason when it fell
-    back to the IPM, else "").
+    ``proxeval.routed_prox`` takes it: the exact rule for g in H when there
+    is one, otherwise (and when Newton gives no certificate) the IPM to
+    ``trial_tol``, usable short of optimal up to the step's ``inner_tol``.
+    Returns the trial's record; x+ is its ``x``.
     """
     H = mem.metric(x.size)
-    z = x - H.solve(grad)
-    x_new, fallback = proxeval.exact_prox(g.prox_kind, H, z)
-    if x_new is not None:
-        return x_new, 0, True, ""
-    pres = _ipm_prox(g, H, z, trial_tol, inner_tol)
-    return pres.x, pres.iterations, False, fallback
+    return proxeval.routed_prox(g, H, x - H.solve(grad), trial_tol, inner_tol)

@@ -30,7 +30,17 @@ sizes the dense checks refuse.
 ``exact_prox`` routes a prox to these rules by the shape of the metric: a
 scaled identity takes every closed kind, a diagonal-plus-low-rank metric
 takes ``l1`` alone, and any other pair (g, H) has no exact rule and is
-left to ``prox``.  The outer solver asks it for every step.
+left to ``prox``.
+
+``routed_prox`` is the one route of the outer solver's proxes, its steps
+and its residual checks: the exact rule when ``exact_prox`` has one,
+otherwise ``prox`` at the caller's tolerance.  It returns a
+``RoutedProx`` record of the point, the rule that gave it (``CLOSED``,
+``NEWTON`` or ``IPM``), the IPM iterations and Newton's reason when
+Newton ran without a certificate.  An IPM prox that ends short of
+optimal is used only if its residual meets the caller's usable
+tolerance; otherwise ``routed_prox`` raises ``InnerFailure``, so a
+failed prox is never used as if it had succeeded.
 """
 
 from __future__ import annotations
@@ -211,6 +221,23 @@ def lowrank_l1_prox(weight, H: linops.Metric, z) -> LowRankProxResult:
         f"(residual {residual:.3g})")
 
 
+# The rules that can give a prox point, as ``RoutedProx.rule`` names them.
+CLOSED, NEWTON, IPM = "closed", "newton", "ipm"
+
+
+def _exact(kind: Optional[ProxKind], H: linops.Metric, z):
+    """(prox point, rule that ran, Newton's reason) of ``exact_prox``; the
+    rule is None when none applied."""
+    if kind is not None:
+        d, U, _ = H.inverse_parts()
+        if not U.shape[1] and kind.kind in CLOSED_RULES and (d == d[0]).all():
+            return unscaled_prox(kind.scaled(d[0]), z), CLOSED, ""
+        if kind.kind == "l1":
+            res = lowrank_l1_prox(kind.weight, H, z)
+            return (None if res.reason else res.x), NEWTON, res.reason
+    return None, None, ""
+
+
 def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
     """(prox point, reason) of an exact rule for the tagged function in H.
 
@@ -221,15 +248,48 @@ def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
     solves the prox by the IPM; ``reason`` is Newton's stop reason then,
     and "" when no rule applied.
     """
-    if kind is None:
-        return None, ""
-    d, U, _ = H.inverse_parts()
-    if not U.shape[1] and kind.kind in CLOSED_RULES and (d == d[0]).all():
-        return unscaled_prox(kind.scaled(d[0]), z), ""
-    if kind.kind == "l1":
-        res = lowrank_l1_prox(kind.weight, H, z)
-        return (None if res.reason else res.x), res.reason
-    return None, ""
+    x, _, reason = _exact(kind, H, z)
+    return x, reason
+
+
+class InnerFailure(RuntimeError):
+    """An interior-point prox that ``routed_prox`` needs ended without
+    status optimal."""
+
+
+@dataclass
+class RoutedProx:
+    """One prox of ``routed_prox``: the point x, the rule that gave it
+    (``CLOSED``, ``NEWTON`` or ``IPM``), the IPM iterations (0 unless the
+    IPM gave x) and ``fallback``, Newton's stop reason when Newton ran
+    without a certificate and the IPM gave x instead ("" otherwise)."""
+
+    x: np.ndarray
+    rule: str
+    iterations: int = 0
+    fallback: str = ""
+
+
+def routed_prox(g: QSFunction, H: linops.Metric, z, tol: float,
+                usable_tol: float) -> RoutedProx:
+    """prox_g^H(z) by the exact rule of ``exact_prox`` when it gives a
+    point, otherwise by ``prox`` at ``tol``.
+
+    A failed prox is never used as if it had succeeded: an IPM prox that
+    ends short of optimal is used only if its residual meets
+    ``usable_tol`` (>= tol; the prox is then optimal at that tolerance),
+    and otherwise raises InnerFailure.  A caller that asks for a
+    tolerance near roundoff, which the IPM may not reach, passes the
+    looser tolerance it can still use as ``usable_tol``.
+    """
+    x, rule, reason = _exact(g.prox_kind, H, z)
+    if x is not None:
+        return RoutedProx(x, rule)
+    res = prox(g, H, z, tol=tol)
+    if res.status != ipm.OPTIMAL and not res.residual <= usable_tol:
+        raise InnerFailure(f"prox ended {res.status} with residual "
+                           f"{res.residual:.3g}: {res.reason}")
+    return RoutedProx(res.x, IPM, res.iterations, reason)
 
 
 def envelope_value(g: QSFunction, H: linops.Metric, z, x) -> float:

@@ -167,18 +167,12 @@ def build_l1(n: int) -> QSFunction:
 
 
 def build_l2(n: int) -> QSFunction:
-    """g(x) = ||x||_2 with Y the unit Euclidean ball."""
-    A = sp.vstack([sp.csr_matrix((1, n)), _eye(n)], format="csr")
-    b = np.zeros(n + 1)
-    b[0] = -1.0
-    return QSFunction(
-        A=A, b=b, d=np.zeros(n), B=_eye(n),
-        K=cones.product(cones.second_order(n + 1)),
-        closed_form=lambda x: float(np.linalg.norm(x)),
-        prox_kind=ProxKind("group_l2", sizes=(n,)),
-        name="l2",
-        spec={"kind": "l2", "n": n},
-    )
+    """g(x) = ||x||_2 with Y the unit Euclidean ball: the sum of norms of
+    one block."""
+    g = build_sum_of_norms((n,))
+    g.name = "l2"
+    g.spec = {"kind": "l2", "n": n}
+    return g
 
 
 def build_polyhedral_norm(A, b, B) -> QSFunction:
@@ -505,10 +499,10 @@ def moreau_yosida(g0: QSFunction, H: linops.Metric) -> QSFunction:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(g: QSFunction, x, force_ipm: bool = False) -> float:
+def evaluate(g: QSFunction, x) -> float:
     """g(x), from the closed form when available, else by conic solve."""
     x = np.asarray(x, dtype=float)
-    if g.closed_form is not None and not force_ipm:
+    if g.closed_form is not None:
         return g.closed_form(x)
     # imported here because proxeval imports this module
     from qsprox.proxeval import dual_qp

@@ -2,6 +2,8 @@
 dense oracles."""
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -247,6 +249,41 @@ def test_structured_nan_solve_falls_back_to_dense(monkeypatch):
     p = op.solve(q)
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
     np.testing.assert_allclose(p, np.linalg.solve(dense_L(g, H, u), q), rtol=1e-10)
+
+
+def test_solve_time_fallback_sets_the_strategy_to_dense(monkeypatch):
+    """A fallback taken inside solve, when a structured residual fails the
+    guard, shows in the operator's strategy as one taken at build time
+    does, while requested keeps the classified path."""
+    monkeypatch.setattr(linops, "GUARD_TOL", -1.0)
+    g, H = qscalc.build_l1(6), linops.Metric.identity(6)
+    rng = np.random.default_rng(46)
+    u = random_interior(g.K, rng)
+    linops.reset_diagnostics()
+    op = linops.build_L(g, H, u)
+    assert op.strategy == op.requested == linops.L1_DIAG
+    q = rng.standard_normal(6)
+    p = op.solve(q)
+    assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
+    assert op.strategy == linops.DENSE and op.requested == linops.L1_DIAG
+    np.testing.assert_allclose(p, np.linalg.solve(dense_L(g, H, u), q), rtol=1e-10)
+    # an operator that no caller holds falls back all the same
+    np.testing.assert_array_equal(linops.build_L(g, H, u).solve(q), p)
+
+
+def test_operator_is_freed_without_the_cycle_collector():
+    """The solve closure reaches its operator only weakly, so dropping the
+    last reference frees the operator and its factors at once; a cycle
+    would keep every IPM iteration's factors alive until the garbage
+    collector ran, and raised the peak memory of large proxes."""
+    g, H = qscalc.build_l1(6), linops.Metric.identity(6)
+    u = random_interior(g.K, np.random.default_rng(47))
+    gc.disable()
+    try:
+        ref = weakref.ref(linops.build_L(g, H, u))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_banded_helpers_round_trip():

@@ -234,9 +234,10 @@ def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
             mem.shift = shift
             x = rng.standard_normal(n)
             grad = 2.0 * rng.standard_normal(n)
-            step, iters, closed, fallback = pqn._step(None, g, x, grad, mem,
-                                                      1e-8, 1e-8)
-            assert closed and iters == 0 and fallback == ""
+            trial = pqn._step(g, x, grad, mem, 1e-8, 1e-8)
+            assert trial.rule == proxeval.CLOSED
+            assert trial.iterations == 0 and trial.fallback == ""
+            step = trial.x
             c = 1.0 / mem.sigma + shift
             z = x - grad / c
             ref = proxeval.prox(g, linops.Metric.scaled_identity(c, n), z,
@@ -248,6 +249,40 @@ def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
                 return qscalc.evaluate(g, v) + 0.5 * c * float((v - z) @ (v - z))
 
             assert objective(step) <= objective(ref.x) + 1e-12, name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_records_account_for_every_ipm_prox(monkeypatch, seed):
+    """Path-TV least squares at mem 5: the residual checks are closed form,
+    so every IPM prox is a step trial.  The iterations the IPM reports add
+    up to the logged inner iterations, and past iteration 0 an iterate's
+    step ran the IPM exactly when its log says it was not closed."""
+    calls = []
+    real_prox = proxeval.prox
+
+    def spy(*args, **kw):
+        res = real_prox(*args, **kw)
+        calls.append(res.iterations)
+        return res
+
+    # IPM proxes made before each logged iterate
+    marks = []
+    monkeypatch.setattr(pqn.proxeval, "prox", spy)
+    prob, g, _ = problems.synthetic_instance("tv", 60, 30, seed)
+    cfg = pqn.PQNConfig(mem=5, callback=lambda e: marks.append(len(calls)))
+    res = pqn.solve(prob, g, np.zeros(prob.n), cfg)
+    assert calls and sum(calls) == sum(e.inner_iterations for e in res.history)
+    ran_ipm = {k for k in range(1, len(marks)) if marks[k] > marks[k - 1]}
+    assert {e.iteration for e in res.history[1:] if not e.closed_step} == ran_ipm
+
+
+def test_negative_iteration_limit_is_rejected():
+    prob, g, _ = problems.synthetic_instance("l1", 20, 10, 0)
+    with pytest.raises(ValueError, match="max_iter"):
+        pqn.solve(prob, g, np.zeros(prob.n), pqn.PQNConfig(max_iter=-1))
+    res = pqn.solve(prob, g, np.zeros(prob.n), pqn.PQNConfig(max_iter=0))
+    assert res.status == pqn.ITERATION_LIMIT and res.iterations == 0
+    assert len(res.history) == 1
 
 
 def test_quadratic_full_memory_converges_superlinearly():

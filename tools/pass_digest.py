@@ -27,6 +27,11 @@ the change in IPM iterations from the stored run, and ends with the
 largest of each over all jobs, to set against a drift bound such as
 1e-10, and with each workload's IPM iterations summed over its jobs and
 seeds, stored run -> this run.
+
+``--expect TOTAL`` makes the run a bit-identity gate: when the total
+differs from TOTAL it prints both and exits 1.
+
+    python3 tools/pass_digest.py --seeds 1 2 3 --expect <parent's total>
 """
 
 import os
@@ -90,6 +95,8 @@ def main(argv=None) -> int:
                         help="store each job's x, y and IPM iterations")
     parser.add_argument("--against", metavar="FILE.npz",
                         help="report each job's drift from a --dump run")
+    parser.add_argument("--expect", metavar="TOTAL",
+                        help="exit 1 unless the total equals TOTAL")
     args = parser.parse_args(argv)
     ref = None
     if args.against:
@@ -120,6 +127,9 @@ def main(argv=None) -> int:
                     totals[1] += int(parts["ipm"])
                 print(line)
     print(f"total {total.hexdigest()}")
+    mismatch = args.expect is not None and total.hexdigest() != args.expect
+    if mismatch:
+        print(f"total differs: expected {args.expect}, got {total.hexdigest()}")
     if ref is not None:
         print(f"drift max |dx|={worst[0]:.1e} max |dy|={worst[1]:.1e} "
               f"max |dipm|={worst[2]}")
@@ -128,7 +138,7 @@ def main(argv=None) -> int:
             print(f"ipm_iters {name} {before} -> {after} ({change})")
     if args.dump:
         np.savez(args.dump, **stored)
-    return 0
+    return 1 if mismatch else 0
 
 
 if __name__ == "__main__":
