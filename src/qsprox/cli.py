@@ -21,6 +21,7 @@ import argparse
 import csv
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -48,11 +49,11 @@ def _write_csv(path, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
-def _mem_path(out, m):
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return f"{out}_mem{m}"
-    return f"{stem}_mem{m}.{ext}"
+def _out_path(out, tag, suffix=None):
+    """out with tag added to its file name's stem, followed by suffix (by
+    default the name's own extension); the directories are left as they are."""
+    p = Path(out)
+    return str(p.with_name(p.stem + tag + (p.suffix if suffix is None else suffix)))
 
 
 def validate_csv(path, header):
@@ -106,7 +107,7 @@ def _run_solver_family(args, make_instance, residual_only=False):
                             max_iter=args.max_iter)
         result = pqn.solve(problem, g, np.zeros(problem.n), cfg)
         rows = _solver_rows(result, None if residual_only else xstar)
-        path = _mem_path(args.out, m)
+        path = _out_path(args.out, f"_mem{m}")
         _write_csv(path, SOLVER_HEADER, rows)
         estimate = ("n/a" if result.error_estimate is None
                     else f"{result.error_estimate:.3e}")
@@ -136,17 +137,13 @@ def run_conditioning(args):
                       for e in result.history]
             oc = problems.observed_convergence(errors)
             rows = _solver_rows(result, xstar)
-            path = _mem_path(args.out, m).replace(
-                ".csv", f"_r{ratio:g}.csv") if args.out.endswith(".csv") \
-                else f"{_mem_path(args.out, m)}_r{ratio:g}"
+            path = _out_path(args.out, f"_mem{m}_r{ratio:g}")
             _write_csv(path, SOLVER_HEADER, rows)
             oc_rows.append([repr(float(ratio)), m, repr(oc),
                             result.iterations, repr(errors[-1])])
             print(f"ratio={ratio:g} mem={m}: oc={oc:.3f} "
                   f"iterations={result.iterations}")
-    oc_path = args.out.replace(".csv", ".oc.csv") \
-        if args.out.endswith(".csv") else args.out + ".oc.csv"
-    _write_csv(oc_path, OC_HEADER, oc_rows)
+    _write_csv(_out_path(args.out, ".oc", ".csv"), OC_HEADER, oc_rows)
     return 0
 
 

@@ -21,13 +21,16 @@ orthant coordinates as one slice (an index array only when the orthant
 blocks are not contiguous), and the second-order blocks grouped by
 dimension, a group of nblk blocks of dimension m being viewed as an
 (nblk, m) array (a reshaped slice when the group is contiguous, a gather
-otherwise).  Each primitive is then a few array operations per group with
-no loop over blocks, and an orthant-only product does only its
-elementwise work.  Since P(u)^2 = P(u^2), block(u) on a second-order block
-is the diagonal -det(w) J plus the rank-one 2 w w^T with w = u^2;
-``block_parts`` hands out that form for all blocks at once, and
-``block_columns`` spreads its rank-one parts into one sparse column per
-block.
+otherwise).  The eight elementwise primitives (Jordan product and
+solve, inverse, block(u) and its inverse, the NT scaling point, W and
+W^{-1}) run through one skeleton, ``_blockwise``: each is a pair of
+kernels, one on the orthant coordinates and one on a group's (nblk, m)
+arrays, so there is no loop over blocks, and an orthant-only product does
+only its elementwise work, with no copy.  Since P(u)^2 = P(u^2),
+block(u) on a second-order block is the diagonal -det(w) J plus the
+rank-one 2 w w^T with w = u^2; ``block_parts`` hands out that form for
+all blocks at once, and ``block_columns`` spreads its rank-one parts into
+one sparse column per block.
 """
 
 from __future__ import annotations
@@ -168,9 +171,12 @@ def _gamma2(X):
     return X[:, 0] * X[:, 0] - _dot(X[:, 1:], X[:, 1:])
 
 
-def _quad(X, g2, W):
-    # P(x) w = 2 (x.w) x - g2 J w, g2 = x^T J x
-    return (2.0 * _dot(X, W))[:, None] * X - g2[:, None] * _J(W)
+def _quad(X, W, times=1):
+    # P(x)^times w, where P(x) w = 2 (x.w) x - g2 J w, g2 = x^T J x
+    g2 = _gamma2(X)
+    for _ in range(times):
+        W = (2.0 * _dot(X, W))[:, None] * X - g2[:, None] * _J(W)
+    return W
 
 
 def _interior(X):
@@ -191,15 +197,59 @@ def _sqrt(X):
     return out
 
 
-def _out(K, o):
-    """Result vector of a primitive whose orthant part is o (None without
-    orthant blocks).  Without second-order blocks o covers every coordinate
-    and is the result itself, so an orthant-only product makes no copy."""
+def _arrow(A, B):
+    out = np.empty_like(A)
+    out[:, 0] = _dot(A, B)
+    out[:, 1:] = A[:, :1] * B[:, 1:] + B[:, :1] * A[:, 1:]
+    return out
+
+
+def _arrow_solve(L, Q):
+    g2 = _gamma2(L)
+    if ((g2 == 0.0) | (L[:, 0] == 0.0)).any():
+        raise ConeError("singular second-order element in jordan_solve")
+    y0 = (L[:, 0] * Q[:, 0] - _dot(L[:, 1:], Q[:, 1:])) / g2
+    out = np.empty_like(Q)
+    out[:, 0] = y0
+    out[:, 1:] = (Q[:, 1:] - y0[:, None] * L[:, 1:]) / L[:, :1]
+    return out
+
+
+def _nt_point(S, V):
+    g2s = _gamma2(S)
+    g2v = _gamma2(V)
+    if ((g2s <= 0.0) | (g2v <= 0.0) | (S[:, 0] <= 0.0) | (V[:, 0] <= 0.0)).any():
+        raise ConeError("nt_scaling needs strictly interior s and v")
+    gs = np.sqrt(g2s)
+    gv = np.sqrt(g2v)
+    sn = S / gs[:, None]
+    vn = V / gv[:, None]
+    gamma = np.sqrt(0.5 * (1.0 + _dot(sn, vn)))
+    wbar = (sn + _J(vn)) / (2.0 * gamma)[:, None]
+    return _sqrt(np.sqrt(gs / gv)[:, None] * wbar)
+
+
+def _positive(x, message):
+    if (x <= 0.0).any():
+        raise ConeError(message)
+    return x
+
+
+def _blockwise(K, orth, soc, *xs):
+    """The elementwise primitive that applies orth to the orthant parts of
+    xs and soc to each second-order group's (nblk, m) views of them.
+
+    Without second-order blocks the orthant coordinates are all of them:
+    orth runs on the checked vectors themselves and its result is the
+    result, so an orthant-only product makes no slice and no copy."""
+    xs = tuple(map(K._check, xs))
     if not K.soc:
-        return o
+        return orth(*xs)
     out = np.empty(K.total_dim)
-    if o is not None:
-        out[K.orth] = o
+    if K.orth is not None:
+        out[K.orth] = orth(*[x[K.orth] for x in xs])
+    for sel, shape in K.soc:
+        out[sel] = soc(*[x[sel].reshape(shape) for x in xs]).ravel()
     return out
 
 
@@ -240,82 +290,35 @@ def contains(K: ConeProduct, x, strict: bool = False, tol: float = 0.0) -> bool:
 
 def jordan_product(K: ConeProduct, a, b) -> np.ndarray:
     """Blockwise Jordan product: a*b on orthants, arrow(a) b on SOC blocks."""
-    a = K._check(a)
-    b = K._check(b)
-    out = _out(K, None if K.orth is None else a[K.orth] * b[K.orth])
-    for sel, (Ab, Bb) in _groups(K, a, b):
-        blk = np.empty_like(Ab)
-        blk[:, 0] = _dot(Ab, Bb)
-        blk[:, 1:] = Ab[:, :1] * Bb[:, 1:] + Bb[:, :1] * Ab[:, 1:]
-        out[sel] = blk.ravel()
-    return out
+    return _blockwise(K, np.multiply, _arrow, a, b)
 
 
 def jordan_solve(K: ConeProduct, lam, q) -> np.ndarray:
     """Solve arrow(lam) y = q blockwise (Jordan division)."""
-    lam = K._check(lam)
-    q = K._check(q)
-    o = None
-    if K.orth is not None:
-        lo = lam[K.orth]
+    def orth(lo, qo):
         if (lo == 0.0).any():
             raise ConeError("singular orthant element in jordan_solve")
-        o = q[K.orth] / lo
-    out = _out(K, o)
-    for sel, (L, Q) in _groups(K, lam, q):
-        g2 = _gamma2(L)
-        if ((g2 == 0.0) | (L[:, 0] == 0.0)).any():
-            raise ConeError("singular second-order element in jordan_solve")
-        y0 = (L[:, 0] * Q[:, 0] - _dot(L[:, 1:], Q[:, 1:])) / g2
-        blk = np.empty_like(Q)
-        blk[:, 0] = y0
-        blk[:, 1:] = (Q[:, 1:] - y0[:, None] * L[:, 1:]) / L[:, :1]
-        out[sel] = blk.ravel()
-    return out
+        return qo / lo
+    return _blockwise(K, orth, _arrow_solve, lam, q)
 
 
 def inverse(K: ConeProduct, u) -> np.ndarray:
     """Jordan inverse of an interior u: 1/u on orthants, J u / (u^T J u) on SOC blocks."""
-    u = K._check(u)
-    o = None
-    if K.orth is not None:
-        uo = u[K.orth]
-        if (uo <= 0.0).any():
-            raise ConeError("inverse needs a strictly positive orthant part")
-        o = 1.0 / uo
-    out = _out(K, o)
-    for sel, (U,) in _groups(K, u):
-        out[sel] = _inverse(U).ravel()
-    return out
+    def orth(uo):
+        return 1.0 / _positive(uo, "inverse needs a strictly positive orthant part")
+    return _blockwise(K, orth, _inverse, u)
 
 
 def block_apply(K: ConeProduct, u, w) -> np.ndarray:
     """Apply block(u): diag(u) on orthants, P(u)^2 on second-order blocks."""
-    u = K._check(u)
-    w = K._check(w)
-    out = _out(K, None if K.orth is None else u[K.orth] * w[K.orth])
-    for sel, (U, W) in _groups(K, u, w):
-        g2 = _gamma2(U)
-        out[sel] = _quad(U, g2, _quad(U, g2, W)).ravel()
-    return out
+    return _blockwise(K, np.multiply, lambda U, W: _quad(U, W, 2), u, w)
 
 
 def block_solve(K: ConeProduct, u, q) -> np.ndarray:
     """Apply block(u)^{-1}, using P(u)^{-1} = P(u^{-1}) on SOC blocks."""
-    u = K._check(u)
-    q = K._check(q)
-    o = None
-    if K.orth is not None:
-        uo = u[K.orth]
-        if (uo <= 0.0).any():
-            raise ConeError("block_solve needs strictly positive orthant scaling")
-        o = q[K.orth] / uo
-    out = _out(K, o)
-    for sel, (U, Q) in _groups(K, u, q):
-        ui = _inverse(U)
-        g2 = _gamma2(ui)
-        out[sel] = _quad(ui, g2, _quad(ui, g2, Q)).ravel()
-    return out
+    def orth(uo, qo):
+        return qo / _positive(uo, "block_solve needs strictly positive orthant scaling")
+    return _blockwise(K, orth, lambda U, Q: _quad(_inverse(U), Q, 2), u, q)
 
 
 def block_parts(K: ConeProduct, u):
@@ -362,50 +365,21 @@ def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
 
     so that P(w) v = s, and u = w^{1/2} gives block(u) = P(u)^2 = P(w).
     """
-    s = K._check(s)
-    v = K._check(v)
-    o = None
-    if K.orth is not None:
-        so, vo = s[K.orth], v[K.orth]
-        if (so <= 0.0).any() or (vo <= 0.0).any():
-            raise ConeError("nt_scaling needs strictly interior s and v")
-        o = so / vo
-    u = _out(K, o)
-    for sel, (S, V) in _groups(K, s, v):
-        g2s = _gamma2(S)
-        g2v = _gamma2(V)
-        if ((g2s <= 0.0) | (g2v <= 0.0) | (S[:, 0] <= 0.0) | (V[:, 0] <= 0.0)).any():
-            raise ConeError("nt_scaling needs strictly interior s and v")
-        gs = np.sqrt(g2s)
-        gv = np.sqrt(g2v)
-        sn = S / gs[:, None]
-        vn = V / gv[:, None]
-        gamma = np.sqrt(0.5 * (1.0 + _dot(sn, vn)))
-        wbar = (sn + _J(vn)) / (2.0 * gamma)[:, None]
-        w = np.sqrt(gs / gv)[:, None] * wbar
-        u[sel] = _sqrt(w).ravel()
-    return u
+    def orth(so, vo):
+        message = "nt_scaling needs strictly interior s and v"
+        return _positive(so, message) / _positive(vo, message)
+    return _blockwise(K, orth, _nt_point, s, v)
 
 
 def scaling_apply(K: ConeProduct, u, x) -> np.ndarray:
     """Apply W = block(u)^{1/2}: diag(sqrt(u)) on orthants, P(u) on SOC blocks."""
-    u = K._check(u)
-    x = K._check(x)
-    out = _out(K, None if K.orth is None else np.sqrt(u[K.orth]) * x[K.orth])
-    for sel, (U, X) in _groups(K, u, x):
-        out[sel] = _quad(U, _gamma2(U), X).ravel()
-    return out
+    return _blockwise(K, lambda uo, xo: np.sqrt(uo) * xo, _quad, u, x)
 
 
 def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
     """Apply W^{-1} = block(u)^{-1/2}."""
-    u = K._check(u)
-    x = K._check(x)
-    out = _out(K, None if K.orth is None else x[K.orth] / np.sqrt(u[K.orth]))
-    for sel, (U, X) in _groups(K, u, x):
-        ui = _inverse(U)
-        out[sel] = _quad(ui, _gamma2(ui), X).ravel()
-    return out
+    return _blockwise(K, lambda uo, xo: xo / np.sqrt(uo),
+                      lambda U, X: _quad(_inverse(U), X), u, x)
 
 
 # Second-order blocks whose entries lie within this factor of 1 form the

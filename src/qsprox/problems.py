@@ -134,8 +134,8 @@ def known_solution_rhs(A, g: qscalc.QSFunction, xstar) -> np.ndarray:
     else:
         u = np.linalg.solve(np.asarray(A).T, v)
     b = A @ xstar + u
-    p, _ = proxeval.exact_prox(g.prox_kind, linops.Metric.identity(g.n),
-                               xstar + v)
+    p, _, _ = proxeval.exact_prox(g.prox_kind, linops.Metric.identity(g.n),
+                                  xstar + v)
     if p is not None:
         err = float(np.max(np.abs(p - xstar)))
         if err > 1e-8 * (1.0 + float(np.max(np.abs(xstar)))):

@@ -225,9 +225,18 @@ def lowrank_l1_prox(weight, H: linops.Metric, z) -> LowRankProxResult:
 CLOSED, NEWTON, IPM = "closed", "newton", "ipm"
 
 
-def _exact(kind: Optional[ProxKind], H: linops.Metric, z):
-    """(prox point, rule that ran, Newton's reason) of ``exact_prox``; the
-    rule is None when none applied."""
+def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
+    """(prox point, rule that ran, reason) of an exact rule for the tagged
+    function in H.
+
+    The route is read off H: a scaled identity (1/t) I takes any closed
+    kind by ``unscaled_prox`` (rule ``CLOSED``) with the weight scaled by
+    t, a diagonal-plus-low-rank H takes the ``l1`` kind by
+    ``lowrank_l1_prox`` (rule ``NEWTON``).  Otherwise the point and the
+    rule are None.  When Newton gives no certificate the point is None and
+    ``reason`` is Newton's stop reason; it is "" in every other case.  The
+    caller solves the prox by the IPM when the point is None.
+    """
     if kind is not None:
         d, U, _ = H.inverse_parts()
         if not U.shape[1] and kind.kind in CLOSED_RULES and (d == d[0]).all():
@@ -236,20 +245,6 @@ def _exact(kind: Optional[ProxKind], H: linops.Metric, z):
             res = lowrank_l1_prox(kind.weight, H, z)
             return (None if res.reason else res.x), NEWTON, res.reason
     return None, None, ""
-
-
-def exact_prox(kind: Optional[ProxKind], H: linops.Metric, z):
-    """(prox point, reason) of an exact rule for the tagged function in H.
-
-    The route is read off H: a scaled identity (1/t) I takes any closed
-    kind by ``unscaled_prox`` with the weight scaled by t, a diagonal-plus-
-    low-rank H takes the ``l1`` kind by ``lowrank_l1_prox``.  Otherwise, or
-    when Newton gives no certificate, the point is None and the caller
-    solves the prox by the IPM; ``reason`` is Newton's stop reason then,
-    and "" when no rule applied.
-    """
-    x, _, reason = _exact(kind, H, z)
-    return x, reason
 
 
 class InnerFailure(RuntimeError):
@@ -282,7 +277,7 @@ def routed_prox(g: QSFunction, H: linops.Metric, z, tol: float,
     tolerance near roundoff, which the IPM may not reach, passes the
     looser tolerance it can still use as ``usable_tol``.
     """
-    x, rule, reason = _exact(g.prox_kind, H, z)
+    x, rule, reason = exact_prox(g.prox_kind, H, z)
     if x is not None:
         return RoutedProx(x, rule)
     res = prox(g, H, z, tol=tol)

@@ -16,8 +16,11 @@ def read_rows(path):
 
 
 def test_mem_path_forms():
-    assert cli._mem_path("out.csv", 3) == "out_mem3.csv"
-    assert cli._mem_path("plain", 0) == "plain_mem0"
+    assert cli._out_path("out.csv", "_mem3") == "out_mem3.csv"
+    assert cli._out_path("plain", "_mem0") == "plain_mem0"
+    assert cli._out_path("runs.v2/out", "_mem0") == "runs.v2/out_mem0"
+    assert cli._out_path("a.csv.d/cond.csv", ".oc", ".csv") == "a.csv.d/cond.oc.csv"
+    assert cli._out_path("plain", ".oc", ".csv") == "plain.oc.csv"
 
 
 def test_validate_csv_rejects_wrong_header(tmp_path):
@@ -41,19 +44,22 @@ def test_prox_timing_row_count(tmp_path):
 
 
 def test_lsq_l1_writes_per_memory_files(tmp_path):
-    out = tmp_path / "lsq.csv"
-    rc = cli.main(["lsq-l1", "--n", "40", "--p", "20", "--mem", "0,3",
-                   "--out", str(out)])
-    assert rc == 0
-    for m in (0, 3):
-        path = tmp_path / f"lsq_mem{m}.csv"
-        assert path.exists()
-        cli.validate_csv(str(path), cli.SOLVER_HEADER)
-        header, rows = read_rows(path)
-        iters = [int(r[0]) for r in rows]
-        assert iters == list(range(len(rows)))
-        errs = [float(r[3]) for r in rows]
-        assert errs[-1] <= 1e-5 and errs[-1] < errs[0]
+    # Only the file name takes the memory tag, also under a dotted folder.
+    (tmp_path / "runs.v2").mkdir()
+    for out, written in [("lsq.csv", "lsq_mem{m}.csv"),
+                         ("runs.v2/out", "runs.v2/out_mem{m}")]:
+        rc = cli.main(["lsq-l1", "--n", "40", "--p", "20", "--mem", "0,3",
+                       "--out", str(tmp_path / out)])
+        assert rc == 0
+        for m in (0, 3):
+            path = tmp_path / written.format(m=m)
+            assert path.exists()
+            cli.validate_csv(str(path), cli.SOLVER_HEADER)
+            header, rows = read_rows(path)
+            iters = [int(r[0]) for r in rows]
+            assert iters == list(range(len(rows)))
+            errs = [float(r[3]) for r in rows]
+            assert errs[-1] <= 1e-5 and errs[-1] < errs[0]
 
 
 def test_solver_summary_prints_error_estimate(tmp_path, capsys):
@@ -95,21 +101,23 @@ def test_lsq_l1_deterministic_up_to_seconds(tmp_path):
 
 
 def test_conditioning_identity_ratio_converges_immediately(tmp_path):
-    out = tmp_path / "cond.csv"
-    rc = cli.main(["conditioning", "--n", "40", "--ratios", "0",
-                   "--mem", "0,2,10", "--out", str(out)])
-    assert rc == 0
-    oc_path = tmp_path / "cond.oc.csv"
-    cli.validate_csv(str(oc_path), cli.OC_HEADER)
-    header, rows = read_rows(oc_path)
-    assert len(rows) == 3
-    for r in rows:
-        assert int(r[3]) <= 3
-        assert float(r[4]) <= 1e-8
-    for m, ratio in [(0, 0), (2, 0), (10, 0)]:
-        per_run = tmp_path / f"cond_mem{m}_r{ratio:g}.csv"
-        assert per_run.exists()
-        cli.validate_csv(str(per_run), cli.SOLVER_HEADER)
+    # Only the file name takes the tags, also under a folder named *.csv.d.
+    (tmp_path / "a.csv.d").mkdir()
+    for folder in (tmp_path, tmp_path / "a.csv.d"):
+        rc = cli.main(["conditioning", "--n", "40", "--ratios", "0",
+                       "--mem", "0,2,10", "--out", str(folder / "cond.csv")])
+        assert rc == 0
+        oc_path = folder / "cond.oc.csv"
+        cli.validate_csv(str(oc_path), cli.OC_HEADER)
+        header, rows = read_rows(oc_path)
+        assert len(rows) == 3
+        for r in rows:
+            assert int(r[3]) <= 3
+            assert float(r[4]) <= 1e-8
+        for m, ratio in [(0, 0), (2, 0), (10, 0)]:
+            per_run = folder / f"cond_mem{m}_r{ratio:g}.csv"
+            assert per_run.exists()
+            cli.validate_csv(str(per_run), cli.SOLVER_HEADER)
 
 
 def test_logreg_dominating_penalty_stops_at_zero(tmp_path):

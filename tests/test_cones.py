@@ -333,7 +333,7 @@ def boundary_point(blk):
 
 def test_boundary_block_raises_in_every_position():
     """A boundary point in the first, a middle or the last block is
-    refused by nt_scaling, block_solve and jordan_solve."""
+    refused by nt_scaling, block_solve, jordan_solve and inverse."""
     K = cones.ConeProduct([
         cones.second_order(4), cones.orthant(3), cones.second_order(4),
         cones.second_order(2), cones.orthant(2), cones.second_order(4)])
@@ -351,6 +351,8 @@ def test_boundary_block_raises_in_every_position():
             cones.block_solve(K, x, q)
         with pytest.raises(cones.ConeError):
             cones.jordan_solve(K, x, q)
+        with pytest.raises(cones.ConeError):
+            cones.inverse(K, x)
 
 
 def test_min_eigenvalue_matches_block_reference():

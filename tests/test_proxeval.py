@@ -399,11 +399,11 @@ def test_exact_prox_in_the_scaled_identity_is_the_closed_step():
             H = mem.metric(n)
             x = rng.standard_normal(n)
             grad = 2.0 * rng.standard_normal(n)
-            step, reason = proxeval.exact_prox(g.prox_kind, H,
-                                               x - H.solve(grad))
+            step, rule, reason = proxeval.exact_prox(g.prox_kind, H,
+                                                     x - H.solve(grad))
             t = mem.sigma / (1.0 + mem.sigma * shift)
             ref = proxeval.unscaled_prox(g.prox_kind.scaled(t), x - t * grad)
-            assert reason == "", name
+            assert (rule, reason) == (proxeval.CLOSED, ""), name
             np.testing.assert_array_equal(step, ref, err_msg=name)
 
 
@@ -413,8 +413,9 @@ def test_exact_prox_takes_l1_by_newton_in_a_low_rank_metric():
     for rank in (1, 4, 12):
         H = diag_plus_rank_metric(rng, n, rank)
         z = 2.0 * rng.standard_normal(n)
-        x, reason = proxeval.exact_prox(ProxKind("l1", 0.7), H, z)
+        x, rule, reason = proxeval.exact_prox(ProxKind("l1", 0.7), H, z)
         ref = proxeval.lowrank_l1_prox(0.7, H, z)
+        assert rule == proxeval.NEWTON
         assert reason == "" and ref.reason == ""
         np.testing.assert_array_equal(x, ref.x)
 
@@ -425,8 +426,8 @@ def test_exact_prox_without_a_newton_certificate_gives_the_reason(monkeypatch):
     n = 40
     H = diag_plus_rank_metric(rng, n, 4)
     z = 2.0 * rng.standard_normal(n)
-    x, reason = proxeval.exact_prox(ProxKind("l1"), H, z)
-    assert x is None
+    x, rule, reason = proxeval.exact_prox(ProxKind("l1"), H, z)
+    assert x is None and rule == proxeval.NEWTON
     assert reason and reason == proxeval.lowrank_l1_prox(1.0, H, z).reason
 
 
@@ -444,11 +445,11 @@ def test_exact_prox_has_no_rule_for_other_pairs():
     z = rng.standard_normal(n)
     for kind in kinds:
         for H in (low_rank, diagonal):
-            assert proxeval.exact_prox(kind, H, z) == (None, "")
+            assert proxeval.exact_prox(kind, H, z) == (None, None, "")
     cycle = [(i, (i + 1) % n) for i in range(n)]
     graph = qscalc.build_graph_l1(qscalc.incidence_matrix(cycle, n)).prox_kind
     assert graph.kind == "graph_l1"
     for H in (linops.Metric.identity(n), linops.Metric.scaled_identity(3.0, n),
               diagonal, low_rank):
-        assert proxeval.exact_prox(graph, H, z) == (None, "")
-        assert proxeval.exact_prox(None, H, z) == (None, "")
+        assert proxeval.exact_prox(graph, H, z) == (None, None, "")
+        assert proxeval.exact_prox(None, H, z) == (None, None, "")
