@@ -1,6 +1,9 @@
 """Proximal quasi-Newton solver for min f(x) + g(x).
 
-The smooth part f supplies value/gradient; g is a quadratic-support
+The smooth part f is an object with ``value(x)`` and ``gradient(x)``, and,
+when g has the ``l1`` prox kind, ``hessian(x, on)``: the Hessian of f at x
+on the coordinates of the boolean mask ``on``, as a dense array (the
+losses of ``problems`` have all three).  g is a quadratic-support
 function.  The metric is a limited-memory BFGS approximation in compact form,
 
     B = theta*I - [theta*S, Y] M^{-1} [theta*S, Y]^T,
@@ -50,15 +53,17 @@ through the inverse curvature of f, which can be large on coherent
 designs.  For the ``l1`` kind (weighted or not) ``optimal`` additionally
 requires an estimate of the sup-norm error ||x - x*||_inf to be at most
 ``tol``.  The estimate takes the active pattern F of the closed-form
-prox-gradient probe, solves the reduced Newton system
+prox-gradient probe and solves the reduced Newton system
 
     grad^2 f_FF e_F = r_F
 
-(taken at x with its off-pattern entries zeroed) by conjugate gradients
-with Hessian-vector products from gradient differences, and reports
-max(||e_F||_inf + CG error bound, ||r_off||_inf).  It is exact for
-least squares once the pattern is identified and decides only when to
-stop; the iterates do not depend on it.  Other kinds stop on the
+(taken at x with its off-pattern entries zeroed) directly, by one
+symmetric eigendecomposition of the problem's ``hessian`` on F.  It
+reports max(||e_F||_inf + ||grad^2 f_FF e_F - r_F||_2 / lambda_min,
+||r_off||_inf): the second term charges the solve's roundoff in full, so
+the estimate still bounds the error of the reduced system.  It is exact
+for least squares once the pattern is identified and decides only when
+to stop; the iterates do not depend on it.  Other kinds stop on the
 residual alone.
 """
 
@@ -69,7 +74,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.linalg
 
 from qsprox import linops, proxeval, qscalc
 
@@ -91,10 +95,6 @@ INEXACT_SAFETY = 0.25
 # no certified re-solve asks for less: the IPM cannot certify below roundoff
 INNER_HARD_FLOOR = 1e-13
 REF_TOL = 1e-9
-FD_STEP = float(np.sqrt(np.finfo(float).eps))
-# the CG behind the error estimate stops once its error bound is at most
-# this fraction of the estimate
-ESTIMATE_CG_RTOL = 1e-3
 
 
 @dataclass
@@ -246,7 +246,8 @@ def prox_gradient_residual(g: qscalc.QSFunction, x, grad):
     ``REF_TOL``).  Returns (two-norm, inf-norm, prox point);
     the prox point doubles as an exact active-pattern probe for closed
     kinds, since it carries hard zeros.  ``solve`` hands that probe to
-    ``sup_error_estimate`` for the ``l1`` kind.
+    ``sup_error_estimate`` for the ``l1`` kind, which solves the reduced
+    Newton system on its pattern.
     """
     p = proxeval.routed_prox(g, linops.Metric.identity(x.size), x - grad,
                              REF_TOL, REF_TOL).x
@@ -263,12 +264,13 @@ def sup_error_estimate(problem, g: qscalc.QSFunction, x, grad,
     x* shares the probe's active pattern F = {p != 0} and signs.  Off F the
     probe is zero, so the error there is r_off = x_off.  On F, with x~ the
     iterate with its off-pattern entries zeroed, the first-order condition
-    at x* gives grad^2 f_FF (x~ - x*)_F = r_F + (grad f(x~) - grad)_F, which
-    is solved by conjugate gradients with Hessian-vector products from
-    gradient differences.  The CG residual rho is charged in full through
-    ||rho||_2 / theta_min, theta_min being the smallest Ritz value of the
-    CG Lanczos matrix.  A reduced Hessian that is not positive definite
-    gives an infinite estimate.
+    at x* gives grad^2 f_FF (x~ - x*)_F = r_F + (grad f(x~) - grad)_F.  The
+    reduced Hessian ``problem.hessian(x~, F)`` is factored once by a
+    symmetric eigendecomposition, which gives both the solve e and the
+    smallest eigenvalue lambda_min.  The solve's roundoff is charged in
+    full: the residual rho = grad^2 f_FF e - rhs adds ||rho||_2 / lambda_min,
+    a bound on ||e - e_exact||_2.  A reduced Hessian that is not positive
+    definite (lambda_min <= 0) gives an infinite estimate.
     """
     if g.prox_kind is None or g.prox_kind.kind != "l1":
         return None
@@ -280,51 +282,13 @@ def sup_error_estimate(problem, g: qscalc.QSFunction, x, grad,
     xt = np.where(on, x, 0.0)
     gt = problem.gradient(xt) if off_err > 0.0 else grad
     rhs = r[on] + (gt - grad)[on]
-    step0 = FD_STEP * max(1.0, float(np.max(np.abs(xt))))
-
-    def hess(v):
-        full = np.zeros_like(x)
-        full[on] = v
-        h = step0 / np.linalg.norm(v)
-        return (problem.gradient(xt + h * full)[on] - gt[on]) / h
-
-    e = np.zeros_like(rhs)
-    res = rhs.copy()
-    d = res.copy()
-    rr = float(res @ res)
-    bound = np.inf
-    diag, offd = [], []
-    alpha_prev = beta_prev = None
-    # The Ritz bound is trusted only once the Krylov space could span the
-    # whole pattern; before that theta can miss a flat direction.
-    for k in range(2 * rhs.size + 10):
-        if rr == 0.0:
-            bound = 0.0
-            break
-        if (k >= rhs.size
-                and bound <= ESTIMATE_CG_RTOL * np.max(np.abs(e))):
-            break
-        Hd = hess(d)
-        dHd = float(d @ Hd)
-        if not dHd > 0.0:
-            return np.inf
-        alpha = rr / dHd
-        e += alpha * d
-        res -= alpha * Hd
-        rr_new = float(res @ res)
-        beta = rr_new / rr
-        # Lanczos tridiagonal from the CG coefficients; its smallest
-        # eigenvalue turns the residual into a bound on the CG error
-        diag.append(1.0 / alpha + (beta_prev / alpha_prev
-                                   if alpha_prev is not None else 0.0))
-        theta = scipy.linalg.eigvalsh_tridiagonal(
-            np.array(diag), np.array(offd), select="i",
-            select_range=(0, 0))[0]
-        offd.append(np.sqrt(beta) / alpha)
-        bound = np.sqrt(rr_new) / theta if theta > 0.0 else np.inf
-        d = res + beta * d
-        rr, alpha_prev, beta_prev = rr_new, alpha, beta
-    return max(float(np.max(np.abs(e))) + bound, off_err)
+    H = problem.hessian(xt, on)
+    lam, V = np.linalg.eigh(H)
+    if not lam[0] > 0.0:
+        return np.inf
+    e = V @ ((V.T @ rhs) / lam)
+    roundoff = float(np.linalg.norm(H @ e - rhs)) / lam[0]
+    return max(float(np.max(np.abs(e))) + roundoff, off_err)
 
 
 def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None) -> PQNResult:

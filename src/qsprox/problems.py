@@ -38,6 +38,12 @@ class LeastSquares:
     def gradient(self, x):
         return self.A.T @ (self.A @ x - self.b)
 
+    def hessian(self, x, on):
+        """A_F^T A_F on the columns F of the mask ``on``, dense."""
+        AF = self.A[:, on]
+        H = AF.T @ AF
+        return H.toarray() if sp.issparse(H) else H
+
 
 class LogisticLoss:
     """f(x) = mean_i log(1 + exp(z_i^T x)) for precomputed rows z_i = -y_i a_i."""
@@ -56,6 +62,13 @@ class LogisticLoss:
     def gradient(self, x):
         t = self.Z @ x
         return self.Z.T @ expit(t) / self.Z.shape[0]
+
+    def hessian(self, x, on):
+        """Z_F^T diag(s (1 - s)) Z_F / N with s = expit(Z x), on the
+        columns F of the mask ``on``."""
+        s = expit(self.Z @ x)
+        ZF = self.Z[:, on]
+        return (ZF.T * (s * (1.0 - s))) @ ZF / self.Z.shape[0]
 
 
 # ---------------------------------------------------------------------------

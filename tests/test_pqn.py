@@ -35,6 +35,23 @@ class WrongSignGradient:
         return -10.0 * x
 
 
+class IndefiniteQuadratic:
+    """f(x) = 1/2 x^T Q x with a symmetric Q that need not be positive
+    definite."""
+
+    def __init__(self, Q):
+        self.Q = Q
+
+    def value(self, x):
+        return 0.5 * float(x @ self.Q @ x)
+
+    def gradient(self, x):
+        return self.Q @ x
+
+    def hessian(self, x, on):
+        return self.Q[np.ix_(on, on)]
+
+
 def quadratic_problem(rng, n, cond=10.0):
     U = np.linalg.qr(rng.standard_normal((n, n)))[0]
     vals = np.linspace(1.0, cond, n)
@@ -398,6 +415,51 @@ def test_error_estimate_matches_reduced_newton_solve():
     np.testing.assert_array_equal(p != 0.0, support)
     est = pqn.sup_error_estimate(prob, g, x, grad, p)
     assert abs(est - np.max(np.abs(x - xstar))) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_error_estimate_is_the_sup_error_on_planted_l1_least_squares(seed):
+    """Near a planted minimizer the pattern is found, and the reduced solve
+    gives the true sup error, with or without off-pattern entries."""
+    prob, g, xstar = problems.synthetic_instance("l1", 60, 30, seed)
+    rng = np.random.default_rng(seed)
+    support = xstar != 0.0
+    for off in (0.0, 1e-7):
+        x = xstar + rng.standard_normal(xstar.size) * np.where(support, 1e-6, off)
+        grad = prob.gradient(x)
+        _, _, p = pqn.prox_gradient_residual(g, x, grad)
+        np.testing.assert_array_equal(p != 0.0, support)
+        est = pqn.sup_error_estimate(prob, g, x, grad, p)
+        assert abs(est - np.max(np.abs(x - xstar))) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_error_estimate_is_the_sup_error_on_l1_logistic(seed):
+    """At an ``optimal`` stop of l1 logistic regression the estimate equals
+    the sup distance to a tol-1e-11 reference solve to 1e-3 relative."""
+    loss = problems.LogisticLoss(problems.logistic_synthetic(200, 50, seed))
+    g = qscalc.scale(qscalc.build_l1(50), 0.01)
+    ref = pqn.solve(loss, g, np.zeros(50), pqn.PQNConfig(mem=10, tol=1e-11))
+    assert ref.status == pqn.OPTIMAL
+    for mem in (0, 10):
+        res = pqn.solve(loss, g, np.zeros(50), pqn.PQNConfig(mem=mem, tol=1e-6))
+        assert res.status == pqn.OPTIMAL
+        true = np.max(np.abs(res.x - ref.x))
+        assert abs(res.error_estimate - true) <= 1e-3 * true
+
+
+def test_indefinite_reduced_hessian_gives_infinite_estimate():
+    """A reduced Hessian that is not positive definite gives an infinite
+    estimate: the reduced system still has a solution, but it bounds
+    nothing."""
+    prob = IndefiniteQuadratic(np.diag([2.0, -1.0, 3.0]))
+    g = qscalc.build_l1(3)
+    x = np.array([1.0, 2.0, 0.0])
+    p = np.array([0.9, 1.9, 0.0])
+    assert pqn.sup_error_estimate(prob, g, x, prob.gradient(x), p) == np.inf
+    # the same pattern of a convex f gives a finite estimate
+    prob = IndefiniteQuadratic(np.diag([2.0, 1.0, 3.0]))
+    assert np.isfinite(pqn.sup_error_estimate(prob, g, x, prob.gradient(x), p))
 
 
 def test_optimal_l1_stop_certifies_sup_error():

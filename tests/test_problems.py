@@ -209,6 +209,12 @@ def test_observed_convergence_rejects_flat_ones():
         problems.observed_convergence([])
 
 
+def fd_hessian(gradient, x, on):
+    """Central-difference Hessian from ``gradient``, on the mask ``on``."""
+    F = np.flatnonzero(on)
+    return np.array([fd_gradient(lambda v: gradient(v)[i], x) for i in F])[:, F]
+
+
 def test_least_squares_value_and_gradient():
     rng = np.random.default_rng(80)
     A = rng.standard_normal((7, 5))
@@ -220,6 +226,15 @@ def test_least_squares_value_and_gradient():
     np.testing.assert_allclose(prob.gradient(x), A.T @ r, atol=1e-12)
     np.testing.assert_allclose(prob.gradient(x),
                                fd_gradient(prob.value, x), atol=1e-6)
+    # the Hessian on a mask is dense A_F^T A_F, also for a CSR A
+    on = np.array([True, False, True, True, False])
+    for M in (A, sp.csr_matrix(A)):
+        prob = problems.LeastSquares(M, b)
+        H = prob.hessian(x, on)
+        assert isinstance(H, np.ndarray) and H.shape == (3, 3)
+        np.testing.assert_allclose(H, A[:, on].T @ A[:, on], atol=1e-12)
+        np.testing.assert_allclose(H, fd_hessian(prob.gradient, x, on),
+                                   atol=1e-6)
 
 
 def test_logistic_value_at_zero_is_log_two():
@@ -236,6 +251,9 @@ def test_logistic_gradient_matches_fd():
     x = 0.3 * rng.standard_normal(5)
     np.testing.assert_allclose(prob.gradient(x),
                                fd_gradient(prob.value, x), atol=1e-6)
+    on = np.array([False, True, True, False, True])
+    np.testing.assert_allclose(prob.hessian(x, on),
+                               fd_hessian(prob.gradient, x, on), atol=1e-6)
 
 
 def test_logistic_single_row_asymptote():

@@ -21,12 +21,19 @@ instead.  Run the parent checkout with ``--dump`` and the change with
     python3 tools/pass_digest.py --seeds 1 2 3 --against parent.npz
 
 ``--dump FILE.npz`` stores each job's final x, its dual y (proxes only)
-and its IPM iterations (a PQN solve's summed over its steps).
+and its IPM iterations (a PQN solve's summed over its steps), and for a
+PQN solve its ``error_estimate`` (NaN when it is None).
 ``--against FILE.npz`` appends to each job's line max |dx|, max |dy| and
-the change in IPM iterations from the stored run, and ends with the
-largest of each over all jobs, to set against a drift bound such as
-1e-10, and with each workload's IPM iterations summed over its jobs and
-seeds, stored run -> this run.
+the change in IPM iterations from the stored run, and for a PQN solve
+the relative change in its error estimate, and ends with the largest of
+each over all jobs, to set against a drift bound such as 1e-10, and with
+each workload's IPM iterations summed over its jobs and seeds, stored
+run -> this run.
+
+A dump made by an older copy of this tool holds no estimates.  Make the
+parent's dump with this file: copy it into a clean checkout of the
+parent commit (``git clone`` or ``git archive``) and run it there, since
+it reads ``src/`` and ``bench/`` next to its own folder.
 
 ``--expect TOTAL`` makes the run a bit-identity gate: when the total
 differs from TOTAL it prints both and exits 1.
@@ -75,7 +82,10 @@ def result_parts(res) -> dict:
     history = getattr(res, "history", None)
     ipm_iters = res.iterations if history is None else sum(
         entry.inner_iterations for entry in history)
-    return {"x": res.x, "y": getattr(res, "y", np.zeros(0)), "ipm": ipm_iters}
+    parts = {"x": res.x, "y": getattr(res, "y", np.zeros(0)), "ipm": ipm_iters}
+    if history is not None:
+        parts["est"] = np.nan if res.error_estimate is None else res.error_estimate
+    return parts
 
 
 def drift(parts, ref, key) -> tuple:
@@ -86,6 +96,17 @@ def drift(parts, ref, key) -> tuple:
 
     return (max_diff(parts["x"], ref[f"{key}:x"]), max_diff(parts["y"], ref[f"{key}:y"]),
             int(parts["ipm"] - ref[f"{key}:ipm"]))
+
+
+def relative_change(a, b) -> float:
+    """|a - b| / |b| from the stored estimate b to this run's a: 0 when
+    they are equal or both NaN (no estimate), inf when only one is NaN or
+    b is 0 or inf."""
+    if a == b or (np.isnan(a) and np.isnan(b)):
+        return 0.0
+    if np.isnan(a) or not np.isfinite(b) or b == 0.0:
+        return np.inf
+    return float(abs(a - b) / abs(b))
 
 
 def main(argv=None) -> int:
@@ -103,7 +124,7 @@ def main(argv=None) -> int:
         with np.load(args.against) as run:
             ref = dict(run)
     stored = {}
-    worst = [0.0, 0.0, 0]
+    worst = [0.0, 0.0, 0, 0.0]
     # workload -> [stored IPM iterations, this run's]
     ipm_totals = {}
     total = hashlib.sha256()
@@ -120,8 +141,12 @@ def main(argv=None) -> int:
                     stored.update({f"{key}:{k}": v for k, v in parts.items()})
                 if ref is not None:
                     dx, dy, dipm = drift(parts, ref, key)
-                    worst = [max(worst[0], dx), max(worst[1], dy), max(worst[2], abs(dipm))]
+                    worst[:3] = [max(worst[0], dx), max(worst[1], dy), max(worst[2], abs(dipm))]
                     line += f" dx={dx:.1e} dy={dy:.1e} dipm={dipm:+d}"
+                    if "est" in parts:
+                        dest = relative_change(parts["est"], ref[f"{key}:est"])
+                        worst[3] = max(worst[3], dest)
+                        line += f" dest={dest:.1e}"
                     totals = ipm_totals.setdefault(name, [0, 0])
                     totals[0] += int(ref[f"{key}:ipm"])
                     totals[1] += int(parts["ipm"])
@@ -132,7 +157,7 @@ def main(argv=None) -> int:
         print(f"total differs: expected {args.expect}, got {total.hexdigest()}")
     if ref is not None:
         print(f"drift max |dx|={worst[0]:.1e} max |dy|={worst[1]:.1e} "
-              f"max |dipm|={worst[2]}")
+              f"max |dipm|={worst[2]} max rel |dest|={worst[3]:.1e}")
         for name, (before, after) in ipm_totals.items():
             change = f"{100.0 * (after - before) / before:+.1f}%" if before else "n/a"
             print(f"ipm_iters {name} {before} -> {after} ({change})")
