@@ -21,16 +21,27 @@ orthant coordinates as one slice (an index array only when the orthant
 blocks are not contiguous), and the second-order blocks grouped by
 dimension, a group of nblk blocks of dimension m being viewed as an
 (nblk, m) array (a reshaped slice when the group is contiguous, a gather
-otherwise).  The eight elementwise primitives (Jordan product and
-solve, inverse, block(u) and its inverse, the NT scaling point, W and
-W^{-1}) run through one skeleton, ``_blockwise``: each is a pair of
-kernels, one on the orthant coordinates and one on a group's (nblk, m)
-arrays, so there is no loop over blocks, and an orthant-only product does
-only its elementwise work, with no copy.  Since P(u)^2 = P(u^2),
-block(u) on a second-order block is the diagonal -det(w) J plus the
-rank-one 2 w w^T with w = u^2; ``block_parts`` hands out that form for
-all blocks at once, and ``block_columns`` spreads its rank-one parts into
-one sparse column per block.
+otherwise).  The elementwise primitives run through one skeleton,
+``_blockwise``: each is a pair of kernels, one on the orthant coordinates
+and one on a group's (nblk, m) arrays, so there is no loop over blocks,
+and an orthant-only product does only its elementwise work, with no copy.
+Since P(u)^2 = P(u^2), block(u) on a second-order block is the diagonal
+-det(w) J plus the rank-one 2 w w^T with w = u^2; ``block_parts`` hands
+out that form for all blocks at once, and ``block_columns`` spreads its
+rank-one parts into one sparse column per block.
+
+The record.  The four scaling operators block(u)^{+-1} and W^{+-1} =
+block(u)^{+-1/2} are read from a ``Scaling`` record of u, made once per
+interior-point iteration by ``nt_scaling`` (or ``Scaling(K, u)`` for a
+given u), in the way CVXOPT's coneqp keeps each block's scaling.  It
+checks u interior once and keeps u^{-1}, sqrt(u) on the orthant
+coordinates and, per second-order group, P(u) and P(u^{-1}) as (a, 2a,
+gamma2(a) J), so that P(a) x = (a.x) 2a - gamma2(a) J x is one row-wise
+dot and three elementwise operations and is, to the bit, P(a) x formed
+from a alone.  W = P(u), W^{-1} = P(u^{-1}) and block(u)^{+-1} is
+P(u^{+-1}) applied twice.  The one rank-one form P(u^{+-2}) would save an
+apply, but a block_solve round trip then drifts past 1e-12 and no result
+stays bit-identical.
 """
 
 from __future__ import annotations
@@ -171,14 +182,6 @@ def _gamma2(X):
     return X[:, 0] * X[:, 0] - _dot(X[:, 1:], X[:, 1:])
 
 
-def _quad(X, W, times=1):
-    # P(x)^times w, where P(x) w = 2 (x.w) x - g2 J w, g2 = x^T J x
-    g2 = _gamma2(X)
-    for _ in range(times):
-        W = (2.0 * _dot(X, W))[:, None] * X - g2[:, None] * _J(W)
-    return W
-
-
 def _interior(X):
     g2 = _gamma2(X)
     if ((g2 <= 0.0) | (X[:, 0] <= 0.0)).any():
@@ -187,7 +190,24 @@ def _interior(X):
 
 
 def _inverse(X):
-    return _J(X) / _interior(X)[:, None]
+    """(X^{-1}, gamma2(X)) of an interior X, row by row."""
+    g2 = _interior(X)
+    return _J(X) / g2[:, None], g2
+
+
+def _pform(A, g2):
+    """P(a) on the rows of A as (a, 2a, gamma2(a) J), g2 = gamma2(A), with
+    a kept as the (nblk, 1, m) stack that ``_dot`` multiplies."""
+    return A[:, None, :], 2.0 * A, g2[:, None] * _jdiag(A.shape[1])
+
+
+def _papply(form, X, times):
+    # P(a)^times x.  a.x is _dot(a, x), column-shaped; doubling and sign
+    # flips are exact, so each pass is 2 (a.x) a - g2 J x to the bit.
+    A, A2, GJ = form
+    for _ in range(times):
+        X = np.matmul(A, X[:, :, None])[:, 0] * A2 - GJ * X
+    return X
 
 
 def _sqrt(X):
@@ -302,23 +322,50 @@ def jordan_solve(K: ConeProduct, lam, q) -> np.ndarray:
     return _blockwise(K, orth, _arrow_solve, lam, q)
 
 
-def inverse(K: ConeProduct, u) -> np.ndarray:
-    """Jordan inverse of an interior u: 1/u on orthants, J u / (u^T J u) on SOC blocks."""
-    def orth(uo):
-        return 1.0 / _positive(uo, "inverse needs a strictly positive orthant part")
-    return _blockwise(K, orth, _inverse, u)
+class Scaling:
+    """The record of an interior scaling point u (module docstring, The
+    record); ConeError unless u is interior.
+
+    ``u`` and ``uinv`` are u and u^{-1}.  ``orth`` and ``root`` are u's
+    orthant part (u itself without second-order blocks) and its square
+    root, None without orthant blocks.  ``fwd`` and ``inv`` hold P(u) and
+    P(u^{-1}) per second-order group, in the order of ``K.soc``."""
+
+    def __init__(self, K: ConeProduct, u):
+        self.K, self.u = K, K._check(u)
+        self.orth = self.root = None
+        self.fwd, self.inv = [], []
+
+        def orth(uo):
+            self.orth = _positive(uo, "inverse needs a strictly positive orthant part")
+            self.root = np.sqrt(uo)
+            return 1.0 / uo
+
+        def soc(U):
+            Ui, g2 = _inverse(U)
+            self.fwd.append(_pform(U, g2))
+            self.inv.append(_pform(Ui, _gamma2(Ui)))
+            return Ui
+
+        self.uinv = _blockwise(K, orth, soc, self.u)
 
 
-def block_apply(K: ConeProduct, u, w) -> np.ndarray:
+def _scaled(W, orth, forms, x, times=1):
+    """orth on x's orthant part and P(a)^times on each second-order group,
+    P(a) taken from ``forms`` in group order, as ``_blockwise`` visits
+    them."""
+    forms = iter(forms)
+    return _blockwise(W.K, orth, lambda X: _papply(next(forms), X, times), x)
+
+
+def block_apply(W: Scaling, w) -> np.ndarray:
     """Apply block(u): diag(u) on orthants, P(u)^2 on second-order blocks."""
-    return _blockwise(K, np.multiply, lambda U, W: _quad(U, W, 2), u, w)
+    return _scaled(W, lambda wo: W.orth * wo, W.fwd, w, 2)
 
 
-def block_solve(K: ConeProduct, u, q) -> np.ndarray:
+def block_solve(W: Scaling, q) -> np.ndarray:
     """Apply block(u)^{-1}, using P(u)^{-1} = P(u^{-1}) on SOC blocks."""
-    def orth(uo, qo):
-        return qo / _positive(uo, "block_solve needs strictly positive orthant scaling")
-    return _blockwise(K, orth, lambda U, Q: _quad(_inverse(U), Q, 2), u, q)
+    return _scaled(W, lambda qo: qo / W.orth, W.inv, q, 2)
 
 
 def block_parts(K: ConeProduct, u):
@@ -353,8 +400,9 @@ def block_columns(K: ConeProduct, r) -> sp.csc_matrix:
     return sp.csc_matrix((r[rows], rows, ptr), shape=(K.total_dim, dims.size))
 
 
-def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
-    """Scaling point u of the interior pair (s, v): block(u) v = s.
+def nt_scaling(K: ConeProduct, s, v) -> Scaling:
+    """The record of the scaling point u of the interior pair (s, v):
+    block(u) v = s.
 
     Orthant blocks: the elementwise ratio u = s / v.  Second-order blocks:
     the Jordan square root of the classical scaling point w, built from the
@@ -368,18 +416,34 @@ def nt_scaling(K: ConeProduct, s, v) -> np.ndarray:
     def orth(so, vo):
         message = "nt_scaling needs strictly interior s and v"
         return _positive(so, message) / _positive(vo, message)
-    return _blockwise(K, orth, _nt_point, s, v)
+    return Scaling(K, _blockwise(K, orth, _nt_point, s, v))
 
 
-def scaling_apply(K: ConeProduct, u, x) -> np.ndarray:
+def scaling_apply(W: Scaling, x) -> np.ndarray:
     """Apply W = block(u)^{1/2}: diag(sqrt(u)) on orthants, P(u) on SOC blocks."""
-    return _blockwise(K, lambda uo, xo: np.sqrt(uo) * xo, _quad, u, x)
+    return _scaled(W, lambda xo: W.root * xo, W.fwd, x)
 
 
-def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
+def scaling_solve(W: Scaling, x) -> np.ndarray:
     """Apply W^{-1} = block(u)^{-1/2}."""
-    return _blockwise(K, lambda uo, xo: xo / np.sqrt(uo),
-                      lambda U, X: _quad(_inverse(U), X), u, x)
+    return _scaled(W, lambda xo: xo / W.root, W.inv, x)
+
+
+def _orthant_crossing(xo, do):
+    """The first t > 0 with xo + t do on the orthant's boundary, inf if none.
+
+    That is min over do_i < 0 of xo_i / -do_i.  The rates do/xo (xo > 0)
+    single out, in one pass, the few coordinates within roundoff of that
+    minimum; the crossing is then computed on those alone, to the bit as
+    over all of them.  One call per vector frees its full-length rates
+    before the next vector's are formed: two alive at once cost page faults
+    at n = 2^16, and joining the vectors costs a copy."""
+    rate = do / xo
+    low = rate.min()
+    if not low < 0.0:
+        return np.inf
+    near = np.flatnonzero(rate <= low * (1.0 - 1e-15))
+    return (xo[near] / -do[near]).min()
 
 
 # Second-order blocks whose entries lie within this factor of 1 form the
@@ -387,27 +451,22 @@ def scaling_solve(K: ConeProduct, u, x) -> np.ndarray:
 _STEP_SAFE = 2.0 ** 200
 
 
-def max_step(K: ConeProduct, x, dx, frac: float = 1.0) -> float:
-    """Largest alpha <= 1 with x + t*dx in K for t in [0, alpha], damped by frac.
+def max_step(K: ConeProduct, pairs, frac: float = 1.0) -> float:
+    """Largest alpha <= 1 with x + t*dx in K for t in [0, alpha] and every
+    (x, dx) in pairs, damped by frac.
 
-    x must be strictly interior.  Returns min(1, frac * t_boundary) where
-    t_boundary is the first crossing of the cone boundary (inf if none).
+    Each x must be strictly interior.  Returns min(1, frac * t_boundary)
+    where t_boundary is the first crossing of the cone boundary by any
+    pair (inf if none): to the bit, the least of the single-pair steps.
     """
-    x = K._check(x)
-    dx = K._check(dx)
+    pairs = [(K._check(x), K._check(dx)) for x, dx in pairs]
     t = np.inf
-    if K.orth is not None:
-        # The first orthant crossing is at min over dx_i < 0 of x_i / -dx_i.
-        # The rates dx/x (x > 0) single out, in one pass, the few
-        # coordinates within roundoff of that minimum; the crossing is then
-        # computed on those alone, to the bit as over all of them.
-        xo, do = x[K.orth], dx[K.orth]
-        rate = do / xo
-        low = rate.min()
-        if low < 0.0:
-            near = np.flatnonzero(rate <= low * (1.0 - 1e-15))
-            t = (xo[near] / -do[near]).min()
-    for _, (X, D) in _groups(K, x, dx):
+    for x, dx in pairs if K.orth is not None else ():
+        t = min(t, _orthant_crossing(x[K.orth], dx[K.orth]))
+    for sel, shape in K.soc:
+        # The pairs' blocks of one group are stacked, one block per row.
+        X = np.concatenate([x[sel].reshape(shape) for x, _ in pairs])
+        D = np.concatenate([dx[sel].reshape(shape) for _, dx in pairs])
         # gamma2(x + t dx) = a t^2 + 2 b t + c with c > 0 at an interior x;
         # the first positive root is where the boundary is reached.
         # b^2 - ac is quartic in the entries: it neither overflows nor

@@ -20,10 +20,14 @@ built once per QP (``ConicQP.At``), Q y is applied once per iteration
 for both the dual residual and the objective, and a direction's first-row
 residual takes Q dy from the reduced solve (``LOperator.solve(q,
 quad=True)``), whose residual check applies L, and with it Q, to the very
-dy it returns.  A direction thus costs one metric product per solve.  The
-loop keeps what it measured at its head as an ``IPMResult`` record, and
-the report is the record of the iterate it returns, so the returned
-point is not measured again.
+dy it returns.  A direction thus costs one metric product per solve.
+``cones.nt_scaling`` makes one record of the scaling point per iteration
+(``cones.Scaling``): it checks u interior and inverts it once, and every
+block(u)^{+-1} and W^{+-1} apply, in the eliminations and in the reduced
+operator, reads it.  One ``cones.max_step`` call bounds each step for s
+and v together.  The loop keeps what it measured at its head as an
+``IPMResult`` record, and the report is the record of the iterate it
+returns, so the returned point is not measured again.
 
 The start (``initial_point``) depends on whether y = 0 is strictly
 feasible, that is whether -b lies inside K.  Where it does (l1, tv, their
@@ -93,8 +97,9 @@ class TraceEntry:
 
 @dataclass
 class ConicQP:
-    """Conic QP data; `lsolver` maps a scaling point u to an L(u) operator
-    for L(u) = Q + A^T block(u)^{-1} A (see ``linops.LOperator``)."""
+    """Conic QP data; `lsolver` maps the record of a scaling point u
+    (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A
+    (see ``linops.LOperator``)."""
 
     Qapply: Callable
     c: np.ndarray
@@ -139,10 +144,11 @@ def residuals(qp: ConicQP, y, v, s, Qy):
     return r_d, r_p
 
 
-def newton_direction(qp: ConicQP, u, Lop, t_d, t_p, t_mu):
+def newton_direction(qp: ConicQP, W, Lop, t_d, t_p, t_mu):
     """Solve the scaled KKT system for a given right-hand side triple.
 
-    The system, with S = block(u) and V = I after scaling, is
+    The system, with S = block(u) and V = I after scaling, W the record
+    of u, is
 
         [ Q  -A^T  0 ] [dy]   [t_d ]
         [ A   0   -I ] [dv] = [t_p ]
@@ -154,15 +160,13 @@ def newton_direction(qp: ConicQP, u, Lop, t_d, t_p, t_mu):
     degenerates near optimality.  The row residuals reuse the products the
     elimination formed: Q dy from the reduced solve, A dy and block(u) dv.
     """
-    K = qp.K
-
     def eliminate(b_d, b_p, b_mu):
         b = b_p + b_mu
-        dy, Qdy = Lop.solve(b_d + qp.At @ cones.block_solve(K, u, b), quad=True)
+        dy, Qdy = Lop.solve(b_d + qp.At @ cones.block_solve(W, b), quad=True)
         Ady = qp.A @ dy
         b -= Ady
-        dv = cones.block_solve(K, u, b)
-        Wdv = cones.block_apply(K, u, dv)
+        dv = cones.block_solve(W, b)
+        Wdv = cones.block_apply(W, dv)
         return dy, dv, b_mu - Wdv, (Qdy, Ady, Wdv)
 
     dy, dv, ds, (Qdy, Ady, Wdv) = eliminate(t_d, t_p, t_mu)
@@ -193,7 +197,7 @@ def initial_point(qp: ConicQP):
     s = e * max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     if cones.min_eigenvalue(K, -b) > 0.0:
         return y, v, s
-    y_ls = qp.lsolver(e).solve(qp.c + qp.At @ b)
+    y_ls = qp.lsolver(cones.Scaling(K, e)).solve(qp.c + qp.At @ b)
     s_hat = qp.A @ y_ls - b
     s_ls = s_hat + START_SHIFT * max(0.0, -cones.min_eigenvalue(K, s_hat)) * e
     v_ls = START_SHIFT * max(0.0, -cones.min_eigenvalue(K, -s_hat)) * e - s_hat
@@ -291,27 +295,26 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
             break
 
         try:
-            u = cones.nt_scaling(K, s, v)
-            Lop = qp.lsolver(u)
-            lam = cones.scaling_apply(K, u, v)
+            W = cones.nt_scaling(K, s, v)
+            Lop = qp.lsolver(W)
+            lam = cones.scaling_apply(W, v)
 
             # Predictor: pure Newton step on the affine system; in scaled
             # variables the complementarity right-hand side collapses to -s.
             t_d, t_p = -r_d, -r_p
-            dy_a, dv_a, ds_a = newton_direction(qp, u, Lop, t_d, t_p, -s)
-            alpha_a = min(cones.max_step(K, s, ds_a, 1.0),
-                          cones.max_step(K, v, dv_a, 1.0))
+            dy_a, dv_a, ds_a = newton_direction(qp, W, Lop, t_d, t_p, -s)
+            alpha_a = cones.max_step(K, ((s, ds_a), (v, dv_a)), 1.0)
             gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
             sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else SIGMA_MIN
             sigma = float(np.clip(sigma, SIGMA_MIN, 1.0 - SIGMA_MIN))
 
             # Corrector with the scaled second-order term
             # eta = (W^{-1} ds_a) o (W dv_a).
-            eta = cones.jordan_product(K, cones.scaling_solve(K, u, ds_a),
-                                       cones.scaling_apply(K, u, dv_a))
+            eta = cones.jordan_product(K, cones.scaling_solve(W, ds_a),
+                                       cones.scaling_apply(W, dv_a))
             dlam = sigma * mu * e - cones.jordan_product(K, lam, lam) - eta
-            t_mu = cones.scaling_apply(K, u, cones.jordan_solve(K, lam, dlam))
-            dy, dv, ds = newton_direction(qp, u, Lop, t_d, t_p, t_mu)
+            t_mu = cones.scaling_apply(W, cones.jordan_solve(K, lam, dlam))
+            dy, dv, ds = newton_direction(qp, W, Lop, t_d, t_p, t_mu)
         except (cones.ConeError, linops.StructuredSolveError) as exc:
             # The pair has reached the boundary up to roundoff, or a
             # reduced-system factorization or solve failed (or was
@@ -320,8 +323,7 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
             reason = f"{type(exc).__name__}: {exc}"
             break
 
-        alpha = min(cones.max_step(K, s, ds, STEP_FRAC),
-                    cones.max_step(K, v, dv, STEP_FRAC))
+        alpha = cones.max_step(K, ((s, ds), (v, dv)), STEP_FRAC)
         if not np.isfinite(alpha) or alpha <= 1e-14:
             status = NUMERICAL
             reason = f"step length {alpha:.3g} too small"

@@ -30,9 +30,8 @@ row of A has at most one nonzero:
 
 Every label but ``dense`` runs the one structured solver,
 ``_solve_banded``.  With block(u)^{-1} = block(u^{-1}) = diag(d) +
-sum_j r_j r_j^T (``cones.block_parts``) and H^{-1} = diag(d1) +
-U1 M1 U1^T, it splits L(u), on ``ball_pivot`` over every dual coordinate
-but the last, as
+sum_j r_j r_j^T and H^{-1} = diag(d1) + U1 M1 U1^T, it splits L(u), on
+``ball_pivot`` over every dual coordinate but the last, as
 
     L(u) = S + (B U1) M1 (B U1)^T,
     S = B diag(d1) B^T + A^T diag(d) A + sum_j g_j g_j^T,   g_j = A^T r_j.
@@ -82,6 +81,12 @@ Work is formed as rarely as what it depends on allows:
   added to a copy of the memoized one, the sum is factored, the Woodbury
   columns S^{-1} (B U1) are solved in place into the buffer and the
   capacitance is factored.
+
+block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
+keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
+``soc_blocks`` and the dense path (d, r) is ``cones.block_parts`` at
+u^{-1}, and the operator's apply runs ``cones.block_solve`` on the record.
+Nothing here inverts u again.
 
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7, or is not a number, is redone through the
@@ -423,11 +428,6 @@ def _is_diagonal(M: sp.spmatrix) -> bool:
     return M.shape[0] == M.shape[1] and M.nnz == np.count_nonzero(M.diagonal())
 
 
-def _inverse_parts(g, u):
-    """block(u)^{-1} = block(u^{-1}) = diag(d) + sum_j r_j r_j^T."""
-    return cones.block_parts(g.K, cones.inverse(g.K, u))
-
-
 # ---------------------------------------------------------------------------
 # Classification of g's dual data
 # ---------------------------------------------------------------------------
@@ -597,7 +597,7 @@ def _graph_metric_band(g, H):
     return band, BU1, _middle_inverse(M1), Z
 
 
-def _solve_banded(g, H, u, memo):
+def _solve_banded(g, H, W, memo):
     """The structured solve of L(u) for every path but ``dense`` (module
     docstring): the core's band, its SOC blocks' rank-one terms, the
     metric's low rank by Woodbury, then a border by its Schur
@@ -605,7 +605,7 @@ def _solve_banded(g, H, u, memo):
     s = structure(g)
     band, BU1, Minv, Z = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     # Off ``soc_blocks`` K is all orthant: block(u)^{-1} = diag(1/u).
-    d, r = (1.0 / u, None) if s.runs is None else _inverse_parts(g, u)
+    d, r = (W.uinv, None) if s.runs is None else cones.block_parts(g.K, W.uinv)
     ab = band.copy()
     _add_band(ab, s.maps, d)
     if r is None:
@@ -664,13 +664,13 @@ def _metric_term(g, H):
     return (B @ sp.diags(d1) @ structure(g).Bt).toarray() + BU @ M1 @ BU.T
 
 
-def _dense_matrix(g, H, u, memo=None):
+def _dense_matrix(g, H, W, memo=None):
     A = g.A
     ell = A.shape[1]
     if ell > DENSE_LIMIT:
         raise StructuredSolveError(
             f"dense fallback refused for dimension {ell} > {DENSE_LIMIT}")
-    d, r = _inverse_parts(g, u)
+    d, r = cones.block_parts(g.K, W.uinv)
     At = structure(g).At
     G = At @ cones.block_columns(g.K, r)
     L = (At @ sp.diags(d) @ A + G @ G.T).toarray()
@@ -679,8 +679,8 @@ def _dense_matrix(g, H, u, memo=None):
     return 0.5 * (L + L.T)
 
 
-def _solve_dense(g, H, u, memo=None):
-    L = _dense_matrix(g, H, u, memo)
+def _solve_dense(g, H, W, memo=None):
+    L = _dense_matrix(g, H, W, memo)
     try:
         cf = scipy.linalg.cho_factor(L)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -692,8 +692,10 @@ def _solve_dense(g, H, u, memo=None):
     return solve
 
 
-def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator:
-    """Operator for L(u) = B H^{-1} B^T + A^T block(u)^{-1} A.
+def build_L(g, H: Optional[Metric], W: cones.Scaling,
+            memo: Optional[dict] = None) -> LOperator:
+    """Operator for L(u) = B H^{-1} B^T + A^T block(u)^{-1} A, W the
+    record of u (``cones.Scaling``).
 
     ``g`` supplies (A, B, K), and ``structure(g)`` the path; ``H`` may be
     None for a vanishing quadratic term (linear-objective evaluation).
@@ -704,12 +706,10 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     """
     s = structure(g)
     A, B, At, Bt = g.A, g.B, s.At, s.Bt
-    K = g.K
-    u = np.asarray(u, dtype=float)
 
     def apply_split(w):
         """(L w, Q w) with Q = B H^{-1} B^T."""
-        out = At @ cones.block_solve(K, u, A @ w)
+        out = At @ cones.block_solve(W, A @ w)
         if H is None:
             return out, np.zeros_like(out)
         Qw = B @ H.solve(Bt @ w)
@@ -737,11 +737,11 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
     inner = fallback = None
     if s.path != DENSE:
         try:
-            inner = _solve_banded(g, H, u, memo)
+            inner = _solve_banded(g, H, W, memo)
         except StructuredSolveError:
             DIAGNOSTICS["guard_fallbacks"] += 1
     if inner is None:
-        fallback = _solve_dense(g, H, u, memo)
+        fallback = _solve_dense(g, H, W, memo)
 
     def solve(q, quad=False):
         nonlocal fallback
@@ -749,7 +749,7 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
             p, Qp, res = refined(inner, q)
             if not res <= GUARD_TOL:
                 DIAGNOSTICS["guard_fallbacks"] += 1
-                fallback = _solve_dense(g, H, u, memo)
+                fallback = _solve_dense(g, H, W, memo)
                 if op_ref() is not None:  # None once no caller holds op
                     op_ref().strategy = DENSE
         if fallback is not None:
@@ -764,7 +764,7 @@ def build_L(g, H: Optional[Metric], u, memo: Optional[dict] = None) -> LOperator
 
 
 def reduced_solver(g, H: Optional[Metric]) -> Callable:
-    """The IPM's ``lsolver`` for one prox: u -> build_L(g, H, u), with the
+    """The IPM's ``lsolver`` for one prox: W -> build_L(g, H, W), with the
     u-independent parts of the metric term formed once across its calls."""
     memo = {}
-    return lambda u: build_L(g, H, u, memo)
+    return lambda W: build_L(g, H, W, memo)

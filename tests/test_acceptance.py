@@ -176,15 +176,15 @@ def test_criterion_04_nt_scaling_identity():
         K = random_cone_product(rng, max_dim=50)
         s = random_interior(K, rng)
         v = random_interior(K, rng)
-        u = cones.nt_scaling(K, s, v)
-        err = np.linalg.norm(cones.block_apply(K, u, v) - s)
+        W = cones.nt_scaling(K, s, v)
+        err = np.linalg.norm(cones.block_apply(W, v) - s)
         assert err <= NT_TOL * (1.0 + np.linalg.norm(s))
     for _ in range(50):
         dim = int(rng.integers(1, 51))
         K = cones.product(cones.orthant(dim))
         s = rng.uniform(0.3, 2.0, dim)
         v = rng.uniform(0.3, 2.0, dim)
-        u = cones.nt_scaling(K, s, v)
+        u = cones.nt_scaling(K, s, v).u
         sv = np.diag(s / v)
         err = np.linalg.norm(block_dense(K, u) - sv)
         assert err <= NT_TOL * np.linalg.norm(sv)
@@ -326,7 +326,7 @@ def test_criterion_10_structured_solve_equivalence():
         n = g.n
         for H in (linops.Metric.identity(n), random_dlr_metric(rng, n)):
             u = random_interior(g.K, rng)
-            op = linops.build_L(g, H, u)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u))
             assert op.strategy == expected, name
             Ld = dense_L(g, H, u)
             for _ in range(3):

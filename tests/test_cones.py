@@ -51,21 +51,21 @@ def test_degree():
 def test_block_apply_examples():
     K = cones.product(cones.orthant(2))
     np.testing.assert_allclose(
-        cones.block_apply(K, np.array([2.0, 3.0]), np.array([1.0, 1.0])),
+        cones.block_apply(cones.Scaling(K, [2.0, 3.0]), np.array([1.0, 1.0])),
         [2.0, 3.0])
     Q2 = cones.product(cones.second_order(2))
     w = np.array([0.7, -0.3])
     np.testing.assert_allclose(
-        cones.block_apply(Q2, np.array([1.0, 0.0]), w), w, atol=1e-14)
+        cones.block_apply(cones.Scaling(Q2, [1.0, 0.0]), w), w, atol=1e-14)
 
 
 def test_block_solve_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(30):
         K = random_cone_product(rng)
-        u = random_interior(K, rng)
+        W = cones.Scaling(K, random_interior(K, rng))
         w = rng.standard_normal(K.total_dim)
-        out = cones.block_solve(K, u, cones.block_apply(K, u, w))
+        out = cones.block_solve(W, cones.block_apply(W, w))
         np.testing.assert_allclose(out, w, rtol=1e-12, atol=1e-12)
 
 
@@ -73,11 +73,11 @@ def test_block_positive_definite():
     rng = np.random.default_rng(12)
     for _ in range(30):
         K = random_cone_product(rng)
-        u = random_interior(K, rng)
+        W = cones.Scaling(K, random_interior(K, rng))
         w = rng.standard_normal(K.total_dim)
         if np.linalg.norm(w) < 1e-12:
             continue
-        assert w @ cones.block_apply(K, u, w) > 0.0
+        assert w @ cones.block_apply(W, w) > 0.0
 
 
 def test_block_dense_matches_apply_and_is_symmetric():
@@ -88,7 +88,7 @@ def test_block_dense_matches_apply_and_is_symmetric():
         Bu = ref.block_dense(K, u)
         np.testing.assert_allclose(Bu, Bu.T, atol=1e-12)
         w = rng.standard_normal(K.total_dim)
-        np.testing.assert_allclose(Bu @ w, cones.block_apply(K, u, w),
+        np.testing.assert_allclose(Bu @ w, cones.block_apply(cones.Scaling(K, u), w),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -115,7 +115,7 @@ def test_jordan_solve_round_trip():
 
 def test_nt_scaling_orthant_example():
     K = cones.product(cones.orthant(2))
-    u = cones.nt_scaling(K, np.array([4.0, 9.0]), np.array([2.0, 3.0]))
+    u = cones.nt_scaling(K, np.array([4.0, 9.0]), np.array([2.0, 3.0])).u
     np.testing.assert_allclose(u, [2.0, 3.0])
     # on orthants block(u) = diag(u) = SV^{-1} literally
     np.testing.assert_allclose(ref.block_dense(K, u), np.diag([2.0, 3.0]))
@@ -124,11 +124,11 @@ def test_nt_scaling_orthant_example():
 def test_nt_scaling_equal_points_gives_identity():
     K = cones.product(cones.orthant(3))
     s = np.array([0.5, 1.0, 4.0])
-    u = cones.nt_scaling(K, s, s)
+    u = cones.nt_scaling(K, s, s).u
     np.testing.assert_allclose(ref.block_dense(K, u), np.eye(3), atol=1e-12)
     Q = cones.product(cones.second_order(2))
     v = np.array([1.3, 0.4])
-    uq = cones.nt_scaling(Q, v, v)
+    uq = cones.nt_scaling(Q, v, v).u
     np.testing.assert_allclose(uq, [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(ref.block_dense(Q, uq), np.eye(2),
                                atol=1e-12)
@@ -141,9 +141,9 @@ def test_nt_scaling_point_characterization():
         K = random_cone_product(rng)
         s = random_interior(K, rng)
         v = random_interior(K, rng)
-        u = cones.nt_scaling(K, s, v)
-        assert cones.contains(K, u, strict=True)
-        got = cones.block_apply(K, u, v)
+        W = cones.nt_scaling(K, s, v)
+        assert cones.contains(K, W.u, strict=True)
+        got = cones.block_apply(W, v)
         np.testing.assert_allclose(got, s, rtol=1e-10, atol=1e-10)
 
 
@@ -156,7 +156,7 @@ def test_nt_scaling_orthant_sv_identity():
         K = cones.product(cones.orthant(dim))
         s = rng.uniform(0.2, 3.0, dim)
         v = rng.uniform(0.2, 3.0, dim)
-        u = cones.nt_scaling(K, s, v)
+        u = cones.nt_scaling(K, s, v).u
         np.testing.assert_allclose(ref.block_dense(K, u), np.diag(s / v),
                                    rtol=1e-12, atol=1e-12)
 
@@ -168,25 +168,27 @@ def test_nt_scaling_boundary_rejected():
 
 
 def test_block_solve_boundary_rejected():
+    """block(u)^{-1} needs an interior u: its record refuses one on the
+    boundary."""
     K = cones.product(cones.second_order(3))
     u = np.array([1.0, 1.0, 0.0])
     with pytest.raises(cones.ConeError):
-        cones.block_solve(K, u, np.ones(3))
+        cones.Scaling(K, u)
 
 
 def test_max_step_examples():
     K = cones.product(cones.orthant(2))
     x = np.array([1.0, 1.0])
-    assert cones.max_step(K, x, np.array([-2.0, -1.0])) == pytest.approx(0.5)
-    assert cones.max_step(K, x, np.array([1.0, 0.0])) == pytest.approx(1.0)
+    assert cones.max_step(K, [(x, np.array([-2.0, -1.0]))]) == pytest.approx(0.5)
+    assert cones.max_step(K, [(x, np.array([1.0, 0.0]))]) == pytest.approx(1.0)
     Q = cones.product(cones.second_order(3))
-    a = cones.max_step(Q, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    a = cones.max_step(Q, [(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))])
     assert a == pytest.approx(1.0)
 
 
 def test_max_step_frac_scales_the_boundary_step():
     K = cones.product(cones.orthant(2))
-    a = cones.max_step(K, np.array([1.0, 1.0]), np.array([-2.0, -1.0]),
+    a = cones.max_step(K, [(np.array([1.0, 1.0]), np.array([-2.0, -1.0]))],
                        frac=0.99)
     assert a == pytest.approx(0.495)
 
@@ -199,7 +201,7 @@ def test_max_step_orthant_boundary_exactness():
         K = cones.product(cones.orthant(dim))
         x = rng.uniform(0.2, 2.0, dim)
         dx = rng.standard_normal(dim)
-        a = cones.max_step(K, x, dx)
+        a = cones.max_step(K, [(x, dx)])
         moved = x + a * dx
         assert np.all(moved >= -1e-12)
         if a < 1.0:
@@ -215,7 +217,7 @@ def test_max_step_keeps_soc_feasible():
         K = cones.product(cones.second_order(dim))
         x = random_interior(K, rng)
         dx = rng.standard_normal(dim)
-        a = cones.max_step(K, x, dx, frac=0.99)
+        a = cones.max_step(K, [(x, dx)], frac=0.99)
         assert 0.0 < a <= 1.0
         assert cones.contains(K, x + a * dx, strict=True)
 
@@ -284,17 +286,18 @@ def test_vectorized_primitives_match_block_reference():
         a = rng.standard_normal(M)
         b = rng.standard_normal(M)
         assert_rel(cones.identity_element(K), ref.identity_element(K))
-        assert_rel(cones.nt_scaling(K, s, v), ref.nt_scaling(K, s, v))
-        assert_rel(cones.inverse(K, u), ref.inverse(K, u))
-        assert_rel(cones.block_apply(K, u, a), ref.block_apply(K, u, a))
-        assert_rel(cones.block_solve(K, u, a), ref.block_solve(K, u, a))
+        assert_rel(cones.nt_scaling(K, s, v).u, ref.nt_scaling(K, s, v))
+        W = cones.Scaling(K, u)
+        assert_rel(W.uinv, ref.inverse(K, u))
+        assert_rel(cones.block_apply(W, a), ref.block_apply(K, u, a))
+        assert_rel(cones.block_solve(W, a), ref.block_solve(K, u, a))
         assert_rel(cones.jordan_product(K, a, b), ref.jordan_product(K, a, b))
         assert_rel(cones.jordan_solve(K, s, a), ref.jordan_solve(K, s, a))
-        assert_rel(cones.scaling_apply(K, u, a), ref.scaling_apply(K, u, a))
-        assert_rel(cones.scaling_solve(K, u, a), ref.scaling_solve(K, u, a))
+        assert_rel(cones.scaling_apply(W, a), ref.scaling_apply(K, u, a))
+        assert_rel(cones.scaling_solve(W, a), ref.scaling_solve(K, u, a))
         for scale in (0.1, 1.0, 10.0):
             for frac in (1.0, 0.99):
-                assert_rel(cones.max_step(K, s, scale * a, frac),
+                assert_rel(cones.max_step(K, [(s, scale * a)], frac),
                            ref.max_step(K, s, scale * a, frac))
         for x in (s, a, np.abs(a), s - 0.3 * np.abs(b)):
             for strict in (False, True):
@@ -333,7 +336,8 @@ def boundary_point(blk):
 
 def test_boundary_block_raises_in_every_position():
     """A boundary point in the first, a middle or the last block is
-    refused by nt_scaling, block_solve, jordan_solve and inverse."""
+    refused by nt_scaling, jordan_solve and the record of a scaling point,
+    which block_solve, scaling_solve and build_L read u^{-1} from."""
     K = cones.ConeProduct([
         cones.second_order(4), cones.orthant(3), cones.second_order(4),
         cones.second_order(2), cones.orthant(2), cones.second_order(4)])
@@ -348,11 +352,9 @@ def test_boundary_block_raises_in_every_position():
         with pytest.raises(cones.ConeError):
             cones.nt_scaling(K, inner, x)
         with pytest.raises(cones.ConeError):
-            cones.block_solve(K, x, q)
+            cones.Scaling(K, x)
         with pytest.raises(cones.ConeError):
             cones.jordan_solve(K, x, q)
-        with pytest.raises(cones.ConeError):
-            cones.inverse(K, x)
 
 
 def test_min_eigenvalue_matches_block_reference():
@@ -371,8 +373,8 @@ def test_max_step_stops_a_crossing_through_the_apex():
     K = cones.product(cones.second_order(3))
     x = np.array([1.3, 0.0, 0.0])
     dx = np.array([-2.7, 0.0, 0.0])
-    assert cones.max_step(K, x, dx) == pytest.approx(1.3 / 2.7, rel=1e-15)
-    assert cones.contains(K, x + cones.max_step(K, x, dx, 0.99) * dx, strict=True)
+    assert cones.max_step(K, [(x, dx)]) == pytest.approx(1.3 / 2.7, rel=1e-15)
+    assert cones.contains(K, x + cones.max_step(K, [(x, dx)], 0.99) * dx, strict=True)
 
 
 def test_max_step_is_scale_free_and_does_not_overflow():
@@ -384,7 +386,70 @@ def test_max_step_is_scale_free_and_does_not_overflow():
     for K in differential_products()[:20]:
         x = random_interior(K, rng)
         dx = 3.0 * rng.standard_normal(K.total_dim)
-        a = cones.max_step(K, x, dx)
+        a = cones.max_step(K, [(x, dx)])
         with np.errstate(all="raise"):
             for k in (-1000, -500, -60, 60, 600, 1000):
-                assert cones.max_step(K, np.ldexp(x, k), np.ldexp(dx, k)) == a
+                assert cones.max_step(K, [(np.ldexp(x, k), np.ldexp(dx, k))]) == a
+
+
+# -- the scaling record and the paired step --
+
+RECORD_LAYOUTS = (
+    [cones.orthant(7)],
+    [cones.second_order(9)],
+    [cones.second_order(5)] * 6,
+    [cones.second_order(2), cones.second_order(5), cones.second_order(17),
+     cones.second_order(5)],
+    [cones.orthant(2), cones.second_order(4), cones.orthant(3),
+     cones.second_order(4), cones.second_order(3), cones.orthant(1)],
+)
+
+
+def test_scaling_record_matches_block_reference():
+    """On random interior points of every layout (orthant only, one
+    second-order group covering everything, several dimensions, orthant
+    and second-order blocks scattered so that groups are gathered), the
+    record's u^{-1} and its four applies agree with the block-by-block
+    reference."""
+    rng = np.random.default_rng(45)
+    products = [cones.ConeProduct(b) for b in RECORD_LAYOUTS]
+    products += [mixed_product(rng) for _ in range(20)]
+    for K in products:
+        for _ in range(3):
+            u = random_interior(K, rng)
+            x = rng.standard_normal(K.total_dim)
+            W = cones.Scaling(K, u)
+            assert_rel(W.uinv, ref.inverse(K, u))
+            for name in ("block_apply", "block_solve", "scaling_apply",
+                         "scaling_solve"):
+                assert_rel(getattr(cones, name)(W, x), getattr(ref, name)(K, u, x))
+
+
+def test_paired_max_step_is_the_least_single_step():
+    """max_step over two pairs at once is, bit for bit, the least of the
+    two single-pair steps: on random products, when one pair's blocks sit
+    near the underflow or overflow threshold so that the stacked group is
+    rescaled, on orthant near-ties and through the apex of a block."""
+    rng = np.random.default_rng(46)
+
+    def check(K, p, q, frac=1.0):
+        single = min(cones.max_step(K, [p], frac), cones.max_step(K, [q], frac))
+        assert cones.max_step(K, [p, q], frac) == single
+        assert cones.max_step(K, [q, p], frac) == single
+
+    for K in differential_products()[:30]:
+        s, v = random_interior(K, rng), random_interior(K, rng)
+        ds, dv = (3.0 * rng.standard_normal(K.total_dim) for _ in range(2))
+        for frac in (1.0, 0.99):
+            check(K, (s, ds), (v, dv), frac)
+        with np.errstate(all="raise"):
+            for k in (-1000, -500, 600, 1000):
+                check(K, (s, ds), (np.ldexp(v, k), np.ldexp(dv, k)))
+    K = cones.product(cones.orthant(4))
+    x = np.array([1.0, 2.0, 3.0, 0.5])
+    near = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.5])
+    check(K, (x, -x * near), (x[::-1].copy(), -x[::-1] * near), 0.99)
+    Q = cones.product(cones.second_order(3))
+    apex = (np.array([1.3, 0.0, 0.0]), np.array([-2.7, 0.0, 0.0]))
+    for _ in range(5):
+        check(Q, apex, (random_interior(Q, rng), rng.standard_normal(3)))

@@ -13,8 +13,8 @@ from conftest import random_dlr_metric, random_interior
 
 def dense_lsolver(Qd, A, K):
     """Generic dense L(u) factory for hand-built QPs."""
-    def make(u):
-        WA = np.column_stack([cones.block_solve(K, u, A[:, j])
+    def make(W):
+        WA = np.column_stack([cones.block_solve(W, A[:, j])
                               for j in range(A.shape[1])])
         L = Qd + A.T @ WA
         L = 0.5 * (L + L.T)
@@ -167,9 +167,9 @@ def test_newton_direction_zero_rhs():
     g = qscalc.build_l1(4)
     qp = proxeval.dual_qp(g, linops.Metric.identity(4), np.ones(4))
     rng = np.random.default_rng(52)
-    u = random_interior(g.K, rng)
-    Lop = qp.lsolver(u)
-    dy, dv, ds = ipm.newton_direction(qp, u, Lop, np.zeros(4), np.zeros(8),
+    W = cones.Scaling(g.K, random_interior(g.K, rng))
+    Lop = qp.lsolver(W)
+    dy, dv, ds = ipm.newton_direction(qp, W, Lop, np.zeros(4), np.zeros(8),
                                       np.zeros(8))
     assert np.linalg.norm(dy) == 0.0
     assert np.linalg.norm(dv) == 0.0
@@ -183,17 +183,17 @@ def test_newton_direction_row_residuals():
     qp = proxeval.dual_qp(g, H, rng.standard_normal(5))
     m = g.A.shape[0]
     for _ in range(10):
-        u = random_interior(g.K, rng)
-        Lop = qp.lsolver(u)
+        W = cones.Scaling(g.K, random_interior(g.K, rng))
+        Lop = qp.lsolver(W)
         t_d = rng.standard_normal(5)
         t_p = rng.standard_normal(m)
         t_mu = rng.standard_normal(m)
-        dy, dv, ds = ipm.newton_direction(qp, u, Lop, t_d, t_p, t_mu)
+        dy, dv, ds = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
         scale = 1.0 + max(np.linalg.norm(t_d), np.linalg.norm(t_p),
                           np.linalg.norm(t_mu))
         r1 = qp.Qapply(dy) - qp.A.T @ dv - t_d
         r2 = qp.A @ dy - ds - t_p
-        r3 = cones.block_apply(g.K, u, dv) + ds - t_mu
+        r3 = cones.block_apply(W, dv) + ds - t_mu
         assert np.linalg.norm(r1) <= 1e-8 * scale
         assert np.linalg.norm(r2) <= 1e-8 * scale
         assert np.linalg.norm(r3) <= 1e-8 * scale
@@ -221,6 +221,46 @@ def test_one_metric_product_per_iteration():
         assert len(calls) == len(res.trace)
 
 
+def test_one_scaling_record_per_iteration(monkeypatch):
+    """nt_scaling runs once per IPM iteration that computes a direction,
+    and u is inverted only when its record is made, once per second-order
+    group: the scaling primitives and the reduced operators (structured
+    and dense) read u^{-1} from the record."""
+    records, inverted = [], []
+    nt_scaling, inverse = cones.nt_scaling, cones._inverse
+
+    def spy_scaling(K, s, v):
+        records.append(nt_scaling(K, s, v))
+        return records[-1]
+
+    def spy_inverse(U):
+        inverted.append(U.shape)
+        return inverse(U)
+
+    monkeypatch.setattr(cones, "nt_scaling", spy_scaling)
+    monkeypatch.setattr(cones, "_inverse", spy_inverse)
+    rng = np.random.default_rng(56)
+    g = qscalc.build_sum_of_norms((3, 5, 3))
+    assert len(g.K.soc) == 2
+    H = random_dlr_metric(rng, g.n, 2)
+    qp = proxeval.dual_qp(g, H, 2.0 * rng.standard_normal(g.n))
+    res = ipm.solve(qp, tol=1e-9)
+    assert res.status == ipm.OPTIMAL
+    assert len(records) == res.iterations > 0
+    assert len(inverted) == 2 * len(records)
+
+    W = cones.Scaling(g.K, random_interior(g.K, rng))
+    inverted.clear()
+    x = rng.standard_normal(g.K.total_dim)
+    for apply in (cones.block_apply, cones.block_solve, cones.scaling_apply,
+                  cones.scaling_solve):
+        apply(W, x)
+    q = rng.standard_normal(g.dual_dim)
+    qp.lsolver(W).solve(q)
+    linops._solve_dense(g, H, W)(q)
+    assert inverted == []
+
+
 def test_newton_direction_matches_dense_kkt():
     rng = np.random.default_rng(54)
     K = cones.product(cones.orthant(2), cones.second_order(3))
@@ -230,11 +270,12 @@ def test_newton_direction_matches_dense_kkt():
     A = rng.standard_normal((m, ell))
     qp = make_qp(Qd, rng.standard_normal(ell), A, rng.standard_normal(m), K)
     u = random_interior(K, rng)
-    Lop = qp.lsolver(u)
+    W = cones.Scaling(K, u)
+    Lop = qp.lsolver(W)
     t_d = rng.standard_normal(ell)
     t_p = rng.standard_normal(m)
     t_mu = rng.standard_normal(m)
-    dy, dv, ds = ipm.newton_direction(qp, u, Lop, t_d, t_p, t_mu)
+    dy, dv, ds = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
     Bu = block_dense(K, u)
     top = np.hstack([Qd, -A.T, np.zeros((ell, m))])
     mid = np.hstack([A, np.zeros((m, m)), -np.eye(m)])
@@ -296,7 +337,7 @@ def test_negative_gap_is_not_optimal(monkeypatch):
     A = np.vstack([np.eye(2), -np.eye(2)])
     qp = make_qp(np.eye(2), [3.0, -3.0], A, -np.ones(4),
                  cones.product(cones.orthant(4)))
-    monkeypatch.setattr(cones, "max_step", lambda K, x, dx, frac=1.0: 1.0)
+    monkeypatch.setattr(cones, "max_step", lambda K, pairs, frac=1.0: 1.0)
     res = ipm.solve(qp, tol=1e-9)
     assert res.status == ipm.NUMERICAL
     assert "left the cone" in res.reason
@@ -367,7 +408,7 @@ def test_failed_start_solve_ends_with_a_status():
     g = qscalc.build_l1_ball(8)
     qp = proxeval.dual_qp(g, linops.Metric.identity(8), np.ones(8))
 
-    def refused(u):
+    def refused(W):
         raise linops.StructuredSolveError("refused")
 
     qp.lsolver = refused

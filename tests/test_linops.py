@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph
 
 from qsprox import cones, linops, proxeval, qscalc
+import cone_reference as ref
 from conftest import (catalog, dense_L, gamma_coupled, metric_dense,
                       random_diag_metric, random_dlr_metric, random_interior)
 
@@ -130,7 +131,7 @@ def test_build_L_apply_matches_dense_formation():
     for name, g in catalog(6):
         H = random_dlr_metric(rng, g.n, 2)
         u = random_interior(g.K, rng)
-        op = linops.build_L(g, H, u)
+        op = linops.build_L(g, H, cones.Scaling(g.K, u))
         dense = dense_L(g, H, u)
         w = rng.standard_normal(g.dual_dim)
         got = op.apply(w)
@@ -148,7 +149,7 @@ def test_build_L_solve_residual_bound():
         H = random_diag_metric(rng, g.n)
         for lo, hi in ((0.3, 2.0), (1e-8, 1e4)):
             u = random_interior(g.K, rng, lo, hi)
-            op = linops.build_L(g, H, u)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u))
             q = rng.standard_normal(g.dual_dim)
             p, Qp = op.solve(q, quad=True)
             res = np.linalg.norm(op.apply(p) - q)
@@ -159,7 +160,7 @@ def test_build_L_solve_residual_bound():
 def test_build_L_solve_zero_rhs():
     g = qscalc.build_l1(5)
     u = np.full(10, 0.7)
-    op = linops.build_L(g, linops.Metric.identity(5), u)
+    op = linops.build_L(g, linops.Metric.identity(5), cones.Scaling(g.K, u))
     np.testing.assert_allclose(op.solve(np.zeros(5)), np.zeros(5))
 
 
@@ -168,7 +169,7 @@ def test_build_L_solve_symmetry():
     g = qscalc.build_sum_of_norms((3, 4))
     H = random_dlr_metric(rng, 7, 2)
     u = random_interior(g.K, rng)
-    op = linops.build_L(g, H, u)
+    op = linops.build_L(g, H, cones.Scaling(g.K, u))
     q1 = rng.standard_normal(7)
     q2 = rng.standard_normal(7)
     a = q1 @ op.solve(q2)
@@ -199,7 +200,7 @@ def test_structured_solves_match_dense_strategy():
         H = random_dlr_metric(rng, g.n, 2)
         u = random_interior(g.K, rng)
         linops.reset_diagnostics()
-        op = linops.build_L(g, H, u)
+        op = linops.build_L(g, H, cones.Scaling(g.K, u))
         assert op.strategy == g.strategy, name
         q = rng.standard_normal(g.dual_dim)
         p_struct = op.solve(q)
@@ -214,7 +215,7 @@ def test_structured_factory_error_falls_back_to_dense(monkeypatch):
     """A structured factorization that raises routes to the dense path,
     keeps the classified path as the requested one and bumps the
     diagnostics counter once; the dense solve is right."""
-    def refuse(g, H, u, memo):
+    def refuse(g, H, W, memo):
         raise linops.StructuredSolveError("refused")
 
     monkeypatch.setattr(linops, "_solve_banded", refuse)
@@ -222,7 +223,7 @@ def test_structured_factory_error_falls_back_to_dense(monkeypatch):
     rng = np.random.default_rng(31)
     u = random_interior(g.K, rng)
     linops.reset_diagnostics()
-    op = linops.build_L(g, linops.Metric.identity(5), u)
+    op = linops.build_L(g, linops.Metric.identity(5), cones.Scaling(g.K, u))
     assert op.strategy == linops.DENSE
     assert op.requested == linops.SOC_BLOCKS
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
@@ -236,7 +237,7 @@ def test_structured_nan_solve_falls_back_to_dense(monkeypatch):
     """A structured solve that returns NaN fails the residual guard: the
     operator redoes it densely, counts one guard fallback and returns the
     dense solve."""
-    def nan_solve(g, H, u, memo):
+    def nan_solve(g, H, W, memo):
         return lambda q: np.full_like(q, np.nan)
 
     monkeypatch.setattr(linops, "_solve_banded", nan_solve)
@@ -244,7 +245,7 @@ def test_structured_nan_solve_falls_back_to_dense(monkeypatch):
     rng = np.random.default_rng(45)
     u = random_interior(g.K, rng)
     linops.reset_diagnostics()
-    op = linops.build_L(g, H, u)
+    op = linops.build_L(g, H, cones.Scaling(g.K, u))
     q = rng.standard_normal(6)
     p = op.solve(q)
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
@@ -260,7 +261,7 @@ def test_solve_time_fallback_sets_the_strategy_to_dense(monkeypatch):
     rng = np.random.default_rng(46)
     u = random_interior(g.K, rng)
     linops.reset_diagnostics()
-    op = linops.build_L(g, H, u)
+    op = linops.build_L(g, H, cones.Scaling(g.K, u))
     assert op.strategy == op.requested == linops.L1_DIAG
     q = rng.standard_normal(6)
     p = op.solve(q)
@@ -268,7 +269,7 @@ def test_solve_time_fallback_sets_the_strategy_to_dense(monkeypatch):
     assert op.strategy == linops.DENSE and op.requested == linops.L1_DIAG
     np.testing.assert_allclose(p, np.linalg.solve(dense_L(g, H, u), q), rtol=1e-10)
     # an operator that no caller holds falls back all the same
-    np.testing.assert_array_equal(linops.build_L(g, H, u).solve(q), p)
+    np.testing.assert_array_equal(linops.build_L(g, H, cones.Scaling(g.K, u)).solve(q), p)
 
 
 def test_operator_is_freed_without_the_cycle_collector():
@@ -280,7 +281,7 @@ def test_operator_is_freed_without_the_cycle_collector():
     u = random_interior(g.K, np.random.default_rng(47))
     gc.disable()
     try:
-        ref = weakref.ref(linops.build_L(g, H, u))
+        ref = weakref.ref(linops.build_L(g, H, cones.Scaling(g.K, u)))
         assert ref() is None
     finally:
         gc.enable()
@@ -369,11 +370,11 @@ def test_banded_path_matches_dense_on_random_draws():
             u = random_interior(g.K, rng, 1e-3, 1e2)
             q = rng.standard_normal(g.dual_dim)
             linops.reset_diagnostics()
-            op = linops.build_L(g, H, u)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u))
             p = op.solve(q)
             assert op.strategy == s.path, kind
             assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, kind
-            p_ref = linops._solve_dense(g, H, u)(q)
+            p_ref = linops._solve_dense(g, H, cones.Scaling(g.K, u))(q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), kind
             if s.bw >= 2:
                 ab = np.zeros((s.bw + 1, g.dual_dim))
@@ -430,20 +431,21 @@ def test_banded_failures_raise_and_fall_back_to_dense():
         p_ref = np.linalg.solve(dense_L(g, H, u), q)
         for bad in (-1e6, np.nan):
             memo = {}
-            linops.build_L(g, H, u, memo)
+            linops.build_L(g, H, cones.Scaling(g.K, u), memo)
             memo["band"][0][s.bw, 5] = bad
             linops.reset_diagnostics()
-            op = linops.build_L(g, H, u, memo)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u), memo)
             assert op.strategy == linops.DENSE and op.requested == s.path
             assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
             p = op.solve(q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
+    g = qscalc.build_l1(6)
     u = np.full(12, 0.7)
     u[3] = np.nan
     linops.reset_diagnostics()
     with pytest.raises(linops.StructuredSolveError):
-        linops.build_L(qscalc.build_l1(6), linops.Metric.identity(6), u)
+        linops.build_L(g, linops.Metric.identity(6), cones.Scaling(g.K, u))
     assert linops.DIAGNOSTICS["guard_fallbacks"] == 1
 
 
@@ -476,13 +478,54 @@ def test_dense_path_matches_dense_formation():
         for H in (linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 3)):
             u = random_interior(g.K, rng)
             expect = dense_L(g, H, u)
-            got = linops._dense_matrix(g, H, u)
+            got = linops._dense_matrix(g, H, cones.Scaling(g.K, u))
             err = np.linalg.norm(got - expect) / np.linalg.norm(expect)
             assert err <= 1e-10, name
             q = rng.standard_normal(g.dual_dim)
-            p = linops.build_L(g, H, u).solve(q)
+            p = linops.build_L(g, H, cones.Scaling(g.K, u)).solve(q)
             p_ref = np.linalg.solve(expect, q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
+
+
+def test_build_L_takes_block_u_inverse_from_the_record(monkeypatch):
+    """build_L reads block(u)^{-1} off the record of u.  On soc_blocks and
+    the dense path (second-order blocks alone and beside an orthant) its
+    (d, r) pair is cones.block_parts at the record's u^{-1}, which is the
+    reference u^{-1} bit for bit; on the orthant paths d is that u^{-1},
+    1/u, and there is no r."""
+    rng = np.random.default_rng(37)
+    block_parts, add_band = cones.block_parts, linops._add_band
+    parts, bands = [], []
+
+    def spy_parts(K, x):
+        parts.append((x, block_parts(K, x)))
+        return parts[-1][1]
+
+    def spy_band(ab, maps, w):
+        bands.append(w)
+        add_band(ab, maps, w)
+
+    monkeypatch.setattr(cones, "block_parts", spy_parts)
+    monkeypatch.setattr(linops, "_add_band", spy_band)
+    fallback = dict(dense_fallback_cases())
+    cases = [qscalc.build_sum_of_norms((2, 5, 3)), fallback["isotropic_tv"],
+             fallback["orthant_distance"], qscalc.build_l1(6), fallback["l1+tv"],
+             qscalc.build_l1_ball(6)]
+    for g in cases:
+        u = random_interior(g.K, rng)
+        uinv = ref.inverse(g.K, u)
+        W = cones.Scaling(g.K, u)
+        parts.clear()
+        bands.clear()
+        linops.build_L(g, random_dlr_metric(rng, g.n, 2), W)
+        if g.strategy in (linops.SOC_BLOCKS, linops.DENSE):
+            (x, (d, r)), = parts
+            assert x is W.uinv and np.array_equal(x, uinv), g.strategy
+            d_ref, r_ref = block_parts(g.K, uinv)
+            assert np.array_equal(d, d_ref) and np.array_equal(r, r_ref)
+        else:
+            assert parts == [] and bands[-1] is W.uinv, g.strategy
+            assert np.array_equal(W.uinv, uinv)
 
 
 def test_metric_term_is_not_shared_across_metrics():
@@ -505,7 +548,7 @@ def test_metric_term_is_not_shared_across_metrics():
                 q = rng.standard_normal(g.dual_dim)
                 p_ref = np.linalg.solve(dense_L(g, H, u), q)
                 linops.reset_diagnostics()
-                op = lsolver(u)
+                op = lsolver(cones.Scaling(g.K, u))
                 assert op.strategy == g.strategy, name
                 p = op.solve(q)
                 assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
@@ -554,7 +597,7 @@ def test_reordered_band_matches_dense():
             u = random_interior(g.K, rng)
             q = rng.standard_normal(g.dual_dim)
             linops.reset_diagnostics()
-            p = linops.build_L(g, H, u).solve(q)
+            p = linops.build_L(g, H, cones.Scaling(g.K, u)).solve(q)
             assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, name
             p_ref = np.linalg.solve(dense_L(g, H, u), q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
@@ -614,11 +657,11 @@ def test_soc_path_unequal_blocks_matches_dense():
             L = dense_L(g, H, u)
             q = rng.standard_normal(g.dual_dim)
             p_ref = np.linalg.solve(L, q)
-            core = linops._solve_banded(g, H, u, None)
+            core = linops._solve_banded(g, H, cones.Scaling(g.K, u), None)
             Q = rng.standard_normal((g.dual_dim, 3))
             np.testing.assert_allclose(core(Q), np.linalg.solve(L, Q),
                                        rtol=1e-10, atol=1e-10 * np.abs(Q).max())
-            op = linops.build_L(g, H, u)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u))
             assert op.strategy == linops.SOC_BLOCKS
             for p in (core(q), op.solve(q)):
                 assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
@@ -672,7 +715,7 @@ def test_classified_paths_match_dense_on_random_compositions():
                   random_dlr_metric(rng, g.n, 3)):
             u = random_interior(g.K, rng)
             linops.reset_diagnostics()
-            op = linops.build_L(g, H, u)
+            op = linops.build_L(g, H, cones.Scaling(g.K, u))
             assert op.strategy == op.requested == g.strategy, g.name
             q = rng.standard_normal(g.dual_dim)
             p = op.solve(q)
