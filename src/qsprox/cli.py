@@ -32,6 +32,17 @@ SOLVER_HEADER = ["iter", "seconds", "objective", "error_or_residual",
                  "inner_iters", "shift"]
 OC_HEADER = ["ratio", "memory", "oc", "iterations", "final_error"]
 
+LSQ_FLAVORS = ("l1", "group", "tv")
+# The size option an experiment fills in when it is left unset: (option,
+# desk value, --full-scale value).  The lsq experiments' p defaults to
+# n // 2.
+SCALE_DEFAULTS = {
+    "prox-timing": ("sizes", [1024, 8192], [2 ** e for e in range(10, 17)]),
+    "logreg": ("n", 200, 200),
+    "conditioning": ("n", 500, 1000),
+    **{f"lsq-{flavor}": ("n", 500, 2000) for flavor in LSQ_FLAVORS},
+}
+
 
 def _int_list(text):
     return [int(t) for t in text.split(",") if t.strip()]
@@ -117,9 +128,11 @@ def _run_solver_family(args, make_instance, residual_only=False):
     return 0
 
 
-def run_lsq(args, flavor):
+def run_lsq(args):
+    p = args.n // 2 if args.p is None else args.p
+
     def make():
-        return problems.synthetic_instance(flavor, args.n, args.p, args.seed,
+        return problems.synthetic_instance(args.flavor, args.n, p, args.seed,
                                            blocks=args.blocks)
     return _run_solver_family(args, make)
 
@@ -208,6 +221,7 @@ def build_parser():
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", default="prox_timing.csv")
     pt.add_argument("--full-scale", action="store_true")
+    pt.set_defaults(run=run_prox_timing)
 
     def solver_args(sp):
         sp.add_argument("--n", type=int, default=None)
@@ -220,15 +234,17 @@ def build_parser():
         sp.add_argument("--blocks", type=int, default=5)
         sp.add_argument("--full-scale", action="store_true")
 
-    for name in ("lsq-l1", "lsq-group", "lsq-tv"):
-        sp = sub.add_parser(name, help=f"banded least squares ({name[4:]})")
+    for flavor in LSQ_FLAVORS:
+        sp = sub.add_parser(f"lsq-{flavor}", help=f"banded least squares ({flavor})")
         solver_args(sp)
-        sp.add_argument("--out", default=f"{name.replace('-', '_')}.csv")
+        sp.add_argument("--out", default=f"lsq_{flavor}.csv")
+        sp.set_defaults(run=run_lsq, flavor=flavor)
 
     co = sub.add_parser("conditioning", help="curvature-ratio sweep")
     solver_args(co)
     co.add_argument("--ratios", type=_float_list, default=[1.0, 10.0, 100.0])
     co.add_argument("--out", default="conditioning.csv")
+    co.set_defaults(run=run_conditioning)
 
     lr = sub.add_parser("logreg", help="l1-regularized logistic regression")
     solver_args(lr)
@@ -237,50 +253,25 @@ def build_parser():
     lr.add_argument("--data", default=None,
                     help="text matrix of rows z_i = -y_i a_i")
     lr.add_argument("--out", default="logreg.csv")
+    lr.set_defaults(run=run_logreg)
 
     de = sub.add_parser("describe", help="inspect a JSON qs-spec")
     de.add_argument("--spec", default=None)
     de.add_argument("--spec-file", default=None)
     de.add_argument("--at", default=None,
                     help="comma-separated point to evaluate at")
+    de.set_defaults(run=run_describe)
 
     return parser
 
 
-def _apply_scale_defaults(args):
-    full = getattr(args, "full_scale", False)
-    if args.experiment == "prox-timing" and args.sizes is None:
-        args.sizes = ([2 ** e for e in range(10, 17)] if full
-                      else [1024, 8192])
-    if getattr(args, "n", None) is None and hasattr(args, "n"):
-        if args.experiment == "logreg":
-            args.n = 200
-        elif args.experiment == "conditioning":
-            args.n = 1000 if full else 500
-        else:
-            args.n = 2000 if full else 500
-    if getattr(args, "p", None) is None and hasattr(args, "p"):
-        args.p = args.n // 2
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_scale_defaults(args)
-    if args.experiment == "prox-timing":
-        return run_prox_timing(args)
-    if args.experiment == "lsq-l1":
-        return run_lsq(args, "l1")
-    if args.experiment == "lsq-group":
-        return run_lsq(args, "group")
-    if args.experiment == "lsq-tv":
-        return run_lsq(args, "tv")
-    if args.experiment == "conditioning":
-        return run_conditioning(args)
-    if args.experiment == "logreg":
-        return run_logreg(args)
-    if args.experiment == "describe":
-        return run_describe(args)
-    raise AssertionError(f"unhandled experiment {args.experiment!r}")
+    if args.experiment in SCALE_DEFAULTS:
+        option, desk, full = SCALE_DEFAULTS[args.experiment]
+        if getattr(args, option) is None:
+            setattr(args, option, full if args.full_scale else desk)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,10 @@ family).  One factorization serves both the predictor and the corrector.
 An iteration does only the work that depends on its iterate: A^T is
 built once per QP (``ConicQP.At``), Q y is applied once per iteration
 for both the dual residual and the objective, and a direction's first-row
-residual takes Q dy from the reduced solve (``LOperator.solve(q,
-quad=True)``), whose residual check applies L, and with it Q, to the very
-dy it returns.  A direction thus costs one metric product per solve.
+residual takes Q dy from the reduced solve (the operator's ``solve(q,
+quad=True)``, ``linops.LOperator.solve`` for a prox), whose residual check
+applies L, and with it Q, to the very dy it returns.  A direction thus
+costs one metric product per solve.
 ``cones.nt_scaling`` makes one record of the scaling point per iteration
 (``cones.Scaling``): it checks u interior and inverts it once, and every
 block(u)^{+-1} and W^{+-1} apply, in the eliminations and in the reduced
@@ -98,8 +99,10 @@ class TraceEntry:
 @dataclass
 class ConicQP:
     """Conic QP data; `lsolver` maps the record of a scaling point u
-    (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A
-    (see ``linops.LOperator``)."""
+    (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A.
+    The IPM needs only its ``solve(q, quad=False)``: p = L(u)^{-1} q, or
+    (p, Q p) with ``quad=True`` (``linops.LOperator`` is the one proxes
+    use)."""
 
     Qapply: Callable
     c: np.ndarray

@@ -4,14 +4,15 @@ The reduced system matrix is
 
     L(u) = B H^{-1} B^T + A^T block(u)^{-1} A
 
-where H is an SPD metric kept in diagonal-plus-low-rank inverse form and
-block(u) is the cone scaling operator.  ``build_L`` hands back an operator
-with ``apply``/``solve`` closures, served by one structured solver or by
-the dense fallback.  ``structure(g)`` labels the path from g's dual data
-(A, B, K) alone, once per function, so a calculus output gets a
-structured path whenever its matrices qualify.  The first rule that holds
-wins; K is orthant-only unless said otherwise, and "A single" means each
-row of A has at most one nonzero:
+where H is an SPD metric (``Metric``) held as two diagonal-plus-low-rank
+triples, H = diag(d) + U M U^T and H^{-1} = diag(d1) + U1 M1 U1^T, and
+block(u) is the cone scaling operator.  ``build_L`` hands back an
+``LOperator``, which factors L(u) by one structured solver or by the dense
+fallback and whose ``solve`` owns the residual guard.  ``structure(g)``
+labels the path from g's dual data (A, B, K) alone, once per function, so
+a calculus output gets a structured path whenever its matrices qualify.
+The first rule that holds wins; K is orthant-only unless said otherwise,
+and "A single" means each row of A has at most one nonzero:
 
 - ``ball_pivot``: A = [A1, a] with A1 single, B = [D; 0] with D diagonal;
 - ``soc_blocks``: K all second-order, A single, each block's rows touch one
@@ -59,7 +60,7 @@ The LAPACK routines are called directly from ``scipy.linalg.lapack``: the
 more than the routine takes.  Every ``info`` is checked, and the
 wrappers' ``check_finite`` is kept as an explicit test: a non-finite or
 not positive definite band, or a singular or non-finite capacitance,
-raises StructuredSolveError, so that ``build_L`` falls back to the dense
+raises StructuredSolveError, so that the operator falls back to the dense
 path; a non-finite right-hand side raises ValueError.
 
 The dense fallback assembles the same sum as sparse ell x ell products,
@@ -69,6 +70,8 @@ result for the Cholesky factorization.
 
 Work is formed as rarely as what it depends on allows:
 
+- per metric, when it is built: both of its triples, the inverse one by
+  one Woodbury inversion in ``Metric.from_direct_parts``;
 - per function, by ``structure``: the path, A^T and B^T, the band order,
   the band maps of A and a border's column;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
@@ -86,19 +89,22 @@ block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
 ``soc_blocks`` and the dense path (d, r) is ``cones.block_parts`` at
 u^{-1}, and the operator's apply runs ``cones.block_solve`` on the record.
-Nothing here inverts u again.
+Nothing here inverts u again.  H^{-1}'s triple comes from
+``Metric.inverse_parts``, formed when H was built; the per-prox memo
+inverts only the small M1 again, for the capacitance of the Woodbury
+update.
 
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7, or is not a number, is redone through the
-dense fallback and counted in the module diagnostics.  The check applies L
-to the point the solve returns; with ``quad=True`` the solve also hands
-back the metric part B H^{-1} B^T p of that product, which is the IPM's
-Q p, so a Newton direction needs no metric product of its own.
+dense fallback, which the operator keeps from then on, and counted in the
+module diagnostics.  The check applies L to the point the solve returns;
+with ``quad=True`` the solve also hands back the metric part
+B H^{-1} B^T p of that product, which is the IPM's Q p, so a Newton
+direction needs no metric product of its own.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -134,64 +140,6 @@ def reset_diagnostics():
 
 class StructuredSolveError(RuntimeError):
     """Raised when a structured factorization or solve cannot proceed."""
-
-
-# ---------------------------------------------------------------------------
-# Sherman-Morrison-Woodbury triples
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SWTriple:
-    """Diagonal-plus-low-rank matrix diag(d) + U M U^T with symmetric M."""
-
-    d: np.ndarray
-    U: np.ndarray
-    M: np.ndarray
-
-    def matvec(self, x):
-        out = self.d[:, None] * x if x.ndim == 2 else self.d * x
-        if self.U.shape[1]:
-            out = out + self.U @ (self.M @ (self.U.T @ x))
-        return out
-
-
-def _empty_low_rank(n):
-    return np.zeros((n, 0)), np.zeros((0, 0))
-
-
-def swinv(d, U=None, M=None) -> SWTriple:
-    """Invert diag(d) + U M U^T into the same representation.
-
-    Returns (d1, U1, M1) with inverse = diag(d1) + U1 M1 U1^T, where
-    d1 = 1/d, U1 = diag(d1) U and M1 = -(M^{-1} + U^T U1)^{-1} (the minus
-    sign of the Woodbury correction is folded into M1).
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
-        raise StructuredSolveError("swinv needs a strictly positive diagonal")
-    d1 = 1.0 / d
-    if U is None or U.shape[1] == 0:
-        U1, M1 = _empty_low_rank(d.size)
-        return SWTriple(d1, U1, M1)
-    U = np.asarray(U, dtype=float)
-    # d1[:, None] * U, about 1.7x faster for a tall U as einsum
-    U1 = np.einsum("i,ij->ij", d1, U)
-    cap = _middle_inverse(M) + U.T @ U1
-    cap = 0.5 * (cap + cap.T)
-    try:
-        M1 = -np.linalg.inv(cap)
-    except np.linalg.LinAlgError as exc:
-        raise StructuredSolveError("capacitance matrix is singular in swinv") from exc
-    M1 = 0.5 * (M1 + M1.T)
-    return SWTriple(d1, U1, M1)
-
-
-def _middle_inverse(M) -> np.ndarray:
-    """M^{-1} for the middle matrix of a low-rank term U M U^T."""
-    try:
-        return np.linalg.inv(np.asarray(M, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise StructuredSolveError("middle matrix of a low-rank term is singular") from exc
 
 
 def _check_info(info, what):
@@ -239,31 +187,51 @@ def low_rank_update_solve(solve_d: Callable, U, Minv, Z=None) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# SPD metric in diagonal-plus-low-rank inverse form
+# SPD metric in diagonal-plus-low-rank form
 # ---------------------------------------------------------------------------
 
-class Metric:
-    """SPD metric H stored through its inverse H^{-1} = diag(d1) + U1 M1 U1^T.
+def _empty_low_rank(n):
+    return np.zeros((n, 0)), np.zeros((0, 0))
 
-    The inverse side is the native storage because every consumer (dual
-    quadratic term, gradient scaling, recovery) applies H^{-1}; the direct
-    triple for H itself is kept as given by ``from_direct_parts`` and
-    otherwise recovered lazily by one swinv call.
+
+def _middle_inverse(M) -> np.ndarray:
+    """M^{-1} for the middle matrix of a low-rank term U M U^T."""
+    try:
+        return np.linalg.inv(np.asarray(M, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise StructuredSolveError("middle matrix of a low-rank term is singular") from exc
+
+
+def _dlr_apply(d, U, M, x):
+    """(diag(d) + U M U^T) x, for a vector or a matrix of columns x."""
+    out = d[:, None] * x if x.ndim == 2 else d * x
+    if U.shape[1]:
+        out = out + U @ (M @ (U.T @ x))
+    return out
+
+
+class Metric:
+    """SPD metric H = diag(d) + U M U^T, with its inverse
+    H^{-1} = diag(d1) + U1 M1 U1^T.
+
+    Both triples are formed once, at construction.  ``Metric(d1)`` is the
+    diagonal metric with inverse diagonal d1 (d = 1/d1, no low rank);
+    ``from_direct_parts`` takes H's own triple and inverts it by Woodbury.
+    ``solve`` applies H^{-1}, which every consumer (dual quadratic term,
+    gradient scaling, recovery) needs, and ``apply`` applies H.
     """
 
-    def __init__(self, inv_diag, inv_U=None, inv_M=None):
-        inv_diag = np.asarray(inv_diag, dtype=float)
-        if inv_U is None:
-            inv_U, inv_M = _empty_low_rank(inv_diag.size)
-        if np.any(inv_diag <= 0.0):
+    def __init__(self, inv_diag):
+        d1 = np.asarray(inv_diag, dtype=float)
+        if np.any(d1 <= 0.0):
             raise StructuredSolveError("metric inverse needs a positive diagonal part")
-        self._inverse = SWTriple(inv_diag, np.asarray(inv_U, dtype=float),
-                                 np.asarray(inv_M, dtype=float))
-        self._direct: Optional[SWTriple] = None
+        U, M = _empty_low_rank(d1.size)
+        self._inverse = (d1, U, M)
+        self._direct = (1.0 / d1, U, M)
 
     @property
     def n(self):
-        return self._inverse.d.size
+        return self._inverse[0].size
 
     @classmethod
     def identity(cls, n):
@@ -286,32 +254,51 @@ class Metric:
 
     @classmethod
     def from_direct_parts(cls, d, U=None, M=None):
-        """Build from H = diag(d) + U M U^T (e.g. H = I + U U^T)."""
+        """Build from H = diag(d) + U M U^T (e.g. H = I + U U^T).
+
+        The inverse is d1 = 1/d, U1 = diag(d1) U and
+        M1 = -(M^{-1} + U^T U1)^{-1}, the minus sign of the Woodbury
+        correction folded into M1; a singular M or capacitance raises
+        StructuredSolveError."""
         d = np.asarray(d, dtype=float)
-        if U is None:
+        if np.any(d <= 0.0):
+            raise StructuredSolveError("metric needs a strictly positive diagonal")
+        d1 = 1.0 / d
+        if U is None or U.shape[1] == 0:
             U, M = _empty_low_rank(d.size)
-        t = swinv(d, U, M)
-        H = cls(t.d, t.U, t.M)
-        H._direct = SWTriple(d, np.asarray(U, dtype=float),
-                             np.asarray(M, dtype=float))
+            U1, M1 = U, M
+        else:
+            U, M = np.asarray(U, dtype=float), np.asarray(M, dtype=float)
+            # d1[:, None] * U, about 1.7x faster for a tall U as einsum
+            U1 = np.einsum("i,ij->ij", d1, U)
+            cap = _middle_inverse(M) + U.T @ U1
+            cap = 0.5 * (cap + cap.T)
+            try:
+                M1 = -np.linalg.inv(cap)
+            except np.linalg.LinAlgError as exc:
+                raise StructuredSolveError(
+                    "capacitance matrix of the metric is singular") from exc
+            M1 = 0.5 * (M1 + M1.T)
+        # __init__ takes an inverse diagonal only; the two triples are set here.
+        H = cls.__new__(cls)
+        H._inverse, H._direct = (d1, U1, M1), (d, U, M)
         return H
 
     def inverse_parts(self):
-        t = self._inverse
-        return t.d, t.U, t.M
+        """(d1, U1, M1) of H^{-1}."""
+        return self._inverse
 
-    def direct_parts(self) -> SWTriple:
-        if self._direct is None:
-            self._direct = swinv(*self.inverse_parts())
+    def direct_parts(self):
+        """(d, U, M) of H."""
         return self._direct
 
     def solve(self, x):
         """Apply H^{-1} (accepts a vector or a matrix of columns)."""
-        return self._inverse.matvec(x)
+        return _dlr_apply(*self._inverse, x)
 
     def apply(self, x):
         """Apply H."""
-        return self.direct_parts().matvec(x)
+        return _dlr_apply(*self._direct, x)
 
     def norm(self, x):
         return float(np.sqrt(max(x @ self.apply(x), 0.0)))
@@ -390,27 +377,6 @@ def _rank_one_blocks_solver(D, gv, runs) -> Callable:
         return x
 
     return solve
-
-
-# ---------------------------------------------------------------------------
-# L(u) operator construction
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LOperator:
-    """Reduced-system operator with apply/solve closures.
-
-    ``solve(q)`` returns p = L^{-1} q.  ``solve(q, quad=True)`` returns
-    (p, Q p), Q = B H^{-1} B^T the metric part of L: the solve's residual
-    check applies L to the p it returns, and hands that product on.
-    ``requested`` is the path ``structure`` chose; ``strategy`` is the one
-    that ran, ``dense`` after a fallback.
-    """
-
-    apply: Callable
-    solve: Callable
-    strategy: str
-    requested: str
 
 
 def _memoized(memo, key, make):
@@ -692,75 +658,94 @@ def _solve_dense(g, H, W, memo=None):
     return solve
 
 
-def build_L(g, H: Optional[Metric], W: cones.Scaling,
-            memo: Optional[dict] = None) -> LOperator:
+# ---------------------------------------------------------------------------
+# The L(u) operator
+# ---------------------------------------------------------------------------
+
+def metric_product(g, H: Optional[Metric], w):
+    """Q w = B H^{-1} B^T w, the metric part of L(u) and the quadratic term
+    of the dual QP; zero when H is None."""
+    if H is None:
+        return np.zeros_like(w)
+    return g.B @ H.solve(structure(g).Bt @ w)
+
+
+class LOperator:
     """Operator for L(u) = B H^{-1} B^T + A^T block(u)^{-1} A, W the
     record of u (``cones.Scaling``).
 
-    ``g`` supplies (A, B, K), and ``structure(g)`` the path; ``H`` may be
-    None for a vanishing quadratic term (linear-objective evaluation).
-    Structured solves carry a residual guard that reroutes through the
-    dense fallback on instability.
-    ``memo`` keeps the u-independent parts of the metric term between calls
-    with the same g and H (see ``reduced_solver``).
-    """
-    s = structure(g)
-    A, B, At, Bt = g.A, g.B, s.At, s.Bt
+    ``g`` supplies (A, B, K), and ``structure(g)`` the path, kept as
+    ``requested``; ``H`` may be None for a vanishing quadratic term
+    (linear-objective evaluation), and ``memo`` keeps the u-independent
+    parts of the metric term between operators of the same g and H (see
+    ``reduced_solver``).  The constructor factors L(u) on the requested
+    path, or densely when that is ``dense`` or its factorization fails.
+    ``strategy`` is the path whose factor is in use.
 
-    def apply_split(w):
+    ``solve(q)`` returns p = L^{-1} q.  A structured solve whose relative
+    residual exceeds ``GUARD_TOL`` is redone on a dense factor, which the
+    operator keeps: its ``strategy`` becomes ``dense``.  Both kinds of
+    fallback are counted in ``DIAGNOSTICS``.  ``solve(q, quad=True)``
+    returns (p, Q p), Q = B H^{-1} B^T: the residual check applies L to the
+    p it returns, and hands on the metric part of that product.
+    """
+
+    def __init__(self, g, H: Optional[Metric], W: cones.Scaling,
+                 memo: Optional[dict] = None):
+        self.g, self.H, self.W, self.memo = g, H, W, memo
+        self.requested = self.strategy = structure(g).path
+        self._factor = None
+        if self.requested != DENSE:
+            try:
+                self._factor = _solve_banded(g, H, W, memo)
+            except StructuredSolveError:
+                DIAGNOSTICS["guard_fallbacks"] += 1
+        if self._factor is None:
+            self._factor_densely()
+
+    def _factor_densely(self):
+        self._factor = _solve_dense(self.g, self.H, self.W, self.memo)
+        self.strategy = DENSE
+
+    def apply_split(self, w):
         """(L w, Q w) with Q = B H^{-1} B^T."""
-        out = At @ cones.block_solve(W, A @ w)
-        if H is None:
-            return out, np.zeros_like(out)
-        Qw = B @ H.solve(Bt @ w)
+        out = structure(self.g).At @ cones.block_solve(self.W, self.g.A @ w)
+        Qw = metric_product(self.g, self.H, w)
         out += Qw
         return out, Qw
 
-    def apply(w):
-        return apply_split(w)[0]
+    def apply(self, w):
+        return self.apply_split(w)[0]
 
-    def refined(inner_solve, q):
-        # One pass of iterative refinement; the reduced system turns
-        # ill-conditioned as the scaling point degenerates near optimality
-        # and the extra solve keeps the direction residual near roundoff.
-        # Returns (p, Q p, relative residual).
-        p = inner_solve(q)
-        Lp, Qp = apply_split(p)
+    def _refined(self, q):
+        """(p, Q p, relative residual) of the factor's solve followed by
+        one pass of iterative refinement: the reduced system turns
+        ill-conditioned as the scaling point degenerates near optimality,
+        and the extra solve keeps the direction residual near roundoff."""
+        p = self._factor(q)
+        Lp, Qp = self.apply_split(p)
         r = q - Lp
         nq = 1.0 + np.linalg.norm(q)
         if np.linalg.norm(r) / nq > 1e-13:
-            p = p + inner_solve(r)
-            Lp, Qp = apply_split(p)
+            p = p + self._factor(r)
+            Lp, Qp = self.apply_split(p)
             r = q - Lp
         return p, Qp, np.linalg.norm(r) / nq
 
-    inner = fallback = None
-    if s.path != DENSE:
-        try:
-            inner = _solve_banded(g, H, W, memo)
-        except StructuredSolveError:
+    def solve(self, q, quad=False):
+        p, Qp, res = self._refined(q)
+        if self.strategy != DENSE and not res <= GUARD_TOL:
             DIAGNOSTICS["guard_fallbacks"] += 1
-    if inner is None:
-        fallback = _solve_dense(g, H, W, memo)
-
-    def solve(q, quad=False):
-        nonlocal fallback
-        if fallback is None:
-            p, Qp, res = refined(inner, q)
-            if not res <= GUARD_TOL:
-                DIAGNOSTICS["guard_fallbacks"] += 1
-                fallback = _solve_dense(g, H, W, memo)
-                if op_ref() is not None:  # None once no caller holds op
-                    op_ref().strategy = DENSE
-        if fallback is not None:
-            p, Qp, _ = refined(fallback, q)
+            self._factor_densely()
+            p, Qp, _ = self._refined(q)
         return (p, Qp) if quad else p
 
-    op = LOperator(apply, solve, DENSE if inner is None else s.path, s.path)
-    # weak: op holds solve, and a cycle would keep each operator's factors
-    # alive until the garbage collector runs
-    op_ref = weakref.ref(op)
-    return op
+
+def build_L(g, H: Optional[Metric], W: cones.Scaling,
+            memo: Optional[dict] = None) -> LOperator:
+    """The operator for L(u) at the record W of u: ``LOperator(g, H, W,
+    memo)``.  ``reduced_solver`` calls it through this module name."""
+    return LOperator(g, H, W, memo)
 
 
 def reduced_solver(g, H: Optional[Metric]) -> Callable:

@@ -217,7 +217,9 @@ class LBFGSMemory:
         return U, M
 
     def metric(self, n: int) -> linops.Metric:
-        """H = B + shift*I as a Metric (inverse held in Woodbury form)."""
+        """H = B + shift*I as a Metric, its inverse formed by one Woodbury
+        inversion (``linops.Metric.from_direct_parts``); a diagonal H
+        while the memory is empty."""
         theta = 1.0 / self.sigma
         while True:
             if not self.pairs:

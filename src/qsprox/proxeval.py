@@ -78,14 +78,9 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
     """Conic QP whose solution y gives prox_g^H(z) = z - H^{-1} B^T y."""
     z = np.asarray(z, dtype=float)
     c = g.B @ z + g.d
-    B, Bt = g.B, linops.structure(g).Bt
 
-    if H is None:
-        def Qapply(y):
-            return np.zeros_like(y)
-    else:
-        def Qapply(y):
-            return B @ H.solve(Bt @ y)
+    def Qapply(y):
+        return linops.metric_product(g, H, y)
 
     return ipm.ConicQP(
         Qapply=Qapply, c=c, A=g.A, b=g.b, K=g.K,
@@ -159,8 +154,7 @@ def lowrank_l1_prox(weight, H: linops.Metric, z) -> LowRankProxResult:
     to 1 + ||d*(x - z)||_inf.  ``weight`` may be a scalar or one weight per
     coordinate, d any positive diagonal.
     """
-    t = H.direct_parts()
-    d, U, M = t.d, t.U, t.M
+    d, U, M = H.direct_parts()
     z = np.asarray(z, dtype=float)
     thresh = weight / d
     r = U.shape[1]

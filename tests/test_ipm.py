@@ -1,6 +1,8 @@
 """Interior-point solver on conic QPs: worked KKT examples, planted-solution
 random instances, direction residuals, and path invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,9 +26,8 @@ def dense_lsolver(Qd, A, K):
             p = scipy.linalg.lu_solve(lu, q)
             return (p, Qd @ p) if quad else p
 
-        return linops.LOperator(
-            apply=lambda w: L @ w, solve=solve,
-            strategy=linops.DENSE, requested=linops.DENSE)
+        # The IPM needs only an object with ``solve``.
+        return SimpleNamespace(solve=solve)
     return make
 
 

@@ -1,5 +1,5 @@
-"""Woodbury triples, metrics, and the structured L(u) solvers against
-dense oracles."""
+"""Metrics and their Woodbury inverses, and the structured L(u) solvers
+against dense oracles."""
 
 import copy
 import gc
@@ -17,20 +17,25 @@ from conftest import (catalog, dense_L, gamma_coupled, metric_dense,
                       random_diag_metric, random_dlr_metric, random_interior)
 
 
-def swtriple_dense(t, n):
-    return np.column_stack([t.matvec(e) for e in np.eye(n)])
+# The test_swinv_* tests check the Sherman-Morrison-Woodbury inversion that
+# Metric.from_direct_parts makes of H = diag(d) + U M U^T.
+
+def inverse_dense(H, n):
+    """Dense matrix of the operator x -> H^{-1} x."""
+    return np.column_stack([H.solve(e) for e in np.eye(n)])
 
 
 def test_swinv_no_low_rank_part():
     d = np.array([2.0, 4.0])
-    t = linops.swinv(d)
-    np.testing.assert_allclose(swtriple_dense(t, 2), np.diag([0.5, 0.25]))
+    H = linops.Metric.from_direct_parts(d)
+    np.testing.assert_allclose(inverse_dense(H, 2), np.diag([0.5, 0.25]))
 
 
 def test_swinv_scalar_example():
     # (2 + 1*3*1)^-1 = 0.2
-    t = linops.swinv(np.array([2.0]), np.array([[1.0]]), np.array([[3.0]]))
-    np.testing.assert_allclose(t.matvec(np.array([1.0])), [0.2])
+    H = linops.Metric.from_direct_parts(np.array([2.0]), np.array([[1.0]]),
+                                        np.array([[3.0]]))
+    np.testing.assert_allclose(H.solve(np.array([1.0])), [0.2])
 
 
 def test_swinv_matches_dense_inverse():
@@ -39,35 +44,36 @@ def test_swinv_matches_dense_inverse():
     U = rng.standard_normal((5, 2))
     C = rng.standard_normal((2, 2))
     M = C @ C.T + np.eye(2)
-    t = linops.swinv(d, U, M)
+    H = linops.Metric.from_direct_parts(d, U, M)
     dense = np.linalg.inv(np.diag(d) + U @ M @ U.T)
-    np.testing.assert_allclose(swtriple_dense(t, 5), dense, atol=1e-10)
+    np.testing.assert_allclose(inverse_dense(H, 5), dense, atol=1e-10)
 
 
 def test_swinv_random_sweep():
-    """200 random (D, U, M): the triple equals the dense inverse."""
+    """200 random (D, U, M): the inverse triple equals the dense inverse."""
     rng = np.random.default_rng(22)
     for _ in range(200):
         n = int(rng.integers(1, 101))
         k = int(rng.integers(0, 11))
         d = rng.uniform(0.3, 3.0, n)
         if k == 0:
-            t = linops.swinv(d)
+            H = linops.Metric.from_direct_parts(d)
             dense = np.diag(1.0 / d)
         else:
             U = rng.standard_normal((n, k))
             C = rng.standard_normal((k, k))
             M = C @ C.T + 0.5 * np.eye(k)
-            t = linops.swinv(d, U, M)
+            H = linops.Metric.from_direct_parts(d, U, M)
             dense = np.linalg.inv(np.diag(d) + U @ M @ U.T)
-        got = swtriple_dense(t, n)
+        got = inverse_dense(H, n)
         err = np.linalg.norm(got - dense) / max(1.0, np.linalg.norm(dense))
         assert err <= 1e-8
 
 
 def test_swinv_singular_m_reported():
     with pytest.raises(linops.StructuredSolveError):
-        linops.swinv(np.ones(2), np.ones((2, 1)), np.zeros((1, 1)))
+        linops.Metric.from_direct_parts(np.ones(2), np.ones((2, 1)),
+                                        np.zeros((1, 1)))
 
 
 def test_low_rank_update_solve():
@@ -116,8 +122,8 @@ def test_metric_norm_is_quadratic_form():
 
 
 def test_metric_inverse_parts_shape():
-    """The stored inverse is diagonal plus low rank; direct parts round-trip
-    through swinv."""
+    """The inverse triple formed by from_direct_parts is the inverse of the
+    direct one."""
     rng = np.random.default_rng(26)
     H = random_dlr_metric(rng, 9, 2)
     d1, U1, M1 = H.inverse_parts()
@@ -273,10 +279,10 @@ def test_solve_time_fallback_sets_the_strategy_to_dense(monkeypatch):
 
 
 def test_operator_is_freed_without_the_cycle_collector():
-    """The solve closure reaches its operator only weakly, so dropping the
-    last reference frees the operator and its factors at once; a cycle
-    would keep every IPM iteration's factors alive until the garbage
-    collector ran, and raised the peak memory of large proxes."""
+    """The operator's factors and solve hold no reference back to it, so
+    dropping the last reference frees the operator and its factors at
+    once; a cycle would keep every IPM iteration's factors alive until the
+    garbage collector ran, and raised the peak memory of large proxes."""
     g, H = qscalc.build_l1(6), linops.Metric.identity(6)
     u = random_interior(g.K, np.random.default_rng(47))
     gc.disable()
@@ -817,7 +823,7 @@ def test_non_finite_metric_low_rank_ends_with_a_status():
     raising from the Woodbury buffer's solve."""
     U = np.ones((6, 1))
     U[2, 0] = np.inf
-    H = linops.Metric(np.ones(6), U, np.eye(1))
+    H = linops.Metric.from_direct_parts(np.ones(6), U, np.eye(1))
     with np.errstate(invalid="ignore"):
         res = proxeval.prox(qscalc.build_l1(6), H, np.ones(6))
     assert res.status == "numerical_breakdown"

@@ -314,8 +314,8 @@ def dense_l1_prox(weight, H, z):
     """Dense oracle: the dual box QP min 1/2 v'H^{-1}v - z'v over
     |v| <= weight, written as bounded least squares with H^{-1} = R'R and
     solved by BVLS (an active-set method); then x = z - H^{-1} v."""
-    t = H.direct_parts()
-    Hinv = np.linalg.inv(np.diag(t.d) + t.U @ t.M @ t.U.T)
+    d, U, M = H.direct_parts()
+    Hinv = np.linalg.inv(np.diag(d) + U @ M @ U.T)
     Hinv = 0.5 * (Hinv + Hinv.T)
     R = scipy.linalg.cholesky(Hinv)
     rhs = scipy.linalg.solve_triangular(R, z, trans="T")

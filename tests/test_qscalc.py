@@ -64,6 +64,18 @@ def test_evaluate_unbounded_indicator():
     assert conic_evaluate(g, np.array([2.0, 2.0])) == math.inf
 
 
+def test_evaluate_polyhedral_norm_failure_paths():
+    """An empty Y = {y : y >= 1, -y >= 0} raises EvaluationError; the
+    half-line Y = {y >= 0} gives sup y x = +inf at x = 1 and 0 at x = -1."""
+    I1 = sp.eye(1, format="csr")
+    empty = qscalc.build_polyhedral_norm([[1], [-1]], [1, 0], I1)
+    with pytest.raises(qscalc.EvaluationError):
+        qscalc.evaluate(empty, np.array([1.0]))
+    half_line = qscalc.build_polyhedral_norm([[1]], [0], I1)
+    assert qscalc.evaluate(half_line, np.array([1.0])) == math.inf
+    assert qscalc.evaluate(half_line, np.array([-1.0])) == pytest.approx(0.0, abs=1e-8)
+
+
 def test_add_examples():
     two_l1 = qscalc.add(qscalc.build_l1(2), qscalc.build_l1(2))
     assert qscalc.evaluate(two_l1, [1.0, -1.0]) == pytest.approx(4.0)

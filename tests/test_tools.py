@@ -1,17 +1,28 @@
 """The counting rule of tools/code_lines.py, which the line counts of the
-library are reported with, and a smoke run of tools/cone_timing.py."""
+library are reported with, a smoke run of tools/cone_timing.py, and the
+bit-identity gate of tools/pass_digest.py."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_path = TOOLS / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _path)
-code_lines_tool = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines_tool)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines_tool = load_tool("code_lines")
 
 
 def count(source):
@@ -94,3 +105,41 @@ def test_cone_timing_times_every_primitive_on_every_shape():
     for row in rows:
         times = [float(t) for t in row.split()[1:]]
         assert len(times) == 8 and min(times) > 0.0
+
+
+@pytest.fixture
+def pass_digest(monkeypatch):
+    """tools/pass_digest.py with every workload set up at its tiny sizes."""
+    # The tool pins the BLAS thread counts in os.environ and puts src/ and
+    # bench/ on sys.path when it loads; both are restored afterwards.
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    with mock.patch.dict(os.environ):
+        tool = load_tool("pass_digest")
+    for workload in tool.workloads.WORKLOADS.values():
+        monkeypatch.setattr(workload, "setup",
+                            lambda seed, tiny, setup=workload.setup: setup(seed, True))
+    return tool
+
+
+def test_pass_digest_reports_no_drift_against_its_own_dump(pass_digest, tmp_path,
+                                                           capsys):
+    """A --dump run read back by --against shows zero drift and the same
+    IPM iterations; --expect passes the run's own total and fails any
+    other."""
+    dump = str(tmp_path / "run.npz")
+    assert pass_digest.main(["--seeds", "1", "--dump", dump]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    total = next(ln for ln in lines if ln.startswith("total ")).split()[1]
+    assert pass_digest.main(["--seeds", "1", "--against", dump,
+                             "--expect", total]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"total {total}" in lines
+    assert ("drift max |dx|=0.0e+00 max |dy|=0.0e+00 max |dipm|=0 "
+            "max rel |dest|=0.0e+00") in lines
+    iters = [ln.split() for ln in lines if ln.startswith("ipm_iters ")]
+    assert [ln[1] for ln in iters] == list(pass_digest.workloads.WORKLOADS)
+    for _, _, before, _, after, change in iters:
+        assert before == after and int(before) > 0 and change == "(+0.0%)"
+    assert pass_digest.main(["--seeds", "1", "--expect", "0" * 64]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"total differs: expected {'0' * 64}, got {total}")
