@@ -51,6 +51,12 @@ the cost of one reduced factorization, made through the QP's ``lsolver``
 and so sharing its per-problem memo.  When s_hat lies on the cone's
 boundary no shift moves it inside, and the run takes the fixed start.
 
+``solve`` may instead be given a start (y, v, s), such as the iterate a
+looser solve of the same QP returned, so that a caller tightening the
+tolerance continues from it rather than from ``initial_point``.  s and v
+must lie strictly inside K (``ValueError`` otherwise); the returned
+``iterations`` and trace then count only the continued run's own passes.
+
 ``solve`` takes the tolerance and the iteration limit; the step fraction,
 the start shift, the centering floor and the infeasibility and divergence
 tests are module constants, read at call time.
@@ -210,7 +216,8 @@ def initial_point(qp: ConicQP):
     return y, v, s
 
 
-def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
+def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
+          start=None) -> IPMResult:
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     K = qp.K
@@ -231,11 +238,16 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100) -> IPMResult:
                         float(0.5 * (y @ Qy) - qp.c @ y))
         return rec, r_d, r_p
 
-    try:
-        y, v, s = initial_point(qp)
-    except (cones.ConeError, linops.StructuredSolveError) as exc:
-        return replace(measure(np.zeros(qp.c.size), e, e)[0], status=NUMERICAL,
-                       reason=f"least-squares start: {type(exc).__name__}: {exc}")
+    if start is not None:
+        y, v, s = start
+        if not (cones.contains(K, s, strict=True) and cones.contains(K, v, strict=True)):
+            raise ValueError("start: s and v must lie strictly inside the cone")
+    else:
+        try:
+            y, v, s = initial_point(qp)
+        except (cones.ConeError, linops.StructuredSolveError) as exc:
+            return replace(measure(np.zeros(qp.c.size), e, e)[0], status=NUMERICAL,
+                           reason=f"least-squares start: {type(exc).__name__}: {exc}")
 
     trace: List[TraceEntry] = []
     best_infeas = np.inf

@@ -35,7 +35,11 @@ Inner prox tolerances follow one inexactness rule, proportional to the
 prox-gradient residual r just computed at the iterate:
 max(kappa * r, ``INNER_FLOOR``).  Rejected IPM trials first re-solve the
 prox at a tighter tolerance before touching the shift, since a loose prox
-solve can turn a genuine decrease into a measured ascent.  An exact trial
+solve can turn a genuine decrease into a measured ascent.  The re-solve
+is the same dual QP, so it continues the rejected trial's IPM from the
+iterate it stopped at (the trial record's ``proxeval.Resume`` handle)
+rather than from the IPM's start; a trial that ended short of optimal
+carries no handle and re-solves from scratch.  An exact trial
 (closed form or certified Newton) would re-solve to the same point, so
 its rejection grows the shift at once.  That test reads one field of the
 trial's record, the rule that gave x ("did the IPM give x?"); the log's
@@ -121,14 +125,17 @@ class PQNConfig:
 class IterateLog:
     """State at the start of an outer iteration.
 
-    ``inner_iterations``, ``step_norm``, ``closed_step`` and
-    ``fallback_reason`` describe the step that produced this iterate (0,
-    0.0, False and "" at iteration 0).  All but the length are read off
-    the ``proxeval.RoutedProx`` records of the step's trials: the IPM
+    ``inner_iterations``, ``step_norm``, ``closed_step``,
+    ``fallback_reason``, ``resolves`` and ``resolve_iterations`` describe
+    the step that produced this iterate (0, 0.0, False, "", 0 and 0 at
+    iteration 0).  All but the length are read off the
+    ``proxeval.RoutedProx`` records of the step's trials: the IPM
     iterations summed over the trials, whether no trial's rule was the
     IPM (every trial was closed form or a certified Newton step of
-    ``proxeval.lowrank_l1_prox``, which count 0 IPM iterations), and the
-    last trial's Newton fallback reason ("" when no trial fell back).
+    ``proxeval.lowrank_l1_prox``, which count 0 IPM iterations), the
+    last trial's Newton fallback reason ("" when no trial fell back), and
+    the number of trials that resumed a rejected trial's IPM with the IPM
+    iterations they took (a share of ``inner_iterations``).
     """
 
     iteration: int
@@ -141,6 +148,8 @@ class IterateLog:
     x: np.ndarray = None
     closed_step: bool = False
     fallback_reason: str = ""
+    resolves: int = 0
+    resolve_iterations: int = 0
 
 
 @dataclass
@@ -151,7 +160,8 @@ class PQNResult:
     residual check of x.  ``newton_steps`` counts the trial steps whose
     record names the certified Newton rule, ``fallbacks`` those whose
     record carries Newton's reason for giving no certificate, so that the
-    IPM ran instead."""
+    IPM ran instead, and ``resolves`` those that resumed a rejected
+    trial's IPM at a tighter tolerance."""
 
     x: np.ndarray
     status: str
@@ -163,6 +173,7 @@ class PQNResult:
     reason: str = ""
     newton_steps: int = 0
     fallbacks: int = 0
+    resolves: int = 0
 
 
 class LBFGSMemory:
@@ -309,7 +320,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
     # step's squared length
     trials: List[proxeval.RoutedProx] = []
     dx2 = 0.0
-    newton_steps = fallbacks = 0
+    newton_steps = fallbacks = resolves = 0
     reason = ""
     try:
         for it in range(cfg.max_iter + 1):
@@ -321,7 +332,9 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                 sum(t.iterations for t in trials), mem.shift,
                 float(np.sqrt(dx2)), x.copy(),
                 bool(trials) and all(t.rule != proxeval.IPM for t in trials),
-                next((t.fallback for t in reversed(trials) if t.fallback), ""))
+                next((t.fallback for t in reversed(trials) if t.fallback), ""),
+                sum(t.resumed for t in trials),
+                sum(t.iterations for t in trials if t.resumed))
             history.append(entry)
             if cfg.callback is not None:
                 cfg.callback(entry)
@@ -343,15 +356,20 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             # to c·‖dx‖² plus the roundoff allowance of the objective values.
             # A loose first solve therefore gets one certified re-solve with
             # the tolerance keyed to the observed step before the shift moves;
-            # an exact trial would re-solve to the same point.
+            # an exact trial would re-solve to the same point.  The re-solve
+            # is the same prox (same H and z), so it passes the rejected
+            # trial's handle and continues that trial's IPM (from scratch
+            # when the trial ended short of optimal and carries none).
             trials = []
             trial_tol = inner_tol
+            resume = None
             slack = NOISE_FLOOR * (1.0 + abs(F)) if np.isfinite(F) else 0.0
             while True:
-                trial = _step(g, x, grad, mem, trial_tol, inner_tol)
+                trial = _step(g, x, grad, mem, trial_tol, inner_tol, resume)
                 trials.append(trial)
                 newton_steps += trial.rule == proxeval.NEWTON
                 fallbacks += bool(trial.fallback)
+                resolves += trial.resumed
                 F_new = problem.value(trial.x) + qscalc.evaluate(g, trial.x)
                 dx2 = float((trial.x - x) @ (trial.x - x))
                 if F_new <= F - ACCEPT_COEFF * dx2 + slack:
@@ -360,7 +378,9 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                 certified = max(certified, INNER_HARD_FLOOR)
                 if trial.rule == proxeval.IPM and trial_tol > certified:
                     trial_tol = certified
+                    resume = trial.resume
                     continue
+                resume = None
                 mem.shift = max(SHIFT_GROW * mem.shift, SHIFT_SEED)
                 if mem.shift > SHIFT_CAP:
                     break
@@ -388,17 +408,22 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         reason=reason,
         newton_steps=newton_steps,
         fallbacks=fallbacks,
+        resolves=resolves,
     )
 
 
-def _step(g, x, grad, mem: LBFGSMemory, trial_tol,
-          inner_tol) -> proxeval.RoutedProx:
+def _step(g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol,
+          resume: Optional[proxeval.Resume] = None) -> proxeval.RoutedProx:
     """One trial step: x+ = prox_g^H(x - H^{-1} grad) with H = B + shift*I.
 
     ``proxeval.routed_prox`` takes it: the exact rule for g in H when there
     is one, otherwise (and when Newton gives no certificate) the IPM to
     ``trial_tol``, usable short of optimal up to the step's ``inner_tol``.
-    Returns the trial's record; x+ is its ``x``.
+    A re-solve passes the rejected trial's ``resume`` handle, whose H and
+    z it reuses.  Returns the trial's record; x+ is its ``x``.
     """
+    if resume is not None:
+        return proxeval.routed_prox(g, resume.H, resume.z, trial_tol,
+                                    inner_tol, resume)
     H = mem.metric(x.size)
     return proxeval.routed_prox(g, H, x - H.solve(grad), trial_tol, inner_tol)

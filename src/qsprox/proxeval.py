@@ -41,6 +41,14 @@ Newton ran without a certificate.  An IPM prox that ends short of
 optimal is used only if its residual meets the caller's usable
 tolerance; otherwise ``routed_prox`` raises ``InnerFailure``, so a
 failed prox is never used as if it had succeeded.
+
+A prox the caller may re-solve at a tighter tolerance takes a ``Resume``
+handle, which the caller holds: ``prox`` keeps the dual QP (and with it
+the reduced-system memo) and the last IPM record there, and a re-solve
+continues the IPM from that record's iterate instead of restarting.
+``routed_prox`` makes the handle of each IPM prox and its record carries
+it while the IPM ended optimal.  The state lives on the handle, never on
+``ProxResult``, so a caller that keeps many results keeps no QP.
 """
 
 from __future__ import annotations
@@ -88,12 +96,42 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
     )
 
 
+@dataclass
+class Resume:
+    """A caller's handle on one prox of g: its metric H and point z, its
+    dual QP with the QP's reduced-system memo, the IPM record of its last
+    solve, and the Newton ``fallback`` reason of the route that sent it to
+    the IPM.  A solve that ended optimal is a ``start`` for a tighter
+    re-solve."""
+
+    H: linops.Metric
+    z: np.ndarray
+    fallback: str = ""
+    qp: Optional[ipm.ConicQP] = None
+    last: Optional[ipm.IPMResult] = None
+
+    def start(self):
+        last = self.last
+        return None if last is None or last.status != ipm.OPTIMAL else (
+            last.y, last.v, last.s)
+
+
 def prox(g: QSFunction, H: linops.Metric, z, tol: float = 1e-8,
-         max_iter: int = 100) -> ProxResult:
-    """Evaluate prox_g^H(z) by solving the dual conic QP."""
+         max_iter: int = 100, resume: Optional[Resume] = None) -> ProxResult:
+    """Evaluate prox_g^H(z) by solving the dual conic QP.
+
+    With a ``resume`` handle (made for this H and z) the QP is built once,
+    on the handle's first solve, and kept there with the solve's IPM
+    record; a later call with the same g and handle continues the IPM from
+    that record's iterate when it ended optimal (``Resume.start``), at the
+    new tolerance.  Without a handle nothing outlives the call but the
+    returned ``ProxResult``, which refers to no QP or IPM record."""
     z = np.asarray(z, dtype=float)
-    qp = dual_qp(g, H, z)
-    res = ipm.solve(qp, tol=tol, max_iter=max_iter)
+    resume = resume or Resume(H, z)
+    if resume.qp is None:
+        resume.qp = dual_qp(g, H, z)
+    res = resume.last = ipm.solve(resume.qp, tol=tol, max_iter=max_iter,
+                                  start=resume.start())
     Bty = linops.structure(g).Bt @ res.y
     x = z - H.solve(Bty)
     recovery = float(np.linalg.norm(H.apply(x - z) + Bty))
@@ -250,17 +288,22 @@ class InnerFailure(RuntimeError):
 class RoutedProx:
     """One prox of ``routed_prox``: the point x, the rule that gave it
     (``CLOSED``, ``NEWTON`` or ``IPM``), the IPM iterations (0 unless the
-    IPM gave x) and ``fallback``, Newton's stop reason when Newton ran
-    without a certificate and the IPM gave x instead ("" otherwise)."""
+    IPM gave x), ``fallback``, Newton's stop reason when Newton ran
+    without a certificate and the IPM gave x instead ("" otherwise),
+    whether the IPM ``resumed`` a looser solve of the same prox, and the
+    ``resume`` handle a tighter re-solve continues from (None unless the
+    IPM ended optimal)."""
 
     x: np.ndarray
     rule: str
     iterations: int = 0
     fallback: str = ""
+    resumed: bool = False
+    resume: Optional[Resume] = None
 
 
 def routed_prox(g: QSFunction, H: linops.Metric, z, tol: float,
-                usable_tol: float) -> RoutedProx:
+                usable_tol: float, resume: Optional[Resume] = None) -> RoutedProx:
     """prox_g^H(z) by the exact rule of ``exact_prox`` when it gives a
     point, otherwise by ``prox`` at ``tol``.
 
@@ -270,15 +313,25 @@ def routed_prox(g: QSFunction, H: linops.Metric, z, tol: float,
     and otherwise raises InnerFailure.  A caller that asks for a
     tolerance near roundoff, which the IPM may not reach, passes the
     looser tolerance it can still use as ``usable_tol``.
+
+    Each IPM prox gets a ``Resume`` handle, which its record carries when
+    the IPM ended optimal.  A caller that re-solves the same prox at a
+    tighter tolerance passes that handle back with the handle's own H and
+    z: the re-solve skips the exact rules, which gave no point, keeps the
+    first route's ``fallback`` and continues the IPM on the same QP.
     """
-    x, rule, reason = exact_prox(g.prox_kind, H, z)
-    if x is not None:
-        return RoutedProx(x, rule)
-    res = prox(g, H, z, tol=tol)
+    if resume is None:
+        x, rule, reason = exact_prox(g.prox_kind, H, z)
+        if x is not None:
+            return RoutedProx(x, rule)
+        resume = Resume(H, z, reason)
+    resumed = resume.start() is not None
+    res = prox(g, H, z, tol=tol, resume=resume)
     if res.status != ipm.OPTIMAL and not res.residual <= usable_tol:
         raise InnerFailure(f"prox ended {res.status} with residual "
                            f"{res.residual:.3g}: {res.reason}")
-    return RoutedProx(res.x, IPM, res.iterations, reason)
+    return RoutedProx(res.x, IPM, res.iterations, resume.fallback, resumed,
+                      resume if res.status == ipm.OPTIMAL else None)
 
 
 def envelope_value(g: QSFunction, H: linops.Metric, z, x) -> float:

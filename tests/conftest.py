@@ -49,6 +49,14 @@ def random_dlr_metric(rng, n, k=2):
     return linops.Metric.from_direct_parts(d, U, M)
 
 
+def lbfgs_shaped_metric(rng, n, rank=5):
+    """H = diag(d) + U U^T with U of scale 2/sqrt(n), the benchmark's
+    L-BFGS-shaped metric."""
+    U = rng.standard_normal((n, rank)) * (2.0 / np.sqrt(n))
+    return linops.Metric.from_direct_parts(rng.uniform(0.5, 2.0, n), U,
+                                           np.eye(rank))
+
+
 def metric_dense(H, n):
     """Dense matrix of the operator x -> H x."""
     return np.column_stack([H.apply(e) for e in np.eye(n)])

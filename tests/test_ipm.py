@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from qsprox import cones, ipm, linops, proxeval, qscalc
 from cone_reference import block_dense
-from conftest import random_dlr_metric, random_interior
+from conftest import lbfgs_shaped_metric, random_dlr_metric, random_interior
 
 
 def dense_lsolver(Qd, A, K):
@@ -441,3 +441,65 @@ def test_l1_ball_prox_iterations(rank):
     res = proxeval.prox(qscalc.build_l1_ball(n), H, 2.0 * rng.standard_normal(n))
     assert res.status == ipm.OPTIMAL
     assert res.iterations <= 16
+
+
+def resume_cases():
+    """Seeded proxes in rank-5 metrics diag(d) + U U^T (the L-BFGS shape):
+    path TV (n = 200), TV on a 12 x 12 grid graph and a sum of 40 norms
+    of blocks of 4."""
+    side = 12
+    grid = [(i * side + j, i * side + j + 1) for i in range(side)
+            for j in range(side - 1)]
+    grid += [(i * side + j, (i + 1) * side + j) for i in range(side - 1)
+             for j in range(side)]
+    return [
+        ("path_tv", qscalc.build_graph_l1(qscalc.path_difference_matrix(200))),
+        ("grid_tv", qscalc.build_graph_l1(qscalc.incidence_matrix(grid, side ** 2))),
+        ("sum_of_norms", qscalc.build_sum_of_norms([4] * 40)),
+    ]
+
+
+def resume_draw(g, seed):
+    rng = np.random.default_rng(seed)
+    return lbfgs_shaped_metric(rng, g.n), 2.0 * rng.standard_normal(g.n)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_resumed_prox_continues_the_loose_solve(case):
+    """A prox solved to 1e-3 and resumed on the same QP to 1e-9 ends
+    optimal with every stop residual <= 1e-9, within 1e-6 of a cold solve
+    at 1e-9, in fewer IPM iterations than the cold solve takes."""
+    name, g = resume_cases()[case]
+    H, z = resume_draw(g, 90 + case)
+    handle = proxeval.Resume(H, z)
+    loose = proxeval.prox(g, H, z, tol=1e-3, resume=handle)
+    assert loose.status == ipm.OPTIMAL and handle.start() is not None
+    qp = handle.qp
+    tight = proxeval.prox(g, H, z, tol=1e-9, resume=handle)
+    assert handle.qp is qp, name
+    last = handle.last
+    assert tight.status == ipm.OPTIMAL, name
+    assert max(last.rel_dual, last.rel_primal, last.gap) <= 1e-9, name
+    cold = proxeval.prox(g, H, z, tol=1e-9)
+    assert cold.status == ipm.OPTIMAL, name
+    assert np.max(np.abs(tight.x - cold.x)) <= 1e-6, name
+    assert tight.iterations < cold.iterations, name
+    # the resumed run's trace numbers only its own passes
+    assert tight.trace[0].iteration == 1
+
+
+@pytest.mark.parametrize("case", [0, 2])
+def test_start_on_the_cone_boundary_is_rejected(case):
+    """A start whose s or v lies on the boundary of K raises ValueError:
+    an orthant entry at 0 for path TV, a second-order block with
+    x0 = ||xbar|| for the sum of norms."""
+    _, g = resume_cases()[case]
+    H, z = resume_draw(g, 95)
+    qp = proxeval.dual_qp(g, H, z)
+    y, v, s = ipm.initial_point(qp)
+    on_boundary = s.copy()
+    on_boundary[: 4] = [np.sqrt(3.0), 1.0, 1.0, 1.0] if case == 2 else 0.0
+    for start in ((y, v, on_boundary), (y, on_boundary, s)):
+        with pytest.raises(ValueError, match="strictly inside"):
+            ipm.solve(qp, start=start)
+    assert ipm.solve(qp, tol=1e-6, start=(y, v, s)).status == ipm.OPTIMAL

@@ -293,6 +293,41 @@ def test_step_records_account_for_every_ipm_prox(monkeypatch, seed):
     assert {e.iteration for e in res.history[1:] if not e.closed_step} == ran_ipm
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_resolves_continue_the_rejected_trials_ipm(monkeypatch, seed):
+    """Path-TV least squares at mem 5, where every IPM prox is a step
+    trial: the IPM gets a start on exactly the re-solves (a prox of the
+    previous trial's point z at a tighter tolerance), and their number and
+    IPM iterations are what the result and the logs report."""
+    events = []
+    real_route, real_solve = proxeval.routed_prox, pqn.proxeval.ipm.solve
+
+    def route(g, H, z, tol, usable_tol, resume=None):
+        prev = events[-1] if events else None
+        resolve = (prev is not None and np.array_equal(z, prev[0])
+                   and tol < prev[1])
+        events.append([np.array(z), tol, resolve, None, 0])
+        return real_route(g, H, z, tol, usable_tol, resume)
+
+    def solve(qp, tol=1e-8, max_iter=100, start=None):
+        res = real_solve(qp, tol=tol, max_iter=max_iter, start=start)
+        events[-1][3:] = [start is not None, res.iterations]
+        return res
+
+    monkeypatch.setattr(pqn.proxeval, "routed_prox", route)
+    monkeypatch.setattr(pqn.proxeval.ipm, "solve", solve)
+    prob, g, _ = problems.synthetic_instance("tv", 60, 30, seed)
+    res = pqn.solve(prob, g, np.zeros(prob.n), pqn.PQNConfig(mem=5))
+    assert res.status == pqn.OPTIMAL
+    ipm_trials = [e for e in events if e[3] is not None]
+    assert all(started == resolve for _, _, resolve, started, _ in ipm_trials)
+    started = [e for e in ipm_trials if e[3]]
+    assert started and len(started) == res.resolves
+    assert res.resolves == sum(e.resolves for e in res.history)
+    assert sum(e[4] for e in started) == sum(e.resolve_iterations
+                                             for e in res.history)
+
+
 def test_negative_iteration_limit_is_rejected():
     prob, g, _ = problems.synthetic_instance("l1", 20, 10, 0)
     with pytest.raises(ValueError, match="max_iter"):

@@ -2,7 +2,11 @@
 checks, worked examples, recovery and envelope identities, metric-norm
 nonexpansiveness, the Newton l1 prox in diagonal-plus-low-rank metrics
 against dense and interior-point references, and the routes of
-exact_prox."""
+exact_prox, and the resume handle of a re-solved prox."""
+
+import dataclasses
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import scipy.optimize
 
 from qsprox import ipm, linops, pqn, proxeval, qscalc
 from qsprox.qscalc import ProxKind
-from conftest import catalog, random_dlr_metric
+from conftest import catalog, lbfgs_shaped_metric, random_dlr_metric
 
 
 def test_soft_threshold():
@@ -453,3 +457,80 @@ def test_exact_prox_has_no_rule_for_other_pairs():
               diagonal, low_rank):
         assert proxeval.exact_prox(graph, H, z) == (None, None, "")
         assert proxeval.exact_prox(None, H, z) == (None, None, "")
+
+
+# ---------------------------------------------------------------------------
+# Resuming a prox on its dual QP
+# ---------------------------------------------------------------------------
+
+def reachable(obj):
+    """Every object reachable from obj by ``gc.get_referents``, not
+    following classes, modules or functions."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType,
+                                           types.FunctionType)):
+            continue
+        seen.add(id(o))
+        out.append(o)
+        stack.extend(gc.get_referents(o))
+    return out
+
+
+def rank5_draw(n, seed):
+    rng = np.random.default_rng(seed)
+    return lbfgs_shaped_metric(rng, n), 2.0 * rng.standard_normal(n)
+
+
+def test_prox_result_holds_no_qp_or_ipm_record():
+    """A prox made without a handle keeps no QP (with its reduced-system
+    memo) and no IPM record alive through its result; with a handle they
+    live on the handle, where the same walk finds them."""
+    g = qscalc.build_sum_of_norms([4] * 10)
+    H, z = rank5_draw(g.n, 96)
+    res = proxeval.prox(g, H, z)
+    assert res.status == ipm.OPTIMAL
+    held = reachable(res)
+    assert not [o for o in held if isinstance(o, (ipm.ConicQP, ipm.IPMResult))]
+    handle = proxeval.Resume(H, z)
+    proxeval.prox(g, H, z, resume=handle)
+    kinds = {type(o) for o in reachable(handle)}
+    assert {ipm.ConicQP, ipm.IPMResult} <= kinds
+
+
+def test_routed_prox_resumes_through_its_record(monkeypatch):
+    """An IPM record carries a handle; passed back at a tighter tolerance it
+    skips the exact rules, keeps the first route's Newton fallback reason
+    and continues the IPM, in fewer iterations than a cold solve to the
+    same point.  Closed records and a non-optimal but usable IPM record
+    carry no handle."""
+    monkeypatch.setattr(proxeval, "LOWRANK_MAX_ITER", 0)
+    g = qscalc.build_l1(60)
+    H, z = rank5_draw(g.n, 97)
+    first = proxeval.routed_prox(g, H, z, 1e-3, 1e-3)
+    assert first.rule == proxeval.IPM and "no certificate" in first.fallback
+    assert not first.resumed and first.resume is not None
+    exact_calls = []
+    real_exact = proxeval.exact_prox
+    monkeypatch.setattr(proxeval, "exact_prox",
+                        lambda *a: exact_calls.append(1) or real_exact(*a))
+    handle = first.resume
+    again = proxeval.routed_prox(g, handle.H, handle.z, 1e-9, 1e-3, handle)
+    assert exact_calls == []
+    assert again.resumed and again.resume is handle
+    assert again.rule == proxeval.IPM and again.fallback == first.fallback
+    cold = proxeval.routed_prox(g, H, z, 1e-9, 1e-9)
+    assert not cold.resumed and again.iterations < cold.iterations
+    assert np.max(np.abs(again.x - cold.x)) <= 1e-6
+    closed = proxeval.routed_prox(g, linops.Metric.identity(g.n), z, 1e-9, 1e-9)
+    assert closed.rule == proxeval.CLOSED and closed.resume is None
+    real_prox = proxeval.prox
+
+    def usable(*args, **kw):
+        return dataclasses.replace(real_prox(*args, **kw),
+                                   status=ipm.ITERATION_LIMIT, residual=0.0)
+
+    monkeypatch.setattr(proxeval, "prox", usable)
+    short = proxeval.routed_prox(g, H, z, 1e-3, 1e-3)
+    assert short.rule == proxeval.IPM and short.resume is None

@@ -1,6 +1,7 @@
 """The counting rule of tools/code_lines.py, which the line counts of the
-library are reported with, a smoke run of tools/cone_timing.py, and the
-bit-identity gate of tools/pass_digest.py."""
+library are reported with, a smoke run of tools/cone_timing.py, the
+bit-identity gate of tools/pass_digest.py and the pair summary of
+tools/bench_pairs.py."""
 
 import importlib.util
 import os
@@ -143,3 +144,35 @@ def test_pass_digest_reports_no_drift_against_its_own_dump(pass_digest, tmp_path
     assert pass_digest.main(["--seeds", "1", "--expect", "0" * 64]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"total differs: expected {'0' * 64}, got {total}")
+
+
+bench_pairs_tool = load_tool("bench_pairs")
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    """Medians and quartiles per side, the change's wins with ties counting
+    for neither side, and the gain rule: wins in at least nine tenths of
+    the pairs and a median gain larger than the parent's quartile spread."""
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [8.0, 9.0, 10.0, 11.0, 12.0, 8.0, 9.0, 10.0, 11.0, 12.0]
+    s = bench_pairs_tool.summarize(parent, change, "lower")
+    assert s["parent"] == (11.0, 12.0, 13.0) and s["change"] == (9.0, 10.0, 11.0)
+    assert s["wins"] == 10 and s["pairs"] == 10
+    # the median gain 2 equals the parent's quartile spread 13 - 11: not more
+    assert not s["holds"]
+    assert bench_pairs_tool.summarize(parent, [c - 0.5 for c in change],
+                                      "lower")["holds"]
+    # one tie and one loss leave 8 wins of 10, short of nine tenths
+    tied = [12.0, 15.0] + [c - 1.0 for c in change[2:]]
+    s = bench_pairs_tool.summarize(parent, tied, "lower")
+    assert s["wins"] == 8 and not s["holds"]
+    # a metric where higher is better counts the mirrored wins
+    s = bench_pairs_tool.summarize(change, parent, "higher")
+    assert s["wins"] == 10 and not s["holds"]
+    assert not bench_pairs_tool.summarize(parent, change, "higher")["wins"]
+    line = bench_pairs_tool.format_summary("wall_s", bench_pairs_tool.summarize(
+        parent, [c - 0.5 for c in change], "lower"))
+    assert line == ("wall_s: parent 12 [11, 13]  change 9.5 [8.5, 10.5]  "
+                    "-20.8%  wins 10/10  gain holds")
+    with pytest.raises(ValueError):
+        bench_pairs_tool.summarize([1.0], [], "lower")
