@@ -23,12 +23,12 @@ dimension, a group of nblk blocks of dimension m being viewed as an
 (nblk, m) array (a reshaped slice when the group is contiguous, a gather
 otherwise).  The elementwise primitives run through one skeleton,
 ``_blockwise``: each is a pair of kernels, one on the orthant coordinates
-and one on a group's (nblk, m) arrays, so there is no loop over blocks,
-and an orthant-only product does only its elementwise work, with no copy.
+and one on a group's (nblk, m) arrays, so there is no loop over blocks;
+an orthant-only product, and one contiguous second-order group, does only
+its elementwise work, with no copy.
 Since P(u)^2 = P(u^2), block(u) on a second-order block is the diagonal
 -det(w) J plus the rank-one 2 w w^T with w = u^2; ``block_parts`` hands
-out that form for all blocks at once, and ``block_columns`` spreads its
-rank-one parts into one sparse column per block.
+out that form for all blocks at once.
 
 The record.  The four scaling operators block(u)^{+-1} and W^{+-1} =
 block(u)^{+-1/2} are read from a ``Scaling`` record of u, made once per
@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 ORTHANT = "orthant"
 SECOND_ORDER = "second_order"
@@ -261,10 +260,16 @@ def _blockwise(K, orth, soc, *xs):
 
     Without second-order blocks the orthant coordinates are all of them:
     orth runs on the checked vectors themselves and its result is the
-    result, so an orthant-only product makes no slice and no copy."""
+    result, so an orthant-only product makes no slice and no copy.  A
+    single second-order group with no orthant part covers them all, in
+    order: soc runs on reshaped views and its raveled result is the
+    result."""
     xs = tuple(map(K._check, xs))
     if not K.soc:
         return orth(*xs)
+    if K.orth is None and len(K.soc) == 1:
+        shape = K.soc[0][1]
+        return soc(*[x.reshape(shape) for x in xs]).ravel()
     out = np.empty(K.total_dim)
     if K.orth is not None:
         out[K.orth] = orth(*[x[K.orth] for x in xs])
@@ -387,17 +392,6 @@ def block_parts(K: ConeProduct, u):
         w[:, 1:] = (2.0 * U[:, :1]) * U[:, 1:]
         r[sel] = np.sqrt(2.0) * w.ravel()
     return d, r
-
-
-def block_columns(K: ConeProduct, r) -> sp.csc_matrix:
-    """Sparse M x nblk matrix whose j-th column is r on the j-th SOC block
-    (blocks in the group order of ``K.soc``)."""
-    rows = [np.arange(K.total_dim)[sel] for sel, _ in K.soc]
-    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-    shapes = np.array([shape for _, shape in K.soc], dtype=int).reshape(-1, 2)
-    dims = np.repeat(shapes[:, 1], shapes[:, 0])
-    ptr = np.concatenate(([0], np.cumsum(dims)))
-    return sp.csc_matrix((r[rows], rows, ptr), shape=(K.total_dim, dims.size))
 
 
 def nt_scaling(K: ConeProduct, s, v) -> Scaling:

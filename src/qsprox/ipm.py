@@ -15,13 +15,16 @@ system eliminates to the reduced matrix
 whose solve is provided by the caller (structure-exploiting per problem
 family).  One factorization serves both the predictor and the corrector.
 
-An iteration does only the work that depends on its iterate: A^T is
-built once per QP (``ConicQP.At``), Q y is applied once per iteration
-for both the dual residual and the objective, and a direction's first-row
-residual takes Q dy from the reduced solve (the operator's ``solve(q,
-quad=True)``, ``linops.LOperator.solve`` for a prox), whose residual check
-applies L, and with it Q, to the very dy it returns.  A direction thus
-costs one metric product per solve.
+An iteration does only the work that depends on its iterate.  A prox's
+QP holds A and A^T bound once per function (``linops.Structure``'s
+``linops.SparseOp``s), so each product with them is one call of scipy's
+compiled sparse kernel, with no scipy.sparse dispatch and no sparse
+matrix formed in the loop.  Q y is applied once
+per iteration for both the dual residual and the objective, and a
+direction's first-row residual takes Q dy from the reduced solve (the
+operator's ``solve(q, quad=True)``, ``linops.LOperator.solve`` for a
+prox), whose residual check applies L, and with it Q, to the very dy it
+returns.  A direction thus costs one metric product per solve.
 ``cones.nt_scaling`` makes one record of the scaling point per iteration
 (``cones.Scaling``): it checks u interior and inverts it once, and every
 block(u)^{+-1} and W^{+-1} apply, in the eliminations and in the reduced
@@ -65,10 +68,9 @@ tests are module constants, read at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from qsprox import cones, linops
 
@@ -108,22 +110,25 @@ class ConicQP:
     (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A.
     The IPM needs only its ``solve(q, quad=False)``: p = L(u)^{-1} q, or
     (p, Q p) with ``quad=True`` (``linops.LOperator`` is the one proxes
-    use)."""
+    use).  The IPM uses A and ``At``, A's transpose unless given, only
+    through ``@`` with a vector; a prox passes its function's bound
+    operators, ``linops.structure(g).A`` and ``.At`` (``linops.SparseOp``)."""
 
     Qapply: Callable
     c: np.ndarray
-    A: sp.csr_matrix
+    A: linops.SparseOp
     b: np.ndarray
     K: cones.ConeProduct
     lsolver: Callable
-    At: sp.spmatrix = field(init=False, repr=False)
+    At: Optional[linops.SparseOp] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape[0] != self.K.total_dim:
             raise ValueError("cone dimension does not match the row count of A")
-        self.At = self.A.T
+        if self.At is None:
+            self.At = self.A.T
 
 
 @dataclass

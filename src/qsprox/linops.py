@@ -63,27 +63,39 @@ not positive definite band, or a singular or non-finite capacitance,
 raises StructuredSolveError, so that the operator falls back to the dense
 path; a non-finite right-hand side raises ValueError.
 
-The dense fallback assembles the same sum as sparse ell x ell products,
-with sum_j g_j g_j^T = G G^T, G = A^T R and R holding one column per
-second-order block (``cones.block_columns``), and densifies only the
-result for the Cholesky factorization.
+The dense fallback forms the same sum densely, with sum_j g_j g_j^T =
+G G^T, G = A^T R and R holding r on the rows of each second-order block,
+one column per block, and factors it by LAPACK's dpotrf (solves by
+dpotrs), also called directly.  It assembles A^T diag(d) A, G and G G^T
+by bincounts over index maps of A's pattern (``_dense_maps``), each entry
+summed in the order scipy's sparse products summed it, so the matrix is
+the one those products formed, to the bit.
+
+g's sparse matrices are bound once per function: ``Structure`` holds A,
+A^T, B, B^T and the band maps of A as ``SparseOp``s, whose vector product
+calls scipy's compiled CSR/CSC kernel on the arrays the matrix owns (the
+transposes are CSC views, not copies).  Every product with them in an IPM
+iteration or a prox, here, in ``ipm`` and in ``proxeval``, goes through
+these; none goes through scipy.sparse's dispatch, and no sparse matrix is
+formed per iteration.
 
 Work is formed as rarely as what it depends on allows:
 
 - per metric, when it is built: both of its triples, the inverse one by
   one Woodbury inversion in ``Metric.from_direct_parts``;
-- per function, by ``structure``: the path, A^T and B^T, the band order,
-  the band maps of A and a border's column;
+- per function, by ``structure``: the path, the bound A, A^T, B and B^T,
+  the band order, the band maps of A and a border's column; on first
+  dense factorization, the dense path's index maps, kept on g;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
   ``reduced_solver`` passes to ``build_L``: the packed band of
-  B diag(d1) B^T, B U1, M1^{-1} and one buffer for the Woodbury columns;
-  the dense matrix the fallback adds.  The band maps of B are formed here
-  too: kept per function, they cost the prox-orthant benchmark about 5%
-  of its peak resident memory;
+  B diag(d1) B^T, formed with numpy from B's CSR arrays (``_gram_band``,
+  so nothing of B's band is kept per function), B U1, M1^{-1} and one
+  buffer for the Woodbury columns; the dense matrix the fallback adds;
 - per iteration, only what depends on u: the band of A^T diag(d) A is
   added to a copy of the memoized one, the sum is factored, the Woodbury
   columns S^{-1} (B U1) are solved in place into the buffer and the
-  capacitance is factored.
+  capacitance is factored; on the dense path the matrix is assembled from
+  its maps and factored.
 
 block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
@@ -105,13 +117,13 @@ direction needs no metric product of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse import _sparsetools
 
 from qsprox import cones
 
@@ -184,6 +196,51 @@ def low_rank_update_solve(solve_d: Callable, U, Minv, Z=None) -> Callable:
         return t - Z @ c
 
     return solve
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices bound to their compiled vector product
+# ---------------------------------------------------------------------------
+
+_FLOAT = np.dtype(float)
+
+
+class SparseOp:
+    """A CSR or CSC matrix ``M`` whose vector product skips scipy.sparse's
+    dispatch.
+
+    ``op @ x`` for a C-contiguous float vector of the right length calls
+    ``csr_matvec``/``csc_matvec`` of ``scipy.sparse._sparsetools`` on the
+    arrays M owns, the kernel that ``M @ x`` runs itself, so the two agree
+    to the bit; the dispatch around that kernel costs more than the kernel
+    at the sizes an IPM iteration sees.  Any other operand (a block of
+    columns, a strided view, another dtype), or a matrix of another format
+    or dtype, goes through ``M @ x``.  ``T`` is the operator of M's
+    transpose, a view on the same arrays.
+    """
+
+    __slots__ = ("M", "shape", "_vec", "_kernel", "_args")
+
+    def __init__(self, M):
+        self.M, self.shape = M, M.shape
+        self._vec = (M.shape[1],)
+        self._kernel = self._args = None
+        if M.format in ("csr", "csc") and M.dtype == _FLOAT:
+            self._kernel = getattr(_sparsetools, M.format + "_matvec")
+            self._args = (*M.shape, M.indptr, M.indices, M.data)
+
+    @property
+    def T(self) -> "SparseOp":
+        return SparseOp(self.M.T)
+
+    def __matmul__(self, x):
+        if (self._kernel is not None and x.__class__ is np.ndarray
+                and x.shape == self._vec and x.dtype is _FLOAT
+                and x.flags.c_contiguous):
+            out = np.zeros(self.shape[0])
+            self._kernel(*self._args, x, out)
+            return out
+        return self.M @ x
 
 
 # ---------------------------------------------------------------------------
@@ -402,27 +459,36 @@ def _is_diagonal(M: sp.spmatrix) -> bool:
 class Structure:
     """The solve path g's matrices admit, with the pieces it reuses.
 
-    ``At``/``Bt`` are A^T and B^T as CSC views of the CSR arrays.  The
-    band covers every dual coordinate but, when there is a ``border``
-    column a of A = [A1, a], the last.  ``perm`` is the reverse
-    Cuthill-McKee order of those coordinates under which C C^T is banded,
-    C = [B, A^T] (B when A's rows are single), None when it is banded in
-    natural order; ``bw`` is its bandwidth in that order, and diagonal k
-    of A^T diag(w) A (A1 on a border), rows and columns in that order, is
-    ``maps[k] @ w`` (``_band_maps``; k = 0 only when A's rows are single,
-    where that is (A o A)^T w).  ``runs`` (starts, sizes) are the SOC
-    blocks' contiguous runs of dual coordinates.  A ``dense`` structure
-    keeps only the transposes.
+    ``At``/``Bt`` are A^T and B^T as ``SparseOp``s over CSC views of the
+    CSR arrays, and ``A``/``B`` the operators of their transposes, views on
+    the same arrays: every product with g's matrices in an IPM iteration or
+    a prox goes through these four.  The band covers every dual coordinate
+    but, when there is a ``border`` column a of A = [A1, a], the last.
+    ``perm`` is the reverse Cuthill-McKee order of those coordinates under
+    which C C^T is banded, C = [B, A^T] (B when A's rows are single), None
+    when it is banded in natural order; ``bw`` is its bandwidth in that
+    order, and diagonal k of A^T diag(w) A (A1 on a border), rows and
+    columns in that order, is ``maps[k] @ w`` (``_band_maps``; k = 0 only
+    when A's rows are single, where that is (A o A)^T w).  ``runs``
+    (starts, sizes) are the SOC blocks' contiguous runs of dual
+    coordinates.  A ``dense`` structure keeps only the matrices.
     """
 
     path: str
-    At: sp.csc_matrix
-    Bt: sp.csc_matrix
+    At: SparseOp
+    Bt: SparseOp
     runs: Optional[tuple] = None
     border: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
     bw: int = 0
     maps: tuple = ()
+    A: SparseOp = field(init=False)
+    B: SparseOp = field(init=False)
+
+    def __post_init__(self):
+        # Frozen: the derived fields are set past the dataclass's guard.
+        object.__setattr__(self, "A", self.At.T)
+        object.__setattr__(self, "B", self.Bt.T)
 
 
 def structure(g) -> Structure:
@@ -437,32 +503,33 @@ def structure(g) -> Structure:
 def _classify(A, B, K) -> Structure:
     """The first path whose rule (module docstring) holds.  The rules read
     stored entries: a stored zero only sends g to a more general path."""
-    At, Bt = A.T, B.T
+    At = A.T
+    ops = (SparseOp(At), SparseOp(B.T))
     sqAt = sp.csr_matrix((A.data * A.data, A.indices, A.indptr), shape=A.shape).T
     n = A.shape[1] - 1
     orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
     single = _rows_single_nonzero(A)
     if (orthant and n >= 1 and B.shape[1] == n and B[n].nnz == 0
             and _is_diagonal(B[:n]) and _rows_single_nonzero(A[:, :n])):
-        return Structure(BALL_PIVOT, At, Bt, border=A[:, n].toarray().ravel(),
-                         maps=(sqAt[:n],))
+        return Structure(BALL_PIVOT, *ops, border=A[:, n].toarray().ravel(),
+                         maps=(SparseOp(sqAt[:n]),))
     if all(b.kind == cones.SECOND_ORDER for b in K.blocks) and single \
             and _is_diagonal(B):
         runs = _soc_runs(A, K)
         if runs is not None:
-            return Structure(SOC_BLOCKS, At, Bt, runs, maps=(sqAt,))
+            return Structure(SOC_BLOCKS, *ops, runs, maps=(SparseOp(sqAt),))
     if orthant:
         # Rows of A with one nonzero add only to the diagonal.
         order = _band_order(B if single else sp.hstack([B, At], format="csr"))
         if order is not None:
             perm, bw = order
             if single:
-                maps = (sqAt if perm is None else sqAt[perm],)
+                maps = (SparseOp(sqAt if perm is None else sqAt[perm]),)
             else:
                 maps = _band_maps(At, perm, bw)
             path = L1_DIAG if bw == 0 else GRAPH_TRIDIAG if single else SEPARABLE
-            return Structure(path, At, Bt, perm=perm, bw=bw, maps=maps)
-    return Structure(DENSE, At, Bt)
+            return Structure(path, *ops, perm=perm, bw=bw, maps=maps)
+    return Structure(DENSE, *ops)
 
 
 def _rows_single_nonzero(A: sp.csr_matrix) -> bool:
@@ -510,10 +577,11 @@ def _band_order(C) -> Optional[tuple]:
 
 def _band_maps(M, perm, bw):
     """Maps m_0..m_bw with diagonal k of M diag(w) M^T, rows of M taken in
-    ``perm`` order, equal to m_k @ w: m_k = M_p[:ell - k] o M_p[k:]."""
+    ``perm`` order, equal to m_k @ w: m_k = M_p[:ell - k] o M_p[k:], each
+    a ``SparseOp``."""
     Mp = M.tocsr() if perm is None else M.tocsr()[perm]
     ell = Mp.shape[0]
-    return tuple(Mp[:ell - k].multiply(Mp[k:]) for k in range(bw + 1))
+    return tuple(SparseOp(Mp[:ell - k].multiply(Mp[k:])) for k in range(bw + 1))
 
 
 def _add_band(ab, maps, w):
@@ -522,6 +590,39 @@ def _add_band(ab, maps, w):
     bw = ab.shape[0] - 1
     for k, m in enumerate(maps):
         ab[bw - k, k:] += m @ w
+
+
+def _gram_band(M, ell, perm, bw, w):
+    """The band of M_p diag(w) M_p^T in upper band storage, M_p the first
+    ``ell`` rows of the CSR matrix M taken in ``perm`` order, formed with
+    numpy from M's arrays.  Entry (i, i + k) sums (M_p[i, j] M_p[i + k, j])
+    w_j over the shared columns j in increasing order, as ``_add_band`` of
+    ``_band_maps(M_p, None, bw)`` does, so the two agree to the bit."""
+    nnz = M.indptr[ell]
+    cols, vals = M.indices[:nnz], M.data[:nnz]
+    pos = np.repeat(np.arange(ell), np.diff(M.indptr[:ell + 1]))
+    if perm is not None:
+        where = np.empty_like(perm)
+        where[perm] = np.arange(ell)
+        pos = where[pos]
+    at, col, terms = [bw * ell + pos], [cols], [vals * vals * w[cols]]
+    if bw:
+        # In column order, rows in band order within a column, rows i and
+        # i + k of one column lie at most k <= bw entries apart.
+        o = np.argsort(cols * ell + pos, kind="stable")
+        cols, pos, vals = cols[o], pos[o], vals[o]
+        for step in range(1, bw + 1):
+            lo = np.flatnonzero(cols[step:] == cols[:-step])
+            hi = lo + step
+            at.append((bw + pos[lo] - pos[hi]) * ell + pos[hi])
+            col.append(cols[lo])
+            terms.append(vals[lo] * vals[hi] * w[cols[lo]])
+    at, terms = np.concatenate(at), np.concatenate(terms)
+    if bw > 1:
+        # One entry's terms can come from several steps: restore column order.
+        order = np.lexsort((np.concatenate(col), at))
+        at, terms = at[order], terms[order]
+    return np.bincount(at, terms, minlength=(bw + 1) * ell).reshape(bw + 1, ell)
 
 
 def _pattern_bandwidth(M) -> int:
@@ -546,14 +647,13 @@ def _graph_metric_band(g, H):
     buffer for the Woodbury columns S^{-1} (B U1), else None.  B U1 is
     checked finite here, once per prox."""
     s = structure(g)
-    B = g.B if s.border is None else g.B[:-1]
-    ell = B.shape[0]
-    band = np.zeros((s.bw + 1, ell))
+    ell = g.B.shape[0] - (s.border is not None)
     if H is None:
-        return (band, *_empty_low_rank(ell), None)
+        return (np.zeros((s.bw + 1, ell)), *_empty_low_rank(ell), None)
     d1, U1, M1 = H.inverse_parts()
-    _add_band(band, _band_maps(B, s.perm, s.bw), d1)
-    BU1 = B @ U1
+    band = _gram_band(g.B, ell, s.perm, s.bw, d1)
+    # A border's row of B is empty (``ball_pivot``).
+    BU1 = (s.B @ U1)[:ell]
     if not np.isfinite(BU1).all():
         raise StructuredSolveError("metric's low-rank columns B U1 are not finite")
     # LAPACK and the second-order core solve in Fortran order; a diagonal
@@ -627,33 +727,98 @@ def _metric_term(g, H):
     d1, U1, M1 = H.inverse_parts()
     B = g.B
     BU = B @ U1
-    return (B @ sp.diags(d1) @ structure(g).Bt).toarray() + BU @ M1 @ BU.T
+    return (B @ sp.diags(d1) @ B.T).toarray() + BU @ M1 @ BU.T
+
+
+def _gram_pairs(group, item, size):
+    """Index maps of a Gram matrix over a sparse pattern whose entry e lies
+    in ``group[e]`` at ``item[e]``: (flat, e, f) over every ordered pair
+    (e, f) of entries in one group, flat = item[e] * size + item[f],
+    sorted by flat and then by group.  A bincount over flat of the pairs'
+    products then sums each matrix entry over increasing groups, in the
+    order scipy's sparse matrix product adds them."""
+    o = np.argsort(group, kind="stable")
+    gs = group[o]
+    lo = np.searchsorted(gs, gs)
+    count = np.searchsorted(gs, gs, side="right") - lo
+    # Entry t of the sorted order pairs with the count[t] entries from lo[t].
+    e = np.repeat(o, count)
+    f = o[np.arange(e.size) + np.repeat(lo - np.cumsum(count) + count, count)]
+    flat = item[e] * size + item[f]
+    order = np.lexsort((group[e], flat))
+    return flat[order], e[order], f[order]
+
+
+def _dense_maps(A, K):
+    """The index maps that assemble A^T diag(d) A and G G^T, G = A^T R with
+    R holding r on the rows of each second-order block, one column per
+    block (``_dense_matrix``).  Entry (i, k) of A^T diag(d) A sums
+    A[j, k] (d_j A[j, i]) over the rows j of A, G[i, b] sums r_j A[j, i]
+    over block b's rows, and entry (i, k) of G G^T sums G[k, b] G[i, b]
+    over the blocks b: each in increasing order, as scipy formed them."""
+    m, ell = A.shape
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    flat, e, f = _gram_pairs(rows, A.indices, ell)
+    gram = None
+    if K.soc:
+        block = np.full(m, -1)
+        nblk = 0
+        for sel, (nb, dim) in K.soc:
+            block[sel] = nblk + np.repeat(np.arange(nb), dim)
+            nblk += nb
+        on = np.flatnonzero(block[rows] >= 0)
+        gkey = A.indices[on] * nblk + block[rows[on]]
+        order = np.lexsort((rows[on], gkey))
+        on, gkey = on[order], gkey[order]
+        # G's stored entries, and the pairs of them that share a block.
+        ukey = np.unique(gkey)
+        pflat, pe, pf = _gram_pairs(ukey % nblk, ukey // nblk, ell)
+        gram = (nblk, gkey, rows[on], A.data[on], pflat, ukey[pe], ukey[pf])
+    return (flat, rows[e], A.data[e], A.data[f]), gram
 
 
 def _dense_matrix(g, H, W, memo=None):
-    A = g.A
-    ell = A.shape[1]
+    """L(u) = A^T diag(d) A + G G^T + B H^{-1} B^T, block(u)^{-1} =
+    diag(d) + R R^T, as a dense matrix: the first two terms by bincounts
+    over g's ``_dense_maps`` (formed on first use and kept on g, like its
+    structure), which give scipy's sparse sums to the bit, the metric term
+    once per prox."""
+    ell = g.A.shape[1]
     if ell > DENSE_LIMIT:
         raise StructuredSolveError(
             f"dense fallback refused for dimension {ell} > {DENSE_LIMIT}")
+    maps = g.__dict__.get("_dense_maps")
+    if maps is None:
+        maps = g._dense_maps = _dense_maps(g.A, g.K)
+    (flat, j, ai, ak), gram = maps
     d, r = cones.block_parts(g.K, W.uinv)
-    At = structure(g).At
-    G = At @ cones.block_columns(g.K, r)
-    L = (At @ sp.diags(d) @ A + G @ G.T).toarray()
+    L = np.bincount(flat, ak * (d[j] * ai), minlength=ell * ell)
+    if gram is not None:
+        nblk, gkey, gj, ga, pflat, pe, pf = gram
+        G = np.bincount(gkey, r[gj] * ga, minlength=ell * nblk)
+        L += np.bincount(pflat, G[pf] * G[pe], minlength=ell * ell)
+    L = L.reshape(ell, ell)
     if H is not None:
         L += _memoized(memo, "metric", lambda: _metric_term(g, H))
     return 0.5 * (L + L.T)
 
 
 def _solve_dense(g, H, W, memo=None):
+    """Cholesky of the dense L(u) by LAPACK's dpotrf, solves by dpotrs,
+    called directly."""
     L = _dense_matrix(g, H, W, memo)
-    try:
-        cf = scipy.linalg.cho_factor(L)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise StructuredSolveError("dense Cholesky of the reduced system failed") from exc
+    if not np.isfinite(L).all():
+        raise StructuredSolveError("dense reduced system is not finite")
+    # L is symmetric to the bit, so L^T is L in the Fortran order LAPACK
+    # factors in place.
+    c, info = lapack.dpotrf(L.T, lower=0, overwrite_a=1, clean=0)
+    _check_info(info, "dense Cholesky of the reduced system (dpotrf)")
 
     def solve(q):
-        return scipy.linalg.cho_solve(cf, q)
+        _check_rhs(q)
+        x, info = lapack.dpotrs(c, q, lower=0)
+        _check_info(info, "dense Cholesky solve (dpotrs)")
+        return x
 
     return solve
 
@@ -667,7 +832,8 @@ def metric_product(g, H: Optional[Metric], w):
     of the dual QP; zero when H is None."""
     if H is None:
         return np.zeros_like(w)
-    return g.B @ H.solve(structure(g).Bt @ w)
+    s = structure(g)
+    return s.B @ H.solve(s.Bt @ w)
 
 
 class LOperator:
@@ -709,7 +875,8 @@ class LOperator:
 
     def apply_split(self, w):
         """(L w, Q w) with Q = B H^{-1} B^T."""
-        out = structure(self.g).At @ cones.block_solve(self.W, self.g.A @ w)
+        s = structure(self.g)
+        out = s.At @ cones.block_solve(self.W, s.A @ w)
         Qw = metric_product(self.g, self.H, w)
         out += Qw
         return out, Qw

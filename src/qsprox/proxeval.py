@@ -85,14 +85,15 @@ class ProxResult:
 def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
     """Conic QP whose solution y gives prox_g^H(z) = z - H^{-1} B^T y."""
     z = np.asarray(z, dtype=float)
-    c = g.B @ z + g.d
+    s = linops.structure(g)
+    c = s.B @ z + g.d
 
     def Qapply(y):
         return linops.metric_product(g, H, y)
 
     return ipm.ConicQP(
-        Qapply=Qapply, c=c, A=g.A, b=g.b, K=g.K,
-        lsolver=linops.reduced_solver(g, H),
+        Qapply=Qapply, c=c, A=s.A, b=g.b, K=g.K,
+        lsolver=linops.reduced_solver(g, H), At=s.At,
     )
 
 

@@ -65,7 +65,8 @@ class QSFunction:
     How the interior-point method solves g's reduced systems is not set
     here: ``linops.structure`` reads the path off (A, B, K) when g is first
     proxed or evaluated and keeps it on g, so A, B and K are not
-    reassigned after that.  ``strategy`` names the path.
+    reassigned after that.  ``strategy`` names the path.  A and B are kept
+    as float CSR matrices in canonical form.
     """
 
     A: sp.csr_matrix
@@ -79,8 +80,8 @@ class QSFunction:
     spec: Optional[dict] = None
 
     def __post_init__(self):
-        self.A = sp.csr_matrix(self.A, dtype=float)
-        self.B = sp.csr_matrix(self.B, dtype=float)
+        self.A = _canonical(self.A)
+        self.B = _canonical(self.B)
         self.b = np.asarray(self.b, dtype=float).ravel()
         self.d = np.asarray(self.d, dtype=float).ravel()
         if self.A.shape[0] != self.K.total_dim:
@@ -104,6 +105,17 @@ class QSFunction:
     @property
     def dual_dim(self) -> int:
         return self.B.shape[0]
+
+
+def _canonical(M) -> sp.csr_matrix:
+    """M as a float CSR matrix in canonical form (each row's columns sorted,
+    no duplicates), which the structured solvers read entry by entry;
+    copied only when it is not, so a caller's matrix is never changed."""
+    M = sp.csr_matrix(M, dtype=float)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    return M
 
 
 def _eye(n):

@@ -313,10 +313,13 @@ def test_block_parts_match_block_dense():
             continue
         u = random_interior(K, rng)
         d, r = cones.block_parts(K, u)
-        R = cones.block_columns(K, r)
-        assert R.shape == (K.total_dim, len(K.blocks) - sum(
-            b.kind == cones.ORTHANT for b in K.blocks))
-        got = np.diag(d) + (R @ R.T).toarray()
+        # One column per second-order block, r on its rows; r is 0 elsewhere.
+        socs = [sl for b, sl in zip(K.blocks, K.slices) if b.kind == cones.SECOND_ORDER]
+        R = np.zeros((K.total_dim, len(socs)))
+        for j, sl in enumerate(socs):
+            R[sl, j] = r[sl]
+        assert np.array_equal(R.sum(axis=1), r)
+        got = np.diag(d) + R @ R.T
         assert_rel(got, ref.block_dense(K, u), 1e-12)
 
 
@@ -453,3 +456,28 @@ def test_paired_max_step_is_the_least_single_step():
     apex = (np.array([1.3, 0.0, 0.0]), np.array([-2.7, 0.0, 0.0]))
     for _ in range(5):
         check(Q, apex, (random_interior(Q, rng), rng.standard_normal(3)))
+
+
+def test_blockwise_results_never_alias_their_inputs():
+    """Every elementwise primitive returns a vector of its own on every
+    layout, also on one contiguous second-order group, where the result
+    is the group's raveled (nblk, m) array (the prox-cone shapes 25 x Q^5,
+    100 x Q^5, 25 x Q^17, one Q^4097 and 64 x Q^3): it shares no memory
+    with any input."""
+    rng = np.random.default_rng(48)
+    layouts = [[cones.second_order(m)] * nblk
+               for nblk, m in ((25, 5), (100, 5), (25, 17), (1, 4097), (64, 3))]
+    products = [cones.ConeProduct(b) for b in layouts + list(RECORD_LAYOUTS)]
+    products += [mixed_product(rng) for _ in range(10)]
+    for K in products:
+        s, v, u = (random_interior(K, rng) for _ in range(3))
+        x, y = rng.standard_normal(K.total_dim), rng.standard_normal(K.total_dim)
+        W = cones.Scaling(K, u)
+        results = [(W.uinv, (u,)), (cones.nt_scaling(K, s, v).u, (s, v)),
+                   (cones.jordan_product(K, x, y), (x, y)),
+                   (cones.jordan_solve(K, s, x), (s, x))]
+        results += [(getattr(cones, name)(W, x), (x, u)) for name in
+                    ("block_apply", "block_solve", "scaling_apply", "scaling_solve")]
+        for out, inputs in results:
+            assert out.shape == (K.total_dim,)
+            assert not any(np.shares_memory(out, a) for a in inputs), K

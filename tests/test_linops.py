@@ -1,6 +1,8 @@
 """Metrics and their Woodbury inverses, and the structured L(u) solvers
 against dense oracles."""
 
+import collections
+import contextlib
 import copy
 import gc
 import weakref
@@ -10,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
+from scipy.sparse._base import _spbase
 
 from qsprox import cones, linops, proxeval, qscalc
 import cone_reference as ref
@@ -828,3 +831,179 @@ def test_non_finite_metric_low_rank_ends_with_a_status():
         res = proxeval.prox(qscalc.build_l1(6), H, np.ones(6))
     assert res.status == "numerical_breakdown"
     assert "StructuredSolveError" in res.reason
+
+
+# -- sparse operands bound once per function, and sums formed without
+# scipy.sparse in an IPM iteration --
+
+@contextlib.contextmanager
+def sparse_calls():
+    """Counts of scipy.sparse's products (its matmul dispatches) and of the
+    sparse matrices it constructs while the block runs."""
+    counts = collections.Counter()
+    saved = {name: _spbase.__dict__[name]
+             for name in ("__init__", "_matmul_dispatch", "_rmatmul_dispatch")}
+
+    def spy(name, raw):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return raw(*args, **kwargs)
+        return counted
+
+    for name, raw in saved.items():
+        setattr(_spbase, name, spy(name, raw))
+    try:
+        yield counts
+    finally:
+        for name, raw in saved.items():
+            setattr(_spbase, name, raw)
+
+
+def test_bound_operators_match_scipy_bit_for_bit():
+    """On every catalog function and iso-TV (whose A, like l2's, has empty
+    rows) the structure's A, A^T, B, B^T and band maps give scipy's vector
+    products bit for bit with no scipy.sparse dispatch or construction,
+    and A, A^T, B, B^T are views on g's own arrays."""
+    rng = np.random.default_rng(49)
+    for name, g in catalog(6) + dense_fallback_cases()[:1]:
+        s = linops.structure(g)
+        for op, M in ((s.A, g.A), (s.At, g.A), (s.B, g.B), (s.Bt, g.B)):
+            assert all(np.shares_memory(getattr(op.M, a), getattr(M, a))
+                       for a in ("data", "indices", "indptr")), name
+        pairs = [(s.A, g.A), (s.At, g.A.T), (s.B, g.B), (s.Bt, g.B.T)]
+        pairs += [(m, m.M) for m in s.maps]
+        xs = [rng.standard_normal(M.shape[1]) for _, M in pairs]
+        expect = [M @ x for (_, M), x in zip(pairs, xs)]
+        with sparse_calls() as counts:
+            got = [op @ x for (op, _), x in zip(pairs, xs)]
+        assert not counts, name
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_bound_operators_fall_back_to_scipy_off_their_fast_path():
+    """A block of columns, a strided vector and an integer vector, and any
+    operand of a matrix in another format, go through scipy's own product,
+    with its result."""
+    rng = np.random.default_rng(50)
+    g = qscalc.build_graph_l1(qscalc.path_difference_matrix(20))
+    s = linops.structure(g)
+    coo = linops.SparseOp(g.B.tocoo())
+    for op, M in ((s.B, g.B), (s.Bt, g.B.T), (coo, g.B)):
+        n = M.shape[1]
+        operands = [rng.standard_normal((n, 3)), rng.standard_normal(2 * n)[::2],
+                    np.arange(n)]
+        if op is coo:
+            operands.append(rng.standard_normal(n))
+        for x in operands:
+            with sparse_calls() as counts:
+                got = op @ x
+            assert counts["_matmul_dispatch"] == 1
+            assert np.array_equal(got, M @ x)
+
+
+def test_sparse_work_of_a_prox_does_not_grow_with_its_iterations():
+    """Every solve path: a prox at tol 1e-8 runs several more IPM
+    iterations than the same prox at 1e-2 and makes exactly as many
+    scipy.sparse products and constructions, so none runs per iteration.
+    Each function is proxed once first, which classifies it."""
+    rng = np.random.default_rng(51)
+    named = dict(catalog(12))
+    cases = [named[k] for k in ("l1", "tv1d", "l1_ball", "sum_of_norms", "l2",
+                                "separable_coupled")]
+    cases.append(dense_fallback_cases()[0][1])
+    assert {g.strategy for g in cases} == set(linops.STRATEGIES)
+    for g in cases:
+        H = random_dlr_metric(rng, g.n, 3)
+        z = 2.0 * rng.standard_normal(g.n)
+        proxeval.prox(g, H, z, tol=1e-2)
+        runs = []
+        for tol in (1e-2, 1e-8):
+            linops.reset_diagnostics()
+            with sparse_calls() as counts:
+                res = proxeval.prox(g, H, z, tol=tol)
+            assert res.status == "optimal", g.strategy
+            assert linops.DIAGNOSTICS["guard_fallbacks"] == 0, g.strategy
+            runs.append((res.iterations, counts))
+        (loose, loose_counts), (tight, tight_counts) = runs
+        assert tight >= loose + 3, g.strategy
+        assert tight_counts == loose_counts, g.strategy
+
+
+def test_metric_band_matches_band_maps_bit_for_bit():
+    """B's per-prox band, formed with numpy from B's CSR arrays, is the band
+    the map products ``_band_maps``/``_add_band`` give, bit for bit: at
+    bandwidth 0, 1 and wider, in natural and reverse Cuthill-McKee order,
+    and over the band of a bordered (l1 ball) function."""
+    rng = np.random.default_rng(52)
+    kinds = ("bw0", "bw1", "bw1_rcm", "wide", "wide_rcm", "ball", "soc")
+    cases = [random_banded_case(rng, kind) for kind in kinds for _ in range(3)]
+    cases += [g for _, _, g in reordered_band_cases(rng)]
+    for g in cases:
+        s = linops.structure(g)
+        ell = g.dual_dim - (s.border is not None)
+        w = rng.uniform(0.1, 3.0, g.n)
+        expect = np.zeros((s.bw + 1, ell))
+        linops._add_band(expect, linops._band_maps(g.B[:ell], s.perm, s.bw), w)
+        assert np.array_equal(linops._gram_band(g.B, ell, s.perm, s.bw, w), expect)
+
+
+def scipy_dense_matrix(g, H, W):
+    """The dense L(u) formed by scipy.sparse products, with R holding r on
+    the rows of each second-order block, one column per block in the group
+    order of ``K.soc``: the reference for ``_dense_matrix``."""
+    d, r = cones.block_parts(g.K, W.uinv)
+    rows = [np.arange(g.K.total_dim)[sel] for sel, _ in g.K.soc]
+    rows = np.concatenate(rows) if rows else np.zeros(0, dtype=int)
+    dims = np.concatenate([[m] * nblk for _, (nblk, m) in g.K.soc] or [[]]).astype(int)
+    R = sp.csc_matrix((r[rows], rows, np.concatenate(([0], np.cumsum(dims)))),
+                      shape=(g.K.total_dim, dims.size))
+    At = g.A.T
+    G = At @ R
+    L = (At @ sp.diags(d) @ g.A + G @ G.T).toarray()
+    if H is not None:
+        L += linops._metric_term(g, H)
+    return 0.5 * (L + L.T)
+
+
+def random_cone_function(rng):
+    """A function with a random sparse A and B under orthant blocks and
+    second-order blocks of several dimensions, so that an entry of A^T R
+    sums several rows of a block and one of (A^T R)(A^T R)^T several
+    blocks."""
+    blocks = []
+    for _ in range(int(rng.integers(1, 6))):
+        dim = int(rng.integers(1, 6))
+        blocks.append(cones.orthant(dim) if dim == 1 or rng.random() < 0.3
+                      else cones.second_order(dim))
+    K = cones.ConeProduct(blocks)
+    ell, n = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    A = sp.random(K.total_dim, ell, density=0.5, random_state=rng, format="csr")
+    B = sp.random(ell, n, density=0.5, random_state=rng, format="csr")
+    return qscalc.QSFunction(A=A, b=np.zeros(K.total_dim), d=np.zeros(ell), B=B, K=K)
+
+
+def test_dense_assembly_matches_scipy_sparse_sums_bit_for_bit():
+    """The dense path's L(u), assembled from index maps formed once per
+    function, is the matrix scipy's sparse products formed, bit for bit, on
+    the dense-path cases, random calculus outputs and random functions
+    under mixed cones, with no metric, the identity and a rank-2 metric;
+    its direct dpotrf/dpotrs solve is scipy.linalg's Cholesky solve bit
+    for bit, and it refuses what that refuses."""
+    rng = np.random.default_rng(53)
+    cases = [g for _, g in dense_fallback_cases()]
+    cases += [random_composition(rng) for _ in range(20)]
+    cases += [random_cone_function(rng) for _ in range(40)]
+    for g in cases:
+        for H in (None, linops.Metric.identity(g.n), random_dlr_metric(rng, g.n, 2)):
+            W = cones.Scaling(g.K, random_interior(g.K, rng))
+            L = linops._dense_matrix(g, H, W)
+            assert np.array_equal(L, scipy_dense_matrix(g, H, W)), g.name
+            q = rng.standard_normal(g.dual_dim)
+            try:
+                expect = scipy.linalg.cho_solve(scipy.linalg.cho_factor(L), q)
+            except scipy.linalg.LinAlgError:
+                with pytest.raises(linops.StructuredSolveError):
+                    linops._solve_dense(g, H, W)
+                continue
+            assert np.array_equal(linops._solve_dense(g, H, W)(q), expect), g.name

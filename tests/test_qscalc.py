@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from qsprox import cones, linops, proxeval, qscalc
-from conftest import catalog, random_diag_metric
+from conftest import catalog, random_diag_metric, random_dlr_metric
 
 
 def conic_evaluate(g, x):
@@ -315,3 +315,40 @@ def test_qs_spec_errors():
     with pytest.raises(ValueError):
         qscalc.format_qs_spec(qscalc.add(qscalc.build_l1(2),
                                          qscalc.build_l1(2)))
+
+
+def split_entries(M):
+    """M with each stored entry split into two halves and each row's
+    entries in reverse column order: the same matrix, not in canonical
+    form."""
+    indptr, indices, data = [0], [], []
+    for i in range(M.shape[0]):
+        row = slice(M.indptr[i], M.indptr[i + 1])
+        indices.extend(np.repeat(M.indices[row][::-1], 2))
+        data.extend(np.repeat(M.data[row][::-1] / 2.0, 2))
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                          np.array(indptr, dtype=np.int32)), shape=M.shape)
+
+
+def test_functions_keep_their_matrices_canonical():
+    """A and B given with duplicate entries and unsorted columns are kept
+    summed and sorted, and the caller's matrices are left as they were:
+    the structured solvers read g's matrices entry by entry.  The prox of
+    such a function is its canonical twin's, bit for bit, on the banded,
+    bordered and dense paths."""
+    rng = np.random.default_rng(71)
+    N = qscalc.incidence_matrix([(0, 1), (1, 2), (2, 3), (3, 0)], 4)
+    for g0 in (qscalc.build_graph_l1(qscalc.path_difference_matrix(9)),
+               qscalc.build_l1_ball(7), qscalc.build_isotropic_tv(N)):
+        A1, B1 = split_entries(g0.A), split_entries(g0.B)
+        given = [M.data.copy() for M in (A1, B1)]
+        g1 = qscalc.QSFunction(A=A1, b=g0.b, d=g0.d, B=B1, K=g0.K)
+        assert g1.A.has_canonical_format and g1.B.has_canonical_format
+        assert all(np.array_equal(M.data, d) for M, d in zip((A1, B1), given))
+        assert not A1.has_canonical_format and not B1.has_canonical_format
+        assert g1.strategy == g0.strategy
+        H = random_dlr_metric(rng, g0.n, 2)
+        z = 2.0 * rng.standard_normal(g0.n)
+        x0, x1 = (proxeval.prox(g, H, z).x for g in (g0, g1))
+        assert np.array_equal(x0, x1), g0.strategy

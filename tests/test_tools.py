@@ -1,7 +1,7 @@
 """The counting rule of tools/code_lines.py, which the line counts of the
-library are reported with, a smoke run of tools/cone_timing.py, the
-bit-identity gate of tools/pass_digest.py and the pair summary of
-tools/bench_pairs.py."""
+library are reported with, smoke runs of tools/cone_timing.py and
+tools/reduced_timing.py, the bit-identity gate of tools/pass_digest.py
+and the pair summary of tools/bench_pairs.py."""
 
 import importlib.util
 import os
@@ -106,6 +106,24 @@ def test_cone_timing_times_every_primitive_on_every_shape():
     for row in rows:
         times = [float(t) for t in row.split()[1:]]
         assert len(times) == 8 and min(times) > 0.0
+
+
+def test_reduced_timing_times_every_operator_call_on_every_path():
+    """One call per timing: a header of the three timed calls, then one
+    line per benchmark shape with the solve path it ran and a positive
+    time for each call."""
+    out = subprocess.run([sys.executable, str(TOOLS / "reduced_timing.py"),
+                          "--number", "1", "--repeat", "1"],
+                         capture_output=True, text=True, check=True).stdout
+    header, *rows = out.splitlines()
+    assert header.split()[3:] == ["path", "factor", "solve", "apply_split"]
+    assert [row.split()[:2] for row in rows] == [
+        ["lsq_tv/199/r10", "graph_tridiag"], ["isotv/8x8/r5", "dense"],
+        ["son4x100/r5", "soc_blocks"], ["l2/4096/r5", "soc_blocks"],
+        ["l1/32768/r20", "l1_diag"]]
+    for row in rows:
+        times = [float(t) for t in row.split()[2:]]
+        assert len(times) == 3 and min(times) > 0.0
 
 
 @pytest.fixture
