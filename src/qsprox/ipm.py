@@ -68,7 +68,7 @@ tests are module constants, read at call time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -110,9 +110,10 @@ class ConicQP:
     (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A.
     The IPM needs only its ``solve(q, quad=False)``: p = L(u)^{-1} q, or
     (p, Q p) with ``quad=True`` (``linops.LOperator`` is the one proxes
-    use).  The IPM uses A and ``At``, A's transpose unless given, only
-    through ``@`` with a vector; a prox passes its function's bound
-    operators, ``linops.structure(g).A`` and ``.At`` (``linops.SparseOp``)."""
+    use).  The IPM uses A and ``At = A.T`` only through ``@`` with a
+    vector; a prox passes its function's bound operator
+    ``linops.structure(g).A`` (``linops.SparseOp``), whose ``T`` is the
+    bound ``.At``."""
 
     Qapply: Callable
     c: np.ndarray
@@ -120,15 +121,14 @@ class ConicQP:
     b: np.ndarray
     K: cones.ConeProduct
     lsolver: Callable
-    At: Optional[linops.SparseOp] = field(default=None, repr=False)
+    At: linops.SparseOp = field(init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.A.shape[0] != self.K.total_dim:
             raise ValueError("cone dimension does not match the row count of A")
-        if self.At is None:
-            self.At = self.A.T
+        self.At = self.A.T
 
 
 @dataclass

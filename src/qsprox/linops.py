@@ -66,10 +66,13 @@ path; a non-finite right-hand side raises ValueError.
 The dense fallback forms the same sum densely, with sum_j g_j g_j^T =
 G G^T, G = A^T R and R holding r on the rows of each second-order block,
 one column per block, and factors it by LAPACK's dpotrf (solves by
-dpotrs), also called directly.  It assembles A^T diag(d) A, G and G G^T
-by bincounts over index maps of A's pattern (``_dense_maps``), each entry
-summed in the order scipy's sparse products summed it, so the matrix is
-the one those products formed, to the bit.
+dpotrs), also called directly.  It assembles A^T diag(d) A and G G^T per
+call by scipy's compiled sparse-times-dense kernels, (diag(d) A)^T times
+A densified and G times G^T, G held densely (``_dense_matrix``), each
+entry summed in the order scipy's sparse products summed it, so the
+matrix is the one those products formed, to the bit; nothing of it is
+kept on g, and its work space is A densified and a few ell x ell
+matrices.
 
 g's sparse matrices are bound once per function: ``Structure`` holds A,
 A^T, B, B^T and the band maps of A as ``SparseOp``s, whose vector product
@@ -84,8 +87,7 @@ Work is formed as rarely as what it depends on allows:
 - per metric, when it is built: both of its triples, the inverse one by
   one Woodbury inversion in ``Metric.from_direct_parts``;
 - per function, by ``structure``: the path, the bound A, A^T, B and B^T,
-  the band order, the band maps of A and a border's column; on first
-  dense factorization, the dense path's index maps, kept on g;
+  the band order, the band maps of A and a border's column;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
   ``reduced_solver`` passes to ``build_L``: the packed band of
   B diag(d1) B^T, formed with numpy from B's CSR arrays (``_gram_band``,
@@ -94,8 +96,8 @@ Work is formed as rarely as what it depends on allows:
 - per iteration, only what depends on u: the band of A^T diag(d) A is
   added to a copy of the memoized one, the sum is factored, the Woodbury
   columns S^{-1} (B U1) are solved in place into the buffer and the
-  capacitance is factored; on the dense path the matrix is assembled from
-  its maps and factored.
+  capacitance is factored; on the dense path the matrix is assembled and
+  factored.
 
 block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
@@ -216,22 +218,26 @@ class SparseOp:
     at the sizes an IPM iteration sees.  Any other operand (a block of
     columns, a strided view, another dtype), or a matrix of another format
     or dtype, goes through ``M @ x``.  ``T`` is the operator of M's
-    transpose, a view on the same arrays.
+    transpose, a view on the same arrays, formed on first use; its own
+    ``T`` is this operator.
     """
 
-    __slots__ = ("M", "shape", "_vec", "_kernel", "_args")
+    __slots__ = ("M", "shape", "_vec", "_kernel", "_args", "_T")
 
     def __init__(self, M):
         self.M, self.shape = M, M.shape
         self._vec = (M.shape[1],)
-        self._kernel = self._args = None
+        self._kernel = self._args = self._T = None
         if M.format in ("csr", "csc") and M.dtype == _FLOAT:
             self._kernel = getattr(_sparsetools, M.format + "_matvec")
             self._args = (*M.shape, M.indptr, M.indices, M.data)
 
     @property
     def T(self) -> "SparseOp":
-        return SparseOp(self.M.T)
+        if self._T is None:
+            self._T = SparseOp(self.M.T)
+            self._T._T = self
+        return self._T
 
     def __matmul__(self, x):
         if (self._kernel is not None and x.__class__ is np.ndarray
@@ -730,74 +736,51 @@ def _metric_term(g, H):
     return (B @ sp.diags(d1) @ B.T).toarray() + BU @ M1 @ BU.T
 
 
-def _gram_pairs(group, item, size):
-    """Index maps of a Gram matrix over a sparse pattern whose entry e lies
-    in ``group[e]`` at ``item[e]``: (flat, e, f) over every ordered pair
-    (e, f) of entries in one group, flat = item[e] * size + item[f],
-    sorted by flat and then by group.  A bincount over flat of the pairs'
-    products then sums each matrix entry over increasing groups, in the
-    order scipy's sparse matrix product adds them."""
-    o = np.argsort(group, kind="stable")
-    gs = group[o]
-    lo = np.searchsorted(gs, gs)
-    count = np.searchsorted(gs, gs, side="right") - lo
-    # Entry t of the sorted order pairs with the count[t] entries from lo[t].
-    e = np.repeat(o, count)
-    f = o[np.arange(e.size) + np.repeat(lo - np.cumsum(count) + count, count)]
-    flat = item[e] * size + item[f]
-    order = np.lexsort((group[e], flat))
-    return flat[order], e[order], f[order]
-
-
-def _dense_maps(A, K):
-    """The index maps that assemble A^T diag(d) A and G G^T, G = A^T R with
-    R holding r on the rows of each second-order block, one column per
-    block (``_dense_matrix``).  Entry (i, k) of A^T diag(d) A sums
-    A[j, k] (d_j A[j, i]) over the rows j of A, G[i, b] sums r_j A[j, i]
-    over block b's rows, and entry (i, k) of G G^T sums G[k, b] G[i, b]
-    over the blocks b: each in increasing order, as scipy formed them."""
-    m, ell = A.shape
-    rows = np.repeat(np.arange(m), np.diff(A.indptr))
-    flat, e, f = _gram_pairs(rows, A.indices, ell)
-    gram = None
-    if K.soc:
-        block = np.full(m, -1)
-        nblk = 0
-        for sel, (nb, dim) in K.soc:
-            block[sel] = nblk + np.repeat(np.arange(nb), dim)
-            nblk += nb
-        on = np.flatnonzero(block[rows] >= 0)
-        gkey = A.indices[on] * nblk + block[rows[on]]
-        order = np.lexsort((rows[on], gkey))
-        on, gkey = on[order], gkey[order]
-        # G's stored entries, and the pairs of them that share a block.
-        ukey = np.unique(gkey)
-        pflat, pe, pf = _gram_pairs(ukey % nblk, ukey // nblk, ell)
-        gram = (nblk, gkey, rows[on], A.data[on], pflat, ukey[pe], ukey[pf])
-    return (flat, rows[e], A.data[e], A.data[f]), gram
-
-
 def _dense_matrix(g, H, W, memo=None):
     """L(u) = A^T diag(d) A + G G^T + B H^{-1} B^T, block(u)^{-1} =
-    diag(d) + R R^T, as a dense matrix: the first two terms by bincounts
-    over g's ``_dense_maps`` (formed on first use and kept on g, like its
-    structure), which give scipy's sparse sums to the bit, the metric term
-    once per prox."""
-    ell = g.A.shape[1]
+    diag(d) + R R^T, as a dense matrix, the metric term once per prox.
+
+    The first two terms are products of a sparse and a dense matrix by
+    scipy's compiled kernels: A^T diag(d) A is (diag(d) A)^T, a CSC view
+    on A's arrays, times A densified, and G G^T is G, held densely with one
+    column per block, times G^T.  Entry (i, k) of the first sums
+    (d_j A[j, i]) A[j, k] over the rows j of A, G[i, b] sums r_j A[j, i]
+    over block b's rows and entry (i, k) of G G^T sums G[i, b] G[k, b] over
+    the blocks b, each in increasing order from zero, as scipy's sparse
+    products summed them; the products with a dense operand's zeros add
+    nothing (x + 0 = x, and a sum that starts at +0 stays +0), so the
+    matrix is the one those products formed, to the bit.  Nothing is kept
+    on g: the work space is A densified and G, both within the size of
+    A's rows times ell, and two ell x ell matrices."""
+    A = g.A
+    m, ell = A.shape
     if ell > DENSE_LIMIT:
         raise StructuredSolveError(
             f"dense fallback refused for dimension {ell} > {DENSE_LIMIT}")
-    maps = g.__dict__.get("_dense_maps")
-    if maps is None:
-        maps = g._dense_maps = _dense_maps(g.A, g.K)
-    (flat, j, ai, ak), gram = maps
     d, r = cones.block_parts(g.K, W.uinv)
-    L = np.bincount(flat, ak * (d[j] * ai), minlength=ell * ell)
-    if gram is not None:
-        nblk, gkey, gj, ga, pflat, pe, pf = gram
-        G = np.bincount(gkey, r[gj] * ga, minlength=ell * nblk)
-        L += np.bincount(pflat, G[pf] * G[pe], minlength=ell * ell)
-    L = L.reshape(ell, ell)
+    rows = np.repeat(np.arange(m), np.diff(A.indptr))
+    dense = np.zeros((m, ell))
+    dense[rows, A.indices] = A.data
+    L = np.zeros((ell, ell))
+    _sparsetools.csc_matvecs(ell, m, ell, A.indptr, A.indices, d[rows] * A.data,
+                             dense.ravel(), L.ravel())
+    if g.K.soc:
+        block = np.full(m, -1)
+        nblk = 0
+        for sel, (nb, dim) in g.K.soc:
+            block[sel] = nblk + np.repeat(np.arange(nb), dim)
+            nblk += nb
+        on = block[rows] >= 0
+        # bincount adds in A's row order, so each G[i, b] in increasing j.
+        G = np.bincount(A.indices[on] * nblk + block[rows[on]],
+                        r[rows[on]] * A.data[on], minlength=ell * nblk)
+        at = np.flatnonzero(G)
+        i, b = np.divmod(at, nblk)
+        GG = np.zeros((ell, ell))
+        _sparsetools.csr_matvecs(ell, nblk, ell, np.searchsorted(i, np.arange(ell + 1)),
+                                 b, G[at], G.reshape(ell, nblk).T.copy().ravel(),
+                                 GG.ravel())
+        L += GG
     if H is not None:
         L += _memoized(memo, "metric", lambda: _metric_term(g, H))
     return 0.5 * (L + L.T)

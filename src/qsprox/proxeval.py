@@ -93,7 +93,7 @@ def dual_qp(g: QSFunction, H: Optional[linops.Metric], z) -> ipm.ConicQP:
 
     return ipm.ConicQP(
         Qapply=Qapply, c=c, A=s.A, b=g.b, K=g.K,
-        lsolver=linops.reduced_solver(g, H), At=s.At,
+        lsolver=linops.reduced_solver(g, H),
     )
 
 

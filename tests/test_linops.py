@@ -5,6 +5,8 @@ import collections
 import contextlib
 import copy
 import gc
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -12,7 +14,6 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.csgraph
-from scipy.sparse._base import _spbase
 
 from qsprox import cones, linops, proxeval, qscalc
 import cone_reference as ref
@@ -840,9 +841,13 @@ def test_non_finite_metric_low_rank_ends_with_a_status():
 def sparse_calls():
     """Counts of scipy.sparse's products (its matmul dispatches) and of the
     sparse matrices it constructs while the block runs."""
+    try:
+        from scipy.sparse._base import _spbase
+        saved = {name: _spbase.__dict__[name]
+                 for name in ("__init__", "_matmul_dispatch", "_rmatmul_dispatch")}
+    except (ImportError, KeyError):
+        pytest.skip("this scipy has no _spbase._matmul_dispatch to count products at")
     counts = collections.Counter()
-    saved = {name: _spbase.__dict__[name]
-             for name in ("__init__", "_matmul_dispatch", "_rmatmul_dispatch")}
 
     def spy(name, raw):
         def counted(*args, **kwargs):
@@ -863,10 +868,12 @@ def test_bound_operators_match_scipy_bit_for_bit():
     """On every catalog function and iso-TV (whose A, like l2's, has empty
     rows) the structure's A, A^T, B, B^T and band maps give scipy's vector
     products bit for bit with no scipy.sparse dispatch or construction,
-    and A, A^T, B, B^T are views on g's own arrays."""
+    and A, A^T, B, B^T are views on g's own arrays, each the other's
+    ``T``."""
     rng = np.random.default_rng(49)
     for name, g in catalog(6) + dense_fallback_cases()[:1]:
         s = linops.structure(g)
+        assert s.A.T is s.At and s.At.T is s.A and s.B.T is s.Bt and s.Bt.T is s.B
         for op, M in ((s.A, g.A), (s.At, g.A), (s.B, g.B), (s.Bt, g.B)):
             assert all(np.shares_memory(getattr(op.M, a), getattr(M, a))
                        for a in ("data", "indices", "indptr")), name
@@ -984,8 +991,8 @@ def random_cone_function(rng):
 
 
 def test_dense_assembly_matches_scipy_sparse_sums_bit_for_bit():
-    """The dense path's L(u), assembled from index maps formed once per
-    function, is the matrix scipy's sparse products formed, bit for bit, on
+    """The dense path's L(u), assembled by sparse-times-dense kernels, is
+    the matrix scipy's sparse products formed, bit for bit, on
     the dense-path cases, random calculus outputs and random functions
     under mixed cones, with no metric, the identity and a rank-2 metric;
     its direct dpotrf/dpotrs solve is scipy.linalg's Cholesky solve bit
@@ -1007,3 +1014,59 @@ def test_dense_assembly_matches_scipy_sparse_sums_bit_for_bit():
                     linops._solve_dense(g, H, W)
                 continue
             assert np.array_equal(linops._solve_dense(g, H, W)(q), expect), g.name
+
+
+def buffer_bytes(root):
+    """Bytes of the numpy buffers reachable from root's instance data
+    (attributes, slots, containers; not classes, modules or functions)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType,
+            types.BuiltinFunctionType)
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.base is None:
+                total += obj.nbytes
+            else:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_dense_factorization_keeps_nothing_on_g():
+    """A dense factorization keeps nothing on g, and its work space grows
+    with ell^2, A's dense size and its stored entries, not with the pairs
+    of entries that share a row of A or a second-order block: a polyhedral
+    norm whose A has dense rows (120 rows of 60 entries, 432k such pairs)
+    and l2/1024 factored
+    densely as on a fallback (one 1 x Q^1025 block, 1M pairs in G G^T).
+    After classification g holds a few times its matrices' stored size,
+    and the factorization adds nothing to that."""
+    rng = np.random.default_rng(54)
+    m, ell = 120, 60
+    poly = qscalc.build_polyhedral_norm(rng.standard_normal((m, ell)), np.ones(m),
+                                        sp.eye(ell, format="csr"))
+    assert poly.strategy == linops.DENSE
+    for g in (poly, qscalc.build_l2(1024)):
+        stored = sum(M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+                     for M in (g.A, g.B))
+        before = buffer_bytes(g)
+        assert before <= 4 * stored + 64 * g.K.total_dim
+        W = cones.Scaling(g.K, random_interior(g.K, rng))
+        H = linops.Metric.identity(g.n)
+        memo = {}
+        linops._solve_dense(g, H, W, memo)  # the metric term, once per prox
+        rows, ell = g.A.shape
+        tracemalloc.start()
+        try:
+            q = rng.standard_normal(ell)
+            linops._solve_dense(g, H, W, memo)(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (4 * g.A.nnz + rows * ell + 6 * ell * ell), g.name
+        assert buffer_bytes(g) == before, g.name
