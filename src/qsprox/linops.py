@@ -39,8 +39,10 @@ sum_j r_j r_j^T and H^{-1} = diag(d1) + U1 M1 U1^T, it splits L(u), on
 
 The first two terms of the core S are packed into one band in LAPACK
 upper storage: diagonal k of M diag(w) M^T, rows of M reordered, is
-(M[:ell-k] o M[k:]) w (``_band_maps``).  ``banded_solver`` factors the
-band by its width:
+(M[:ell-k] o M[k:]) w.  One builder, ``_band_op``, stacks those products
+into one sparse matrix, formed once per function for each of A and B, so
+either band is one compiled product with w.  ``banded_solver`` factors
+the band by its width:
 
 - 0: a diagonal, applied by its reciprocal;
 - 1: tridiagonal, factored as L D L^T (LAPACK dpttrf, solves by dpttrs);
@@ -75,29 +77,29 @@ kept on g, and its work space is A densified and a few ell x ell
 matrices.
 
 g's sparse matrices are bound once per function: ``Structure`` holds A,
-A^T, B, B^T and the band maps of A as ``SparseOp``s, whose vector product
-calls scipy's compiled CSR/CSC kernel on the arrays the matrix owns (the
-transposes are CSC views, not copies).  Every product with them in an IPM
-iteration or a prox, here, in ``ipm`` and in ``proxeval``, goes through
-these; none goes through scipy.sparse's dispatch, and no sparse matrix is
-formed per iteration.
+A^T, B and B^T as ``SparseOp``s, whose vector product calls scipy's
+compiled CSR/CSC kernel on the arrays the matrix owns (the transposes are
+CSC views, not copies), and the band operators of A and B, whose stacked
+matrices are ``SparseOp``s too (at bandwidth 0 on g's own index arrays).
+Every product with them in an IPM iteration or a prox, here, in ``ipm``
+and in ``proxeval``, goes through these; none goes through scipy.sparse's
+dispatch, and no sparse matrix is formed per prox or per iteration.
 
 Work is formed as rarely as what it depends on allows:
 
 - per metric, when it is built: both of its triples, the inverse one by
   one Woodbury inversion in ``Metric.from_direct_parts``;
 - per function, by ``structure``: the path, the bound A, A^T, B and B^T,
-  the band order, the band maps of A and a border's column;
+  the band order, the band operators of A and B and a border's column;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
-  ``reduced_solver`` passes to ``build_L``: the packed band of
-  B diag(d1) B^T, formed with numpy from B's CSR arrays (``_gram_band``,
-  so nothing of B's band is kept per function), B U1, M1^{-1} and one
-  buffer for the Woodbury columns; the dense matrix the fallback adds;
-- per iteration, only what depends on u: the band of A^T diag(d) A is
-  added to a copy of the memoized one, the sum is factored, the Woodbury
-  columns S^{-1} (B U1) are solved in place into the buffer and the
-  capacitance is factored; on the dense path the matrix is assembled and
-  factored.
+  ``reduced_solver`` passes to ``build_L``: the band of B diag(d1) B^T,
+  one product with B's band operator, B U1, M1^{-1} and one buffer for
+  the Woodbury columns; the dense matrix the fallback adds;
+- per iteration, only what depends on u: the band of A^T diag(d) A, one
+  product with A's band operator, is added to a copy of the memoized one,
+  the sum is factored, the Woodbury columns S^{-1} (B U1) are solved in
+  place into the buffer and the capacitance is factored; on the dense
+  path the matrix is assembled and factored.
 
 block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
@@ -472,12 +474,14 @@ class Structure:
     but, when there is a ``border`` column a of A = [A1, a], the last.
     ``perm`` is the reverse Cuthill-McKee order of those coordinates under
     which C C^T is banded, C = [B, A^T] (B when A's rows are single), None
-    when it is banded in natural order; ``bw`` is its bandwidth in that
-    order, and diagonal k of A^T diag(w) A (A1 on a border), rows and
-    columns in that order, is ``maps[k] @ w`` (``_band_maps``; k = 0 only
-    when A's rows are single, where that is (A o A)^T w).  ``runs``
-    (starts, sizes) are the SOC blocks' contiguous runs of dual
-    coordinates.  A ``dense`` structure keeps only the matrices.
+    when it is banded in natural order, and ``bw`` is its bandwidth in that
+    order.  ``aband`` and ``bband`` are the band operators (``_band_op``)
+    w -> A^T diag(w) A (A1 on a border) and w -> B diag(w) B^T, rows and
+    columns in that order, in upper band storage: B's at ``bw``, A's at
+    ``bw`` too, or at 0 when A's rows are single, since those add only to
+    the diagonal.  ``runs`` (starts, sizes) are the SOC blocks' contiguous
+    runs of dual coordinates.  A ``dense`` structure keeps only the
+    matrices.
     """
 
     path: str
@@ -487,7 +491,8 @@ class Structure:
     border: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
     bw: int = 0
-    maps: tuple = ()
+    aband: Optional[Callable] = None
+    bband: Optional[Callable] = None
     A: SparseOp = field(init=False)
     B: SparseOp = field(init=False)
 
@@ -511,30 +516,30 @@ def _classify(A, B, K) -> Structure:
     stored entries: a stored zero only sends g to a more general path."""
     At = A.T
     ops = (SparseOp(At), SparseOp(B.T))
-    sqAt = sp.csr_matrix((A.data * A.data, A.indices, A.indptr), shape=A.shape).T
     n = A.shape[1] - 1
     orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
     single = _rows_single_nonzero(A)
+
+    def banded(path, perm=None, bw=0, ell=A.shape[1], **facts):
+        return Structure(path, *ops, perm=perm, bw=bw, **facts,
+                         aband=_band_op(At, ell, perm, 0 if single else bw),
+                         bband=_band_op(B, ell, perm, bw))
+
     if (orthant and n >= 1 and B.shape[1] == n and B[n].nnz == 0
             and _is_diagonal(B[:n]) and _rows_single_nonzero(A[:, :n])):
-        return Structure(BALL_PIVOT, *ops, border=A[:, n].toarray().ravel(),
-                         maps=(SparseOp(sqAt[:n]),))
+        return banded(BALL_PIVOT, ell=n, border=A[:, n].toarray().ravel())
     if all(b.kind == cones.SECOND_ORDER for b in K.blocks) and single \
             and _is_diagonal(B):
         runs = _soc_runs(A, K)
         if runs is not None:
-            return Structure(SOC_BLOCKS, *ops, runs, maps=(SparseOp(sqAt),))
+            return banded(SOC_BLOCKS, runs=runs)
     if orthant:
         # Rows of A with one nonzero add only to the diagonal.
         order = _band_order(B if single else sp.hstack([B, At], format="csr"))
         if order is not None:
             perm, bw = order
-            if single:
-                maps = (SparseOp(sqAt if perm is None else sqAt[perm]),)
-            else:
-                maps = _band_maps(At, perm, bw)
             path = L1_DIAG if bw == 0 else GRAPH_TRIDIAG if single else SEPARABLE
-            return Structure(path, *ops, perm=perm, bw=bw, maps=maps)
+            return banded(path, perm, bw)
     return Structure(DENSE, *ops)
 
 
@@ -581,54 +586,27 @@ def _band_order(C) -> Optional[tuple]:
     return (perm, bw) if bw <= MAX_BANDWIDTH else None
 
 
-def _band_maps(M, perm, bw):
-    """Maps m_0..m_bw with diagonal k of M diag(w) M^T, rows of M taken in
-    ``perm`` order, equal to m_k @ w: m_k = M_p[:ell - k] o M_p[k:], each
-    a ``SparseOp``."""
-    Mp = M.tocsr() if perm is None else M.tocsr()[perm]
-    ell = Mp.shape[0]
-    return tuple(SparseOp(Mp[:ell - k].multiply(Mp[k:])) for k in range(bw + 1))
-
-
-def _add_band(ab, maps, w):
-    """Add the band of M diag(w) M^T, ``maps`` from ``_band_maps``, to ab
-    in upper band storage (diagonal k in row ``bw - k``)."""
-    bw = ab.shape[0] - 1
-    for k, m in enumerate(maps):
-        ab[bw - k, k:] += m @ w
-
-
-def _gram_band(M, ell, perm, bw, w):
-    """The band of M_p diag(w) M_p^T in upper band storage, M_p the first
-    ``ell`` rows of the CSR matrix M taken in ``perm`` order, formed with
-    numpy from M's arrays.  Entry (i, i + k) sums (M_p[i, j] M_p[i + k, j])
-    w_j over the shared columns j in increasing order, as ``_add_band`` of
-    ``_band_maps(M_p, None, bw)`` does, so the two agree to the bit."""
-    nnz = M.indptr[ell]
-    cols, vals = M.indices[:nnz], M.data[:nnz]
-    pos = np.repeat(np.arange(ell), np.diff(M.indptr[:ell + 1]))
+def _band_op(M, ell, perm, bw) -> Callable:
+    """w -> the band of M_p diag(w) M_p^T in upper band storage (diagonal k
+    in row bw - k), M_p the first ``ell`` rows of the CSR or CSC matrix M
+    taken in ``perm`` order, formed once here and applied by one product.
+    Diagonal k is (M_p[:ell - k] o M_p[k:]) w.  At bandwidth 0 that is
+    (M o M) w, M o M formed on M's own index arrays, then cut to ``ell``
+    rows or gathered by perm; wider, the products are stacked in storage
+    order, the block of diagonal k below k empty rows.  Each entry sums its
+    terms in increasing column order, from zero."""
+    if bw == 0:
+        sq = SparseOp(M.__class__((M.data * M.data, M.indices, M.indptr), shape=M.shape))
+        rows = slice(ell) if perm is None else perm
+        return lambda w: (sq @ w)[None, rows]
+    Mp = M.tocsr()[:ell]
     if perm is not None:
-        where = np.empty_like(perm)
-        where[perm] = np.arange(ell)
-        pos = where[pos]
-    at, col, terms = [bw * ell + pos], [cols], [vals * vals * w[cols]]
-    if bw:
-        # In column order, rows in band order within a column, rows i and
-        # i + k of one column lie at most k <= bw entries apart.
-        o = np.argsort(cols * ell + pos, kind="stable")
-        cols, pos, vals = cols[o], pos[o], vals[o]
-        for step in range(1, bw + 1):
-            lo = np.flatnonzero(cols[step:] == cols[:-step])
-            hi = lo + step
-            at.append((bw + pos[lo] - pos[hi]) * ell + pos[hi])
-            col.append(cols[lo])
-            terms.append(vals[lo] * vals[hi] * w[cols[lo]])
-    at, terms = np.concatenate(at), np.concatenate(terms)
-    if bw > 1:
-        # One entry's terms can come from several steps: restore column order.
-        order = np.lexsort((np.concatenate(col), at))
-        at, terms = at[order], terms[order]
-    return np.bincount(at, terms, minlength=(bw + 1) * ell).reshape(bw + 1, ell)
+        Mp = Mp[perm]
+    blocks = []
+    for k in range(bw, -1, -1):
+        blocks += [sp.csr_matrix((k, M.shape[1])), Mp[:ell - k].multiply(Mp[k:])]
+    stacked = SparseOp(sp.vstack(blocks, format="csr"))
+    return lambda w: (stacked @ w).reshape(bw + 1, ell)
 
 
 def _pattern_bandwidth(M) -> int:
@@ -657,7 +635,7 @@ def _graph_metric_band(g, H):
     if H is None:
         return (np.zeros((s.bw + 1, ell)), *_empty_low_rank(ell), None)
     d1, U1, M1 = H.inverse_parts()
-    band = _gram_band(g.B, ell, s.perm, s.bw, d1)
+    band = s.bband(d1)
     # A border's row of B is empty (``ball_pivot``).
     BU1 = (s.B @ U1)[:ell]
     if not np.isfinite(BU1).all():
@@ -679,7 +657,8 @@ def _solve_banded(g, H, W, memo):
     # Off ``soc_blocks`` K is all orthant: block(u)^{-1} = diag(1/u).
     d, r = (W.uinv, None) if s.runs is None else cones.block_parts(g.K, W.uinv)
     ab = band.copy()
-    _add_band(ab, s.maps, d)
+    a = s.aband(d)
+    ab[len(ab) - len(a):] += a
     if r is None:
         solve_c = banded_solver(ab)
     else:
@@ -749,9 +728,12 @@ def _dense_matrix(g, H, W, memo=None):
     the blocks b, each in increasing order from zero, as scipy's sparse
     products summed them; the products with a dense operand's zeros add
     nothing (x + 0 = x, and a sum that starts at +0 stays +0), so the
-    matrix is the one those products formed, to the bit.  Nothing is kept
-    on g: the work space is A densified and G, both within the size of
-    A's rows times ell, and two ell x ell matrices."""
+    matrix is the one those products formed, to the bit, and so is its
+    symmetric part, formed in place.  Nothing is kept on g: the work space
+    is A densified, freed once used, and G, both within the size of A's
+    rows times ell, and L with at most two more ell x ell matrices (G G^T,
+    the metric term and its parts, or the copy of L that the in-place sum
+    L + L^T takes)."""
     A = g.A
     m, ell = A.shape
     if ell > DENSE_LIMIT:
@@ -764,6 +746,7 @@ def _dense_matrix(g, H, W, memo=None):
     L = np.zeros((ell, ell))
     _sparsetools.csc_matvecs(ell, m, ell, A.indptr, A.indices, d[rows] * A.data,
                              dense.ravel(), L.ravel())
+    del dense
     if g.K.soc:
         block = np.full(m, -1)
         nblk = 0
@@ -781,9 +764,12 @@ def _dense_matrix(g, H, W, memo=None):
                                  b, G[at], G.reshape(ell, nblk).T.copy().ravel(),
                                  GG.ravel())
         L += GG
+        del GG
     if H is not None:
         L += _memoized(memo, "metric", lambda: _metric_term(g, H))
-    return 0.5 * (L + L.T)
+    L += L.T
+    L *= 0.5
+    return L
 
 
 def _solve_dense(g, H, W, memo=None):

@@ -24,7 +24,7 @@ class LeastSquares:
     """f(x) = 1/2 ||A x - b||^2."""
 
     def __init__(self, A, b):
-        self.A = A
+        self.A, self.At = A, A.T
         self.b = np.asarray(b, dtype=float)
 
     @property
@@ -36,7 +36,7 @@ class LeastSquares:
         return 0.5 * float(r @ r)
 
     def gradient(self, x):
-        return self.A.T @ (self.A @ x - self.b)
+        return self.At @ (self.A @ x - self.b)
 
     def hessian(self, x, on):
         """A_F^T A_F on the columns F of the mask ``on``, dense."""

@@ -4,6 +4,7 @@ against dense oracles."""
 import collections
 import contextlib
 import copy
+import dataclasses
 import gc
 import tracemalloc
 import types
@@ -298,17 +299,16 @@ def test_operator_is_freed_without_the_cycle_collector():
 
 
 def test_banded_helpers_round_trip():
-    """The band packed by ``_band_maps``/``_add_band`` is factored and
-    solved at bandwidth 1 (LDL^T) and 2 (Cholesky), for one right-hand side
-    and for several written in place."""
+    """The band ``_band_op`` packs is factored and solved at bandwidth 1
+    (LDL^T) and 2 (Cholesky), for one right-hand side and for several
+    written in place."""
     rng = np.random.default_rng(32)
     n = 12
     N = qscalc.path_difference_matrix(n)
     for M in (N, N[:-1] + N[1:]):
         bw = linops._pattern_bandwidth(M)
         T = (M @ M.T).toarray() + 0.5 * np.eye(M.shape[0])
-        ab = np.zeros((bw + 1, M.shape[0]))
-        linops._add_band(ab, linops._band_maps(M, None, bw), np.ones(n))
+        ab = linops._band_op(M, M.shape[0], None, bw)(np.ones(n))
         ab[bw] += 0.5
         solve = linops.banded_solver(ab)
         q = rng.standard_normal(M.shape[0])
@@ -387,10 +387,8 @@ def test_banded_path_matches_dense_on_random_draws():
             p_ref = linops._solve_dense(g, H, cones.Scaling(g.K, u))(q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), kind
             if s.bw >= 2:
-                ab = np.zeros((s.bw + 1, g.dual_dim))
-                linops._add_band(ab, linops._band_maps(g.B, s.perm, s.bw),
-                                 H.inverse_parts()[0])
-                linops._add_band(ab, s.maps, 1.0 / u)
+                ab, a = s.bband(H.inverse_parts()[0]), s.aband(1.0 / u)
+                ab[len(ab) - len(a):] += a
                 cb = scipy.linalg.cholesky_banded(ab)
                 solve = linops.banded_solver(ab.copy())
                 for rhs in (q, rng.standard_normal((g.dual_dim, 3))):
@@ -504,24 +502,28 @@ def test_build_L_takes_block_u_inverse_from_the_record(monkeypatch):
     reference u^{-1} bit for bit; on the orthant paths d is that u^{-1},
     1/u, and there is no r."""
     rng = np.random.default_rng(37)
-    block_parts, add_band = cones.block_parts, linops._add_band
+    block_parts = cones.block_parts
     parts, bands = [], []
 
     def spy_parts(K, x):
         parts.append((x, block_parts(K, x)))
         return parts[-1][1]
 
-    def spy_band(ab, maps, w):
-        bands.append(w)
-        add_band(ab, maps, w)
+    def spy_band(aband):
+        def band(w):
+            bands.append(w)
+            return aband(w)
+        return band
 
     monkeypatch.setattr(cones, "block_parts", spy_parts)
-    monkeypatch.setattr(linops, "_add_band", spy_band)
     fallback = dict(dense_fallback_cases())
     cases = [qscalc.build_sum_of_norms((2, 5, 3)), fallback["isotropic_tv"],
              fallback["orthant_distance"], qscalc.build_l1(6), fallback["l1+tv"],
              qscalc.build_l1_ball(6)]
     for g in cases:
+        s = linops.structure(g)
+        if s.aband is not None:
+            g._structure = dataclasses.replace(s, aband=spy_band(s.aband))
         u = random_interior(g.K, rng)
         uinv = ref.inverse(g.K, u)
         W = cones.Scaling(g.K, u)
@@ -864,12 +866,36 @@ def sparse_calls():
             setattr(_spbase, name, raw)
 
 
+def band_ops(g):
+    """[(band operator, M, bandwidth)] of g's structure: A's over M = A^T,
+    at bandwidth 0 when A's rows are single, and B's."""
+    s = linops.structure(g)
+    if s.aband is None:
+        return []
+    single = np.all(np.diff(g.A.indptr) <= 1)
+    return [(s.aband, g.A.T, 0 if single else s.bw), (s.bband, g.B, s.bw)]
+
+
+def scipy_band(M, ell, perm, bw, w):
+    """The band of M_p diag(w) M_p^T in upper band storage, M_p the first
+    ``ell`` rows of M in ``perm`` order, diagonal k formed by scipy's
+    product (M_p[:ell - k] o M_p[k:]) @ w: the reference for the band
+    operators."""
+    Mp = M.tocsr()[:ell]
+    if perm is not None:
+        Mp = Mp[perm]
+    ab = np.zeros((bw + 1, ell))
+    for k in range(bw + 1):
+        ab[bw - k, k:] = Mp[:ell - k].multiply(Mp[k:]) @ w
+    return ab
+
+
 def test_bound_operators_match_scipy_bit_for_bit():
     """On every catalog function and iso-TV (whose A, like l2's, has empty
-    rows) the structure's A, A^T, B, B^T and band maps give scipy's vector
-    products bit for bit with no scipy.sparse dispatch or construction,
-    and A, A^T, B, B^T are views on g's own arrays, each the other's
-    ``T``."""
+    rows) the structure's A, A^T, B, B^T and band operators give scipy's
+    vector products bit for bit with no scipy.sparse dispatch or
+    construction, and A, A^T, B, B^T are views on g's own arrays, each the
+    other's ``T``."""
     rng = np.random.default_rng(49)
     for name, g in catalog(6) + dense_fallback_cases()[:1]:
         s = linops.structure(g)
@@ -878,11 +904,15 @@ def test_bound_operators_match_scipy_bit_for_bit():
             assert all(np.shares_memory(getattr(op.M, a), getattr(M, a))
                        for a in ("data", "indices", "indptr")), name
         pairs = [(s.A, g.A), (s.At, g.A.T), (s.B, g.B), (s.Bt, g.B.T)]
-        pairs += [(m, m.M) for m in s.maps]
         xs = [rng.standard_normal(M.shape[1]) for _, M in pairs]
         expect = [M @ x for (_, M), x in zip(pairs, xs)]
+        ell = g.dual_dim - (s.border is not None)
+        bands = band_ops(g)
+        ws = [rng.standard_normal(M.shape[1]) for _, M, _ in bands]
+        expect += [scipy_band(M, ell, s.perm, bw, w) for (_, M, bw), w in zip(bands, ws)]
         with sparse_calls() as counts:
             got = [op @ x for (op, _), x in zip(pairs, xs)]
+            got += [op(w) for (op, _, _), w in zip(bands, ws)]
         assert not counts, name
         for a, b in zip(got, expect):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -937,11 +967,12 @@ def test_sparse_work_of_a_prox_does_not_grow_with_its_iterations():
         assert tight_counts == loose_counts, g.strategy
 
 
-def test_metric_band_matches_band_maps_bit_for_bit():
-    """B's per-prox band, formed with numpy from B's CSR arrays, is the band
-    the map products ``_band_maps``/``_add_band`` give, bit for bit: at
-    bandwidth 0, 1 and wider, in natural and reverse Cuthill-McKee order,
-    and over the band of a bordered (l1 ball) function."""
+def test_band_operators_match_dense_band():
+    """A's and B's band operators give M_p diag(w) M_p^T, formed densely,
+    to 1e-14 relative, with nothing outside the band and zeros in the
+    unused corner of the storage: at bandwidth 0, 1 and wider, in natural
+    and reverse Cuthill-McKee order, over the band of a bordered (l1 ball)
+    function and on second-order blocks."""
     rng = np.random.default_rng(52)
     kinds = ("bw0", "bw1", "bw1_rcm", "wide", "wide_rcm", "ball", "soc")
     cases = [random_banded_case(rng, kind) for kind in kinds for _ in range(3)]
@@ -949,10 +980,42 @@ def test_metric_band_matches_band_maps_bit_for_bit():
     for g in cases:
         s = linops.structure(g)
         ell = g.dual_dim - (s.border is not None)
-        w = rng.uniform(0.1, 3.0, g.n)
-        expect = np.zeros((s.bw + 1, ell))
-        linops._add_band(expect, linops._band_maps(g.B[:ell], s.perm, s.bw), w)
-        assert np.array_equal(linops._gram_band(g.B, ell, s.perm, s.bw, w), expect)
+        rows = np.arange(ell) if s.perm is None else s.perm
+        for op, M, bw in band_ops(g):
+            w = rng.uniform(0.1, 3.0, M.shape[1])
+            Mp = M.toarray()[rows]
+            expect = (Mp * w) @ Mp.T
+            ab = op(w)
+            assert ab.shape == (bw + 1, ell), g.name
+            got = np.zeros((ell, ell))
+            for k in range(bw + 1):
+                assert not ab[bw - k, :k].any(), g.name
+                got += np.diag(ab[bw - k, k:], k)
+                if k:
+                    got += np.diag(ab[bw - k, k:], -k)
+            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect), g.name
+
+
+def band_matrix(op):
+    """The sparse matrix a band operator multiplies by."""
+    sq, = [c.cell_contents for c in op.__closure__
+           if isinstance(c.cell_contents, linops.SparseOp)]
+    return sq.M
+
+
+def test_diagonal_band_operators_share_g_index_arrays():
+    """A band operator at bandwidth 0 multiplies by M o M formed on M's
+    own index arrays: on every structured catalog function, A's (over A^T's
+    CSC view) and B's keep no index array of their own."""
+    checked = 0
+    for name, g in catalog(6):
+        for op, M, bw in band_ops(g):
+            if bw == 0:
+                sq = band_matrix(op)
+                for a in ("indices", "indptr"):
+                    assert np.shares_memory(getattr(sq, a), getattr(M, a)), name
+                checked += 1
+    assert checked >= 10
 
 
 def scipy_dense_matrix(g, H, W):
@@ -1070,3 +1133,26 @@ def test_dense_factorization_keeps_nothing_on_g():
             tracemalloc.stop()
         assert peak <= 8 * (4 * g.A.nnz + rows * ell + 6 * ell * ell), g.name
         assert buffer_bytes(g) == before, g.name
+
+
+def test_dense_assembly_peaks_within_three_square_arrays():
+    """The dense assembly of l2/1024 (one 1 x Q^1025 block, so A densified
+    is about ell x ell too) under a rank-3 metric peaks within three
+    ell x ell arrays when it forms the metric term and within two when
+    the memo holds it, plus a few vectors: A densified is freed once
+    used, G G^T once added, and L is symmetrized in place."""
+    rng = np.random.default_rng(55)
+    g = qscalc.build_l2(1024)
+    ell = g.dual_dim
+    W = cones.Scaling(g.K, random_interior(g.K, rng))
+    H = random_dlr_metric(rng, g.n, 3)
+    memo = {}
+    for squares in (3, 2):
+        tracemalloc.start()
+        try:
+            L = linops._dense_matrix(g, H, W, memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (squares * ell * ell + 64 * ell), squares
+        del L

@@ -109,21 +109,21 @@ def test_cone_timing_times_every_primitive_on_every_shape():
 
 
 def test_reduced_timing_times_every_operator_call_on_every_path():
-    """One call per timing: a header of the three timed calls, then one
+    """One call per timing: a header of the four timed calls, then one
     line per benchmark shape with the solve path it ran and a positive
     time for each call."""
     out = subprocess.run([sys.executable, str(TOOLS / "reduced_timing.py"),
                           "--number", "1", "--repeat", "1"],
                          capture_output=True, text=True, check=True).stdout
     header, *rows = out.splitlines()
-    assert header.split()[3:] == ["path", "factor", "solve", "apply_split"]
+    assert header.split()[3:] == ["path", "factor", "prox", "solve", "apply_split"]
     assert [row.split()[:2] for row in rows] == [
         ["lsq_tv/199/r10", "graph_tridiag"], ["isotv/8x8/r5", "dense"],
         ["son4x100/r5", "soc_blocks"], ["l2/4096/r5", "soc_blocks"],
-        ["l1/32768/r20", "l1_diag"]]
+        ["l1/32768/r20", "l1_diag"], ["tv/32768/r20", "graph_tridiag"]]
     for row in rows:
         times = [float(t) for t in row.split()[2:]]
-        assert len(times) == 3 and min(times) > 0.0
+        assert len(times) == 4 and min(times) > 0.0
 
 
 @pytest.fixture

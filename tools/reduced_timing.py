@@ -4,12 +4,13 @@
 
 For each penalty and metric rank of the benchmark's shapes (``lsq_tv``'s
 path TV at ell = 199 and rank 10, iso-TV on the 8 x 8 torus, 100 blocks
-of Q^4, l2 at n = 4096 and l1 at n = 32768 with rank 20), one line gives
-the solve path and the time per call, in microseconds, of
+of Q^4, l2 at n = 4096, and l1 and path TV at n = 32768 with rank 20),
+one line gives the solve path and the time per call, in microseconds, of
 ``linops.build_L`` (the factorization of L(u) for one IPM iteration, with
-the prox's per-metric memo already filled), of the operator's ``solve``
-(one right-hand side, with its refinement pass and residual check) and of
-its ``apply_split`` (L w and Q w).  Each time is the least over R timeit
+the prox's per-metric memo already filled), of ``build_L`` with a fresh
+memo (the per-prox metric band and the first factorization), of the
+operator's ``solve`` (one right-hand side, with its refinement pass and
+residual check) and of its ``apply_split`` (L w and Q w).  Each time is the least over R timeit
 runs of N calls each (N by ``timeit.Timer.autorange`` unless given).  The
 scaling point, the metric and the vectors are drawn from a fixed seed;
 BLAS and OpenMP run at one thread, as ``bench/run.py`` pins them.
@@ -50,8 +51,10 @@ SHAPES = (
     ("son4x100/r5", lambda: qscalc.build_sum_of_norms([4] * 100), 5),
     ("l2/4096/r5", lambda: qscalc.build_l2(4096), 5),
     ("l1/32768/r20", lambda: qscalc.build_l1(32768), 20),
+    ("tv/32768/r20",
+     lambda: qscalc.build_graph_l1(qscalc.path_difference_matrix(32768)), 20),
 )
-COLUMNS = ("factor", "solve", "apply_split")
+COLUMNS = ("factor", "prox", "solve", "apply_split")
 
 
 def interior(K, rng):
@@ -75,6 +78,7 @@ def calls(g, rank, rng):
     q, w = rng.standard_normal(g.dual_dim), rng.standard_normal(g.dual_dim)
     return op.strategy, {
         "factor": lambda: linops.build_L(g, H, W, memo),
+        "prox": lambda: linops.build_L(g, H, W, {}),
         "solve": lambda: op.solve(q),
         "apply_split": lambda: op.apply_split(w),
     }
