@@ -124,7 +124,8 @@ def _run_solver_family(args, make_instance, residual_only=False):
                     else f"{result.error_estimate:.3e}")
         print(f"mem={m}: status={result.status} iterations={result.iterations} "
               f"residual={result.residual:.3e} newton_steps={result.newton_steps} "
-              f"fallbacks={result.fallbacks} resolves={result.resolves} "
+              f"fallbacks={result.fallbacks} backtracks={result.backtracks} "
+              f"resolves={result.resolves} "
               f"error_estimate={estimate}")
     return 0
 

@@ -12,7 +12,20 @@ function.  The metric is a limited-memory BFGS approximation in compact form,
 kept as a diagonal-plus-low-rank pair so that W = (B + rho*I)^{-1} is one
 Woodbury inversion.  Globalization adds the shift rho on sufficient-
 decrease failures (from ``SHIFT_SEED``, grown by ``SHIFT_GROW`` up to
-``SHIFT_CAP``) and halves it after accepted steps.
+``SHIFT_CAP``) and halves it after accepted full steps.  Before a
+truthfully rejected trial x+ grows the shift, the solver searches along
+d = x+ - x (Lee, Sun & Saunders, "Proximal Newton-type methods", SIOPT
+2014): it takes x + t*d at the first t = 1/2, 1/4, ..., ``MIN_STEP_LENGTH``
+with
+
+    f(x + t*d) + (1 - t)*g(x) + t*g(x+) <= F + ACCEPT_COEFF*t*Delta,
+    Delta = grad^T d + g(x+) - g(x) < 0,
+
+plus the roundoff allowance below.  Since g is convex the left side
+bounds F(x + t*d) from above, so a tried point costs one evaluation of f
+and none of g (no IPM for a g without a closed form); g is evaluated once,
+at the accepted point.  A salvaged step keeps the grown shift, and a new
+prox at that shift is solved only when no t passes.
 
 Where the prox runs: every step and every residual check takes its prox
 by ``proxeval.routed_prox``, which asks ``proxeval.exact_prox`` for the
@@ -41,10 +54,11 @@ iterate it stopped at (the trial record's ``proxeval.Resume`` handle)
 rather than from the IPM's start; a trial that ended short of optimal
 carries no handle and re-solves from scratch.  An exact trial
 (closed form or certified Newton) would re-solve to the same point, so
-its rejection grows the shift at once.  That test reads one field of the
-trial's record, the rule that gave x ("did the IPM give x?"); the log's
-``closed_step`` is a second read of the same field over all of a step's
-trials ("did no trial run the IPM?").
+its rejection goes to the step-length search and the shift at once.
+That test reads one field of the trial's record, the rule that gave x
+("did the IPM give x?"); the log's ``closed_step`` is a second read of
+the same field over all of a step's trials ("did no trial run the
+IPM?").
 The decrease test itself carries a roundoff allowance scaled to |f+g|
 (``NOISE_FLOOR``): near a minimizer of a large-scale objective the true
 per-step decrease falls below the evaluation noise of the objective, and
@@ -92,6 +106,8 @@ SHIFT_GROW = 10.0
 SHIFT_SHRINK = 0.5
 SHIFT_CAP = 1e12
 ACCEPT_COEFF = 1e-4
+# the shortest step length the search along a rejected step tries
+MIN_STEP_LENGTH = 2.0 ** -5
 NOISE_FLOOR = 1e-13
 CURVATURE_RTOL = 1e-8
 INNER_FLOOR = 1e-10
@@ -125,10 +141,13 @@ class PQNConfig:
 class IterateLog:
     """State at the start of an outer iteration.
 
-    ``inner_iterations``, ``step_norm``, ``closed_step``,
+    ``inner_iterations``, ``step_norm``, ``step_length``, ``closed_step``,
     ``fallback_reason``, ``resolves`` and ``resolve_iterations`` describe
-    the step that produced this iterate (0, 0.0, False, "", 0 and 0 at
-    iteration 0).  All but the length are read off the
+    the step that produced this iterate (0, 0.0, 0.0, False, "", 0 and 0
+    at iteration 0).  ``step_length`` is the t of x = x_prev + t*d along
+    the last trial's d = x+ - x_prev: 1.0 for a full step, below 1 for a
+    step salvaged by the search along a rejected trial.  All but the
+    norm and the length are read off the
     ``proxeval.RoutedProx`` records of the step's trials: the IPM
     iterations summed over the trials, whether no trial's rule was the
     IPM (every trial was closed form or a certified Newton step of
@@ -146,6 +165,7 @@ class IterateLog:
     shift: float
     step_norm: float
     x: np.ndarray = None
+    step_length: float = 0.0
     closed_step: bool = False
     fallback_reason: str = ""
     resolves: int = 0
@@ -161,7 +181,9 @@ class PQNResult:
     record names the certified Newton rule, ``fallbacks`` those whose
     record carries Newton's reason for giving no certificate, so that the
     IPM ran instead, and ``resolves`` those that resumed a rejected
-    trial's IPM at a tighter tolerance."""
+    trial's IPM at a tighter tolerance.  ``backtracks`` counts the
+    accepted steps salvaged by the search along a rejected trial (step
+    length below 1)."""
 
     x: np.ndarray
     status: str
@@ -174,6 +196,7 @@ class PQNResult:
     newton_steps: int = 0
     fallbacks: int = 0
     resolves: int = 0
+    backtracks: int = 0
 
 
 class LBFGSMemory:
@@ -310,17 +333,19 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         raise ValueError("max_iter must be >= 0")
     x = np.array(x0, dtype=float)
     mem = LBFGSMemory(cfg.mem, cfg.sigma0, cfg.fixed_sigma)
-    F = problem.value(x) + qscalc.evaluate(g, x)
+    # f(x) and g(x) apart: the step-length search reads g(x) on its own
+    fx, gx = problem.value(x), qscalc.evaluate(g, x)
+    F = fx + gx
     history: List[IterateLog] = []
     t0 = time.perf_counter()
 
     grad = problem.gradient(x)
     status = ITERATION_LIMIT
-    # the records of the trials of the step that produced x, and that
-    # step's squared length
+    # the records of the trials of the step that produced x, that step's
+    # squared norm and its length along the last trial's step
     trials: List[proxeval.RoutedProx] = []
-    dx2 = 0.0
-    newton_steps = fallbacks = resolves = 0
+    dx2 = step_length = 0.0
+    newton_steps = fallbacks = resolves = backtracks = 0
     reason = ""
     try:
         for it in range(cfg.max_iter + 1):
@@ -330,7 +355,7 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             entry = IterateLog(
                 it, time.perf_counter() - t0, F, rinf,
                 sum(t.iterations for t in trials), mem.shift,
-                float(np.sqrt(dx2)), x.copy(),
+                float(np.sqrt(dx2)), x.copy(), step_length,
                 bool(trials) and all(t.rule != proxeval.IPM for t in trials),
                 next((t.fallback for t in reversed(trials) if t.fallback), ""),
                 sum(t.resumed for t in trials),
@@ -359,10 +384,14 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
             # an exact trial would re-solve to the same point.  The re-solve
             # is the same prox (same H and z), so it passes the rejected
             # trial's handle and continues that trial's IPM (from scratch
-            # when the trial ended short of optimal and carries none).
+            # when the trial ended short of optimal and carries none).  A
+            # truthful rejection first searches along the rejected step and
+            # takes the first point of sufficient decrease (``_backtrack``);
+            # the shift grows either way, and a new prox is solved only
+            # when no step length passes.
             trials = []
             trial_tol = inner_tol
-            resume = None
+            resume = x_new = None
             slack = NOISE_FLOOR * (1.0 + abs(F)) if np.isfinite(F) else 0.0
             while True:
                 trial = _step(g, x, grad, mem, trial_tol, inner_tol, resume)
@@ -370,9 +399,11 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                 newton_steps += trial.rule == proxeval.NEWTON
                 fallbacks += bool(trial.fallback)
                 resolves += trial.resumed
-                F_new = problem.value(trial.x) + qscalc.evaluate(g, trial.x)
-                dx2 = float((trial.x - x) @ (trial.x - x))
-                if F_new <= F - ACCEPT_COEFF * dx2 + slack:
+                f_new, g_new = problem.value(trial.x), qscalc.evaluate(g, trial.x)
+                d = trial.x - x
+                dx2 = float(d @ d)
+                if f_new + g_new <= F - ACCEPT_COEFF * dx2 + slack:
+                    x_new, step_length = trial.x, 1.0
                     break
                 certified = INEXACT_SAFETY * (ACCEPT_COEFF * dx2 + slack)
                 certified = max(certified, INNER_HARD_FLOOR)
@@ -381,20 +412,30 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
                     resume = trial.resume
                     continue
                 resume = None
+                salvaged = _backtrack(problem, x, d, F, gx, g_new,
+                                      float(grad @ d) + g_new - gx, slack)
                 mem.shift = max(SHIFT_GROW * mem.shift, SHIFT_SEED)
+                if salvaged is not None:
+                    step_length, x_new, f_new = salvaged
+                    g_new = qscalc.evaluate(g, x_new)
+                    dx2 *= step_length * step_length
+                    backtracks += 1
+                    break
                 if mem.shift > SHIFT_CAP:
                     break
-            # an accepted trial leaves the shift at or below the cap
-            if mem.shift > SHIFT_CAP:
+            if x_new is None:
                 status = STEP_FAILURE
                 break
 
-            grad_new = problem.gradient(trial.x)
-            mem.update(trial.x - x, grad_new - grad)
-            mem.shift *= SHIFT_SHRINK
-            if mem.shift < SHIFT_FLOOR:
-                mem.shift = 0.0
-            x, F, grad = trial.x, F_new, grad_new
+            grad_new = problem.gradient(x_new)
+            mem.update(x_new - x, grad_new - grad)
+            # a salvaged step keeps the shift it grew
+            if step_length == 1.0:
+                mem.shift *= SHIFT_SHRINK
+                if mem.shift < SHIFT_FLOOR:
+                    mem.shift = 0.0
+            x, gx, grad = x_new, g_new, grad_new
+            F = f_new + g_new
     except proxeval.InnerFailure as exc:
         status, reason = INNER_FAILURE, str(exc)
 
@@ -409,7 +450,33 @@ def solve(problem, g: qscalc.QSFunction, x0, config: Optional[PQNConfig] = None)
         newton_steps=newton_steps,
         fallbacks=fallbacks,
         resolves=resolves,
+        backtracks=backtracks,
     )
+
+
+def _backtrack(problem, x, d, F, gx, gp, delta, slack):
+    """Search along a rejected step d = x+ - x, with gx = g(x), gp = g(x+)
+    and delta = grad^T d + gp - gx the model decrease.
+
+    Returns (t, x + t*d, f(x + t*d)) for the first t in 1/2, 1/4, ...,
+    ``MIN_STEP_LENGTH`` with
+
+        f(x + t*d) + (1 - t)*gx + t*gp <= F + ACCEPT_COEFF*t*delta + slack,
+
+    or None when none passes or delta is not negative.  By the convexity
+    of g the left side bounds F(x + t*d) from above, so each point costs
+    one evaluation of f and none of g.
+    """
+    if not delta < 0.0:
+        return None
+    t = 0.5
+    while t >= MIN_STEP_LENGTH:
+        xt = x + t * d
+        ft = problem.value(xt)
+        if ft + (1.0 - t) * gx + t * gp <= F + ACCEPT_COEFF * t * delta + slack:
+            return t, xt, ft
+        t *= 0.5
+    return None
 
 
 def _step(g, x, grad, mem: LBFGSMemory, trial_tol, inner_tol,

@@ -84,6 +84,24 @@ def test_solver_summary_counts_newton_steps_and_fallbacks(tmp_path, capsys):
     assert int(counts["newton_steps"]) > 0 and counts["fallbacks"] == "0"
 
 
+def test_solver_summary_counts_backtracks_after_fallbacks(tmp_path, capsys):
+    """The summary prints the run's salvaged steps right after its
+    fallbacks; the CSV columns stay as they were."""
+    out = tmp_path / "tv.csv"
+    assert cli.main(["lsq-tv", "--n", "60", "--p", "30", "--mem", "5",
+                     "--out", str(out)]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("mem=5:"))
+    fields = [f.split("=") for f in line.split()[1:]]
+    names = [name for name, _ in fields]
+    assert names.index("backtracks") == names.index("fallbacks") + 1
+    assert int(dict(fields)["backtracks"]) > 0
+    header, _ = read_rows(tmp_path / "tv_mem5.csv")
+    assert header == cli.SOLVER_HEADER == [
+        "iter", "seconds", "objective", "error_or_residual", "inner_iters",
+        "shift"]
+
+
 def test_lsq_l1_deterministic_up_to_seconds(tmp_path):
     args = ["lsq-l1", "--n", "30", "--p", "10", "--mem", "4", "--seed", "7"]
     out1 = tmp_path / "a.csv"

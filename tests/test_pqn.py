@@ -328,6 +328,44 @@ def test_resolves_continue_the_rejected_trials_ipm(monkeypatch, seed):
                                              for e in res.history)
 
 
+def test_rejected_ipm_step_is_salvaged_without_a_new_prox(monkeypatch):
+    """Path-TV least squares at mem 5, where every IPM prox is a step
+    trial: a step salvaged along a rejected IPM trial lies on that trial's
+    step x + t*(p - x) with t < 1, no prox runs between the rejected trial
+    and the salvaged iterate, the shift it grew is kept, and its logged
+    objective is f + g at its point."""
+    points = []
+    real_prox = proxeval.prox
+
+    def spy(*args, **kw):
+        res = real_prox(*args, **kw)
+        points.append(res.x)
+        return res
+
+    # IPM proxes made before each logged iterate
+    marks = []
+    monkeypatch.setattr(pqn.proxeval, "prox", spy)
+    prob, g, _ = problems.synthetic_instance("tv", 60, 30, 0)
+    cfg = pqn.PQNConfig(mem=5, callback=lambda e: marks.append(len(points)))
+    res = pqn.solve(prob, g, np.zeros(prob.n), cfg)
+    assert res.status == pqn.OPTIMAL
+    assert res.history[0].step_length == 0.0
+    salvaged = [e for e in res.history[1:] if e.step_length < 1.0]
+    assert len(salvaged) == res.backtracks
+    ipm_salvaged = [e for e in salvaged if not e.closed_step]
+    assert ipm_salvaged
+    for e in ipm_salvaged:
+        prev = res.history[e.iteration - 1]
+        p = points[marks[e.iteration] - 1]
+        assert marks[e.iteration] > marks[prev.iteration]
+        assert 0.0 < e.step_length < 1.0
+        assert np.array_equal(e.x, prev.x + e.step_length * (p - prev.x))
+        assert e.shift >= max(pqn.SHIFT_GROW * prev.shift, pqn.SHIFT_SEED)
+        assert e.objective == prob.value(e.x) + qscalc.evaluate(g, e.x)
+    lengths = {e.step_length for e in res.history[1:]}
+    assert lengths <= {1.0} | {0.5 ** k for k in range(1, 6)}
+
+
 def test_negative_iteration_limit_is_rejected():
     prob, g, _ = problems.synthetic_instance("l1", 20, 10, 0)
     with pytest.raises(ValueError, match="max_iter"):

@@ -237,6 +237,24 @@ def test_least_squares_value_and_gradient():
                                    atol=1e-6)
 
 
+def test_sparse_least_squares_skips_scipy_sparse_dispatch():
+    """On a CSR A, value and gradient make no scipy.sparse product and give
+    the bits of the plain scipy.sparse products."""
+    from test_linops import sparse_calls
+
+    rng = np.random.default_rng(81)
+    A = sp.random(40, 30, density=0.2, format="csr", random_state=81)
+    b = rng.standard_normal(40)
+    x = rng.standard_normal(30)
+    prob = problems.LeastSquares(A, b)
+    with sparse_calls() as counts:
+        value, grad = prob.value(x), prob.gradient(x)
+    assert counts["_matmul_dispatch"] == counts["_rmatmul_dispatch"] == 0
+    r = A @ x - b
+    assert value == 0.5 * float(r @ r)
+    assert np.array_equal(grad, A.T @ r)
+
+
 def test_logistic_value_at_zero_is_log_two():
     rng = np.random.default_rng(81)
     Z = rng.standard_normal((9, 4))

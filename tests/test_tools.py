@@ -143,8 +143,8 @@ def pass_digest(monkeypatch):
 def test_pass_digest_reports_no_drift_against_its_own_dump(pass_digest, tmp_path,
                                                            capsys):
     """A --dump run read back by --against shows zero drift and the same
-    IPM iterations; --expect passes the run's own total and fails any
-    other."""
+    IPM and outer iterations, and every PQN job passes its check;
+    --expect passes the run's own total and fails any other."""
     dump = str(tmp_path / "run.npz")
     assert pass_digest.main(["--seeds", "1", "--dump", dump]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -158,6 +158,12 @@ def test_pass_digest_reports_no_drift_against_its_own_dump(pass_digest, tmp_path
     iters = [ln.split() for ln in lines if ln.startswith("ipm_iters ")]
     assert [ln[1] for ln in iters] == list(pass_digest.workloads.WORKLOADS)
     for _, _, before, _, after, change in iters:
+        assert before == after and int(before) > 0 and change == "(+0.0%)"
+    pqn_lines = [ln for ln in lines if " douter=" in ln]
+    assert pqn_lines and all(" douter=+0 check=pass" in ln for ln in pqn_lines)
+    outer = [ln.split() for ln in lines if ln.startswith("outer_iters ")]
+    assert [ln[1] for ln in outer] == ["pqn-lsq"]
+    for _, _, before, _, after, change in outer:
         assert before == after and int(before) > 0 and change == "(+0.0%)"
     assert pass_digest.main(["--seeds", "1", "--expect", "0" * 64]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (

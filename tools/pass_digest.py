@@ -22,13 +22,16 @@ instead.  Run the parent checkout with ``--dump`` and the change with
 
 ``--dump FILE.npz`` stores each job's final x, its dual y (proxes only)
 and its IPM iterations (a PQN solve's summed over its steps), and for a
-PQN solve its ``error_estimate`` (NaN when it is None).
+PQN solve its ``error_estimate`` (NaN when it is None) and its outer
+iterations.
 ``--against FILE.npz`` appends to each job's line max |dx|, max |dy| and
 the change in IPM iterations from the stored run, and for a PQN solve
-the relative change in its error estimate, and ends with the largest of
-each over all jobs, to set against a drift bound such as 1e-10, and with
-each workload's IPM iterations summed over its jobs and seeds, stored
-run -> this run.
+the relative change in its error estimate, the change in its outer
+iterations and whether this run passes the job's benchmark check.  It
+ends with the largest drift of each kind over all jobs, to set against a
+drift bound such as 1e-10, and with each workload's IPM iterations and,
+where it has PQN jobs, outer iterations summed over its jobs and seeds,
+stored run -> this run.
 
 A dump made by an older copy of this tool holds no estimates.  Make the
 parent's dump with this file: copy it into a clean checkout of the
@@ -85,6 +88,7 @@ def result_parts(res) -> dict:
     parts = {"x": res.x, "y": getattr(res, "y", np.zeros(0)), "ipm": ipm_iters}
     if history is not None:
         parts["est"] = np.nan if res.error_estimate is None else res.error_estimate
+        parts["outer"] = res.iterations
     return parts
 
 
@@ -109,6 +113,13 @@ def relative_change(a, b) -> float:
     return float(abs(a - b) / abs(b))
 
 
+def add_totals(totals, name, before, after):
+    """Add a job's stored and current counts to its workload's totals."""
+    pair = totals.setdefault(name, [0, 0])
+    pair[0] += before
+    pair[1] += after
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
@@ -125,8 +136,9 @@ def main(argv=None) -> int:
             ref = dict(run)
     stored = {}
     worst = [0.0, 0.0, 0, 0.0]
-    # workload -> [stored IPM iterations, this run's]
-    ipm_totals = {}
+    # workload -> [stored IPM iterations, this run's], and the same of the
+    # outer iterations of its PQN jobs
+    ipm_totals, outer_totals = {}, {}
     total = hashlib.sha256()
     for name, workload in workloads.WORKLOADS.items():
         for seed in args.seeds:
@@ -147,9 +159,12 @@ def main(argv=None) -> int:
                         dest = relative_change(parts["est"], ref[f"{key}:est"])
                         worst[3] = max(worst[3], dest)
                         line += f" dest={dest:.1e}"
-                    totals = ipm_totals.setdefault(name, [0, 0])
-                    totals[0] += int(ref[f"{key}:ipm"])
-                    totals[1] += int(parts["ipm"])
+                        before, after = int(ref[f"{key}:outer"]), int(parts["outer"])
+                        ok, excess = job.check(res)
+                        line += (f" douter={after - before:+d} check="
+                                 + ("pass" if ok and excess <= 1.0 else "FAIL"))
+                        add_totals(outer_totals, name, before, after)
+                    add_totals(ipm_totals, name, int(ref[f"{key}:ipm"]), int(parts["ipm"]))
                 print(line)
     print(f"total {total.hexdigest()}")
     mismatch = args.expect is not None and total.hexdigest() != args.expect
@@ -158,9 +173,10 @@ def main(argv=None) -> int:
     if ref is not None:
         print(f"drift max |dx|={worst[0]:.1e} max |dy|={worst[1]:.1e} "
               f"max |dipm|={worst[2]} max rel |dest|={worst[3]:.1e}")
-        for name, (before, after) in ipm_totals.items():
-            change = f"{100.0 * (after - before) / before:+.1f}%" if before else "n/a"
-            print(f"ipm_iters {name} {before} -> {after} ({change})")
+        for label, totals in (("ipm_iters", ipm_totals), ("outer_iters", outer_totals)):
+            for name, (before, after) in totals.items():
+                change = f"{100.0 * (after - before) / before:+.1f}%" if before else "n/a"
+                print(f"{label} {name} {before} -> {after} ({change})")
     if args.dump:
         np.savez(args.dump, **stored)
     return 1 if mismatch else 0
