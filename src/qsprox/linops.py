@@ -104,8 +104,8 @@ Work is formed as rarely as what it depends on allows:
 block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
 ``soc_blocks`` and the dense path (d, r) is ``cones.block_parts`` at
-u^{-1}, and the operator's apply runs ``cones.block_solve`` on the record.
-Nothing here inverts u again.  H^{-1}'s triple comes from
+u^{-1}, and the operator's ``apply_split`` runs ``cones.block_solve`` on
+the record.  Nothing here inverts u again.  H^{-1}'s triple comes from
 ``Metric.inverse_parts``, formed when H was built; the per-prox memo
 inverts only the small M1 again, for the capacitance of the Woodbury
 update.
@@ -175,15 +175,13 @@ def _check_rhs(q):
         raise ValueError("right-hand side must not contain infs or NaNs")
 
 
-def low_rank_update_solve(solve_d: Callable, U, Minv, Z=None) -> Callable:
-    """Solver for D + U M U^T given a solver for D and Minv = M^{-1}
-    (Woodbury on a factored D).  ``Z`` = D^{-1} U when the caller has
-    solved it already, else it is solved here.  The capacitance
-    M^{-1} + U^T Z is factored by LAPACK's dgetrf, called directly."""
+def low_rank_update_solve(solve_d: Callable, U, Minv, Z) -> Callable:
+    """Solver for D + U M U^T given a solver for D, Minv = M^{-1} and
+    Z = D^{-1} U (Woodbury on a factored D; Z is unused when U has no
+    columns).  The capacitance M^{-1} + U^T Z is factored by LAPACK's
+    dgetrf, called directly."""
     if U.shape[1] == 0:
         return solve_d
-    if Z is None:
-        Z = solve_d(U)
     cap = Minv + U.T @ Z
     cap = 0.5 * (cap + cap.T)
     if not np.isfinite(cap).all():
@@ -294,10 +292,6 @@ class Metric:
         self._inverse = (d1, U, M)
         self._direct = (1.0 / d1, U, M)
 
-    @property
-    def n(self):
-        return self._inverse[0].size
-
     @classmethod
     def identity(cls, n):
         return cls(np.ones(n))
@@ -364,9 +358,6 @@ class Metric:
     def apply(self, x):
         """Apply H."""
         return _dlr_apply(*self._direct, x)
-
-    def norm(self, x):
-        return float(np.sqrt(max(x @ self.apply(x), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +840,6 @@ class LOperator:
         Qw = metric_product(self.g, self.H, w)
         out += Qw
         return out, Qw
-
-    def apply(self, w):
-        return self.apply_split(w)[0]
 
     def _refined(self, q):
         """(p, Q p, relative residual) of the factor's solve followed by

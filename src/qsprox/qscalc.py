@@ -8,7 +8,10 @@ with K a product of nonnegative orthants and second-order cones.  The
 representation is closed under sums, concatenation, affine composition,
 positive scaling, and Moreau-Yosida regularization; a quadratic term in
 the supremum is removed by an epigraph lift that adds one second-order
-cone block (``lift_quadratic``).
+cone block (``lift_quadratic``).  The catalog builds each structure one
+way: a separable lift sum_i gamma(x_i) is the concatenation of n copies
+of gamma, a path difference map is the incidence map of the edges
+(i, i+1), and a cone indicator is a polyhedral support function.
 
 ``evaluate`` computes g(x) either from an attached closed form or by
 solving the defining conic program with the interior-point method;
@@ -123,15 +126,11 @@ def _eye(n):
 
 
 def path_difference_matrix(n: int) -> sp.csr_matrix:
-    """First-difference map of the path graph on n nodes ((n-1) x n)."""
+    """First-difference map of the path graph on n nodes ((n-1) x n): the
+    incidence map of the edges (i, i+1)."""
     if n < 2:
         raise ValueError("path difference needs n >= 2")
-    rows = np.repeat(np.arange(n - 1), 2)
-    cols = np.empty(2 * (n - 1), dtype=int)
-    cols[0::2] = np.arange(n - 1)
-    cols[1::2] = np.arange(1, n)
-    data = np.tile([1.0, -1.0], n - 1)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
+    return incidence_matrix(np.column_stack([np.arange(n - 1), np.arange(1, n)]), n)
 
 
 def _is_path_difference(N) -> bool:
@@ -139,26 +138,19 @@ def _is_path_difference(N) -> bool:
     m, n = N.shape
     if n < 2 or m != n - 1:
         return False
-    N = sp.csr_matrix(N, dtype=float, copy=True)
-    N.sum_duplicates()
-    N.eliminate_zeros()
-    if not np.array_equal(N.indptr, np.arange(0, 2 * m + 1, 2)):
-        return False
-    cols = N.indices.reshape(m, 2)
-    vals = N.data.reshape(m, 2)
-    return bool(np.array_equal(cols[:, 0], np.arange(m))
-                and np.array_equal(cols[:, 1], np.arange(1, n))
-                and np.all(np.abs(vals[:, 0]) == 1.0)
-                and np.all(vals[:, 1] == -vals[:, 0]))
+    diag = N.diagonal()
+    rest = N - sp.diags(diag) @ path_difference_matrix(n)
+    return bool(np.all(np.abs(diag) == 1.0) and rest.count_nonzero() == 0)
 
 
 def incidence_matrix(edges, n: int) -> sp.csr_matrix:
-    """Signed incidence map of an edge list ((i, j) rows give x_i - x_j)."""
-    m = len(edges)
+    """Signed incidence map of an (m, 2) edge array ((i, j) rows give
+    x_i - x_j)."""
+    cols = np.asarray(edges, dtype=int).reshape(len(edges), 2)
+    m = len(cols)
     rows = np.repeat(np.arange(m), 2)
-    cols = np.array([[i, j] for i, j in edges], dtype=int).ravel()
     data = np.tile([1.0, -1.0], m)
-    return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+    return sp.csr_matrix((data, (rows, cols.ravel())), shape=(m, n))
 
 
 # ---------------------------------------------------------------------------
@@ -239,21 +231,19 @@ def build_l1_ball(n: int) -> QSFunction:
 
 
 def build_cone_indicator(B) -> QSFunction:
-    """Indicator of the polyhedral cone {x : B x >= 0}."""
-    B = sp.csr_matrix(B, dtype=float)
-    m = B.shape[0]
+    """Indicator of the polyhedral cone {x : B x >= 0}: the support of
+    {y : -y >= 0} composed with B."""
+    m = np.shape(B)[0]
+    g = build_polyhedral_norm(-_eye(m), np.zeros(m), B)
 
     def indicator(x):
-        r = B @ x
+        r = g.B @ x
         scale = 1.0 + float(np.max(np.abs(x))) if np.asarray(x).size else 1.0
         return 0.0 if np.all(r >= -INDICATOR_TOL * scale) else math.inf
 
-    return QSFunction(
-        A=-_eye(m), b=np.zeros(m), d=np.zeros(m), B=B,
-        K=cones.product(cones.orthant(m)),
-        closed_form=indicator,
-        name="cone_indicator",
-    )
+    g.closed_form = indicator
+    g.name = "cone_indicator"
+    return g
 
 
 def build_orthant_distance(n: int) -> QSFunction:
@@ -363,25 +353,13 @@ def gamma_hinge() -> QSFunction:
 
 
 def build_separable(gamma: QSFunction, n: int) -> QSFunction:
-    """g(x) = sum_i gamma(x_i) for a scalar orthant-only gamma."""
+    """g(x) = sum_i gamma(x_i) for a scalar orthant-only gamma: the
+    concatenation of n copies of gamma."""
     if gamma.n != 1:
         raise ValueError("separable lift needs a scalar gamma")
     if not all(blk.kind == cones.ORTHANT for blk in gamma.K.blocks):
         raise ValueError("separable lift needs an orthant-only gamma")
-    A = sp.kron(_eye(n), gamma.A, format="csr")
-    B = sp.kron(_eye(n), gamma.B, format="csr")
-    gcf = gamma.closed_form
-    closed = None
-    if gcf is not None:
-        def closed(x):
-            return float(sum(gcf(np.array([xi])) for xi in x))
-
-    return QSFunction(
-        A=A, b=np.tile(gamma.b, n), d=np.tile(gamma.d, n), B=B,
-        K=cones.product(cones.orthant(n * gamma.A.shape[0])),
-        closed_form=closed,
-        name=f"separable({gamma.name})",
-    )
+    return concat(gamma, n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +411,16 @@ def concat(g0: QSFunction, k: int) -> QSFunction:
         pk = ProxKind("l1", g0.prox_kind.weight)
     elif g0.prox_kind is not None and g0.prox_kind.kind == "group_l2":
         pk = ProxKind("group_l2", g0.prox_kind.weight, g0.prox_kind.sizes * k)
+    # one orthant block for an orthant-only g0: the same cone, without a
+    # product of k blocks to lay out
+    orthant_only = all(blk.kind == cones.ORTHANT for blk in g0.K.blocks)
     return QSFunction(
         A=sp.kron(_eye(k), g0.A, format="csr"),
         b=np.tile(g0.b, k),
         d=np.tile(g0.d, k),
         B=sp.kron(_eye(k), g0.B, format="csr"),
-        K=cones.ConeProduct(g0.K.blocks * k),
+        K=cones.product(cones.orthant(k * g0.K.total_dim)) if orthant_only
+        else cones.ConeProduct(g0.K.blocks * k),
         closed_form=closed,
         prox_kind=pk,
         name=f"concat({g0.name},{k})",
@@ -552,20 +534,17 @@ def _looks_unbounded(res: ipm.IPMResult) -> bool:
 # Serialized descriptions
 # ---------------------------------------------------------------------------
 
+# the kinds built from their size n alone
+_SIZED = {"l1": build_l1, "l2": build_l2, "l1_ball": build_l1_ball,
+          "quadratic": build_quadratic, "orthant_distance": build_orthant_distance}
+
+
 def _from_spec(spec) -> QSFunction:
     if not isinstance(spec, dict):
         raise ValueError("qs-spec must be a JSON object")
     kind = spec.get("kind")
-    if kind == "l1":
-        return build_l1(int(spec["n"]))
-    if kind == "l2":
-        return build_l2(int(spec["n"]))
-    if kind == "l1_ball":
-        return build_l1_ball(int(spec["n"]))
-    if kind == "quadratic":
-        return build_quadratic(int(spec["n"]))
-    if kind == "orthant_distance":
-        return build_orthant_distance(int(spec["n"]))
+    if kind in _SIZED:
+        return _SIZED[kind](int(spec["n"]))
     if kind == "sum_of_norms":
         return build_sum_of_norms(spec["sizes"])
     if kind == "tv1d":

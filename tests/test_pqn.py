@@ -234,6 +234,22 @@ def test_shifted_zero_memory_steps_stay_closed(monkeypatch):
     assert res.newton_steps >= res.iterations - 1 and res.fallbacks == 0
 
 
+def test_separable_abs_keeps_the_l1_rule():
+    """A separable lift of |t| is the concatenation of |t|, so it keeps the
+    l1 prox kind: every PQN step is closed form or a certified Newton
+    step, no IPM iteration runs, and the result carries the sup-norm
+    error estimate."""
+    prob, _, _ = problems.synthetic_instance("l1", 60, 30, 0)
+    g = qscalc.build_separable(qscalc.gamma_abs(), 60)
+    assert g.prox_kind.kind == "l1"
+    res = pqn.solve(prob, g, np.zeros(60))
+    assert res.status == pqn.OPTIMAL and res.iterations > 0
+    assert sum(e.inner_iterations for e in res.history) == 0
+    assert all(e.closed_step for e in res.history[1:])
+    assert res.error_estimate is not None
+
+
+
 def test_closed_step_is_the_prox_in_the_scaled_identity_metric():
     """With empty memory and any shift the closed step equals the IPM prox
     in H = (1/sigma + shift) I, and its prox objective is never worse."""

@@ -307,6 +307,118 @@ def test_graph_l1_prox_kind_follows_the_shape_of_n():
         assert kind.kind == "graph_l1" and kind.kind not in proxeval.CLOSED_RULES
 
 
+def entrywise_path_difference(n):
+    """The first-difference map of the path on n nodes, built entry by
+    entry: the reference for ``path_difference_matrix``."""
+    rows = np.repeat(np.arange(n - 1), 2)
+    cols = np.empty(2 * (n - 1), dtype=int)
+    cols[0::2] = np.arange(n - 1)
+    cols[1::2] = np.arange(1, n)
+    data = np.tile([1.0, -1.0], n - 1)
+    return sp.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
+
+
+def entrywise_is_path_difference(N):
+    """Row i of N is +-(e_i - e_{i+1}), read entry by entry after summing
+    duplicates and dropping zeros: the reference for
+    ``qscalc._is_path_difference``."""
+    m, n = N.shape
+    if n < 2 or m != n - 1:
+        return False
+    N = sp.csr_matrix(N, dtype=float, copy=True)
+    N.sum_duplicates()
+    N.eliminate_zeros()
+    if not np.array_equal(N.indptr, np.arange(0, 2 * m + 1, 2)):
+        return False
+    cols = N.indices.reshape(m, 2)
+    vals = N.data.reshape(m, 2)
+    return bool(np.array_equal(cols[:, 0], np.arange(m))
+                and np.array_equal(cols[:, 1], np.arange(1, n))
+                and np.all(np.abs(vals[:, 0]) == 1.0)
+                and np.all(vals[:, 1] == -vals[:, 0]))
+
+
+def test_path_difference_is_the_entrywise_map_bit_for_bit():
+    for n in (2, 3, 8, 101, 32768):
+        got, want = qscalc.path_difference_matrix(n), entrywise_path_difference(n)
+        assert got.shape == want.shape and got.format == "csr"
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, part)
+
+
+def raw_csr(entries, shape, rng):
+    """CSR matrix of (row, col, value) entries as given: duplicates and
+    explicit zeros kept, each row's entries in random order."""
+    entries = [entries[k] for k in rng.permutation(len(entries))]
+    entries.sort(key=lambda e: e[0])
+    rows = np.array([e[0] for e in entries], dtype=int)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_matrix((np.array([e[2] for e in entries], dtype=float),
+                          np.array([e[1] for e in entries], dtype=int), indptr),
+                         shape=shape)
+
+
+def test_is_path_difference_matches_the_entrywise_rule():
+    """Seeded draws around the path difference map: row sign flips,
+    duplicates that sum to the entry, explicit zeros, permuted rows, wrong
+    shapes, non-unit weights and stray entries.  The sparse rule agrees
+    with the entrywise one on every draw, on the matrix as drawn, and
+    leaves the matrix as it was."""
+    rng = np.random.default_rng(2013)
+    verdicts = []
+    for _ in range(600):
+        n = int(rng.integers(1, 9))
+        m = n - 1
+        sign = rng.choice([-1.0, 1.0], max(m, 0))
+        entries = [(i, j, s * v) for i, s in enumerate(sign)
+                   for j, v in ((i, 1.0), (i + 1, -1.0))]
+        shape = [m, n]
+        for _ in range(int(rng.integers(0, 4))):
+            draw = rng.integers(7)
+            if draw == 0 and entries:  # a duplicate pair that sums to the entry
+                k = int(rng.integers(len(entries)))
+                i, j, v = entries[k]
+                a = rng.choice([0.25, 0.5, 3.0, -1.0, 0.1])
+                entries[k:k + 1] = [(i, j, a * v), (i, j, v - a * v)]
+            elif draw == 1 and min(shape):  # an explicit zero
+                entries.append((int(rng.integers(shape[0])),
+                                int(rng.integers(shape[1])), 0.0))
+            elif draw == 2 and shape[0] > 1:  # rows permuted
+                perm = rng.permutation(shape[0])
+                entries = [(int(perm[i]), j, v) for i, j, v in entries]
+            elif draw == 3:  # a row or a column more or fewer
+                axis, step = int(rng.integers(2)), int(rng.choice([-1, 1]))
+                shape[axis] = max(shape[axis] + step, 0)
+                entries = [e for e in entries if e[0] < shape[0] and e[1] < shape[1]]
+            elif draw == 4 and entries:  # a non-unit weight on one entry or row
+                k = int(rng.integers(len(entries)))
+                w = rng.choice([2.0, 0.5, -3.0, 1.0 + 1e-15])
+                if rng.integers(2):
+                    entries[k] = entries[k][:2] + (w * entries[k][2],)
+                else:
+                    entries = [(i, j, w * v if i == entries[k][0] else v)
+                               for i, j, v in entries]
+            elif draw == 5 and min(shape):  # a stray nonzero
+                entries.append((int(rng.integers(shape[0])), int(rng.integers(shape[1])),
+                                rng.choice([1.0, -1.0, 0.5])))
+            elif draw == 6:  # the signs flipped again
+                flip = rng.choice([-1.0, 1.0], max(shape[0], 1))
+                entries = [(i, j, flip[i] * v) for i, j, v in entries]
+        N = raw_csr(entries, tuple(shape), rng)
+        before = [a.copy() for a in (N.data, N.indices, N.indptr)]
+        want = entrywise_is_path_difference(N)
+        assert qscalc._is_path_difference(N) == want, (entries, shape)
+        for a, b in zip(before, (N.data, N.indices, N.indptr)):
+            assert np.array_equal(a, b)
+        if shape[1] >= 2 and shape[0] == shape[1] - 1:
+            kind = qscalc.build_graph_l1(N).prox_kind.kind
+            assert kind == ("tv1d" if want else "graph_l1")
+        verdicts.append(want)
+    assert 150 <= sum(verdicts) <= 450
+
+
+
 def test_qs_spec_errors():
     with pytest.raises(ValueError):
         qscalc.parse_qs_spec(json.dumps({"kind": "mystery"}))

@@ -11,12 +11,6 @@ both (s, ds) and (v, dv).  Each time is the least over R timeit runs of N
 calls each (N by ``timeit.Timer.autorange`` unless given).  The points are
 random interior pairs drawn from a fixed seed; BLAS and OpenMP run at one
 thread, as ``bench/run.py`` pins them.
-
-The scaling point is whatever ``cones.nt_scaling`` returns, and the
-primitives are called the way that return value asks for, so this file
-also times a checkout from before the scaling record: copy it into a clean
-checkout (``git clone`` or ``git archive``) and run it there, since it
-reads ``src/`` next to its own folder.
 """
 
 import os
@@ -68,20 +62,10 @@ def calls(K, rng):
     s, v, lam = interior(K, rng), interior(K, rng), interior(K, rng)
     x, ds, dv = (rng.standard_normal(K.total_dim) for _ in range(3))
     W = cones.nt_scaling(K, s, v)
-    if isinstance(W, np.ndarray):
-        # Before the scaling record the primitives took (K, u, x) and the
-        # step length was the least of one call per pair.
-        def scaled(f):
-            return lambda: f(K, W, x)
 
-        def step():
-            return min(cones.max_step(K, s, ds, 0.99), cones.max_step(K, v, dv, 0.99))
-    else:
-        def scaled(f):
-            return lambda: f(W, x)
+    def scaled(f):
+        return lambda: f(W, x)
 
-        def step():
-            return cones.max_step(K, ((s, ds), (v, dv)), 0.99)
     return {
         "nt_scaling": lambda: cones.nt_scaling(K, s, v),
         "block_apply": scaled(cones.block_apply),
@@ -90,7 +74,7 @@ def calls(K, rng):
         "scaling_solve": scaled(cones.scaling_solve),
         "jordan_product": lambda: cones.jordan_product(K, lam, x),
         "jordan_solve": lambda: cones.jordan_solve(K, lam, x),
-        "step": step,
+        "step": lambda: cones.max_step(K, ((s, ds), (v, dv)), 0.99),
     }
 
 

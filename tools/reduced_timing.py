@@ -14,12 +14,6 @@ residual check) and of its ``apply_split`` (L w and Q w).  Each time is the leas
 runs of N calls each (N by ``timeit.Timer.autorange`` unless given).  The
 scaling point, the metric and the vectors are drawn from a fixed seed;
 BLAS and OpenMP run at one thread, as ``bench/run.py`` pins them.
-
-It calls only what the reduced system has offered since the scaling
-record (``cones.Scaling``), so the same file also times an older
-checkout: copy it into a clean checkout (``git clone`` or ``git
-archive``) and run it there, since it reads ``src/`` and ``bench/`` next
-to its own folder.
 """
 
 import os
