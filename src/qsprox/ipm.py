@@ -19,12 +19,18 @@ An iteration does only the work that depends on its iterate.  A prox's
 QP holds A and A^T bound once per function (``linops.Structure``'s
 ``linops.SparseOp``s), so each product with them is one call of scipy's
 compiled sparse kernel, with no scipy.sparse dispatch and no sparse
-matrix formed in the loop.  Q y is applied once
-per iteration for both the dual residual and the objective, and a
-direction's first-row residual takes Q dy from the reduced solve (the
-operator's ``solve(q, quad=True)``, ``linops.LOperator.solve`` for a
-prox), whose residual check applies L, and with it Q, to the very dy it
-returns.  A direction thus costs one metric product per solve.
+matrix formed in the loop.  A direction's row residuals take Q dy and
+A dy from the reduced solve (the operator's ``solve(q, products=True)``,
+``linops.LOperator.solve`` for a prox), whose residual check applies L,
+and with it Q and A, to the very dy it returns.  Q y, which the dual
+residual and the objective read, is applied once at the start and then
+carried from step to step as Qy + alpha Q dy, Q dy including the
+refinement pass's Q cy.  An iterate that would stop the run optimal is
+measured again on a direct product Q y before the stop is declared, and
+the best iterate of a run that ends otherwise is measured again on one
+too, so the returned record rests on direct products.  A y and A^T v are
+applied directly at every iteration: a running A^T v lets roundoff
+accumulate in the l1 ball's border row, which sums all of v.
 ``cones.nt_scaling`` makes one record of the scaling point per iteration
 (``cones.Scaling``): it checks u interior and inverts it once, and every
 block(u)^{+-1} and W^{+-1} apply, in the eliminations and in the reduced
@@ -108,10 +114,10 @@ class TraceEntry:
 class ConicQP:
     """Conic QP data; `lsolver` maps the record of a scaling point u
     (``cones.Scaling``) to an operator for L(u) = Q + A^T block(u)^{-1} A.
-    The IPM needs only its ``solve(q, quad=False)``: p = L(u)^{-1} q, or
-    (p, Q p) with ``quad=True`` (``linops.LOperator`` is the one proxes
-    use).  The IPM uses A and ``At = A.T`` only through ``@`` with a
-    vector; a prox passes its function's bound operator
+    The IPM needs only its ``solve(q, products=False)``: p = L(u)^{-1} q,
+    or (p, Q p, A p) with ``products=True`` (``linops.LOperator`` is the
+    one proxes use).  The IPM uses A and ``At = A.T`` only through ``@``
+    with a vector; a prox passes its function's bound operator
     ``linops.structure(g).A`` (``linops.SparseOp``), whose ``T`` is the
     bound ``.At``."""
 
@@ -172,12 +178,13 @@ def newton_direction(qp: ConicQP, W, Lop, t_d, t_p, t_mu):
     refinement pass through the same elimination keeps the first-row
     residual from being amplified by block(u)^{-1} as the scaling
     degenerates near optimality.  The row residuals reuse the products the
-    elimination formed: Q dy from the reduced solve, A dy and block(u) dv.
+    elimination formed: Q dy and A dy from the reduced solve's residual
+    check, and block(u) dv.  Returns (dy, dv, ds, Q dy), the last with the
+    refinement's Q cy added, for the caller's running Q y.
     """
     def eliminate(b_d, b_p, b_mu):
         b = b_p + b_mu
-        dy, Qdy = Lop.solve(b_d + qp.At @ cones.block_solve(W, b), quad=True)
-        Ady = qp.A @ dy
+        dy, Qdy, Ady = Lop.solve(b_d + qp.At @ cones.block_solve(W, b), products=True)
         b -= Ady
         dv = cones.block_solve(W, b)
         Wdv = cones.block_apply(W, dv)
@@ -194,9 +201,9 @@ def newton_direction(qp: ConicQP, W, Lop, t_d, t_p, t_mu):
                       np.linalg.norm(t_mu))
     if max(np.linalg.norm(rho_d), np.linalg.norm(rho_p),
            np.linalg.norm(rho_mu)) > 1e-13 * scale:
-        cy, cv, cs, _ = eliminate(rho_d, rho_p, rho_mu)
-        dy, dv, ds = dy + cy, dv + cv, ds + cs
-    return dy, dv, ds
+        cy, cv, cs, (Qcy, _, _) = eliminate(rho_d, rho_p, rho_mu)
+        dy, dv, ds, Qdy = dy + cy, dv + cv, ds + cs, Qdy + Qcy
+    return dy, dv, ds, Qdy
 
 
 def initial_point(qp: ConicQP):
@@ -231,10 +238,10 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
     norm_c = np.linalg.norm(qp.c)
     norm_b = np.linalg.norm(qp.b)
 
-    def measure(y, v, s):
-        """The record of the iterate (y, v, s) and its residuals r_d, r_p;
-        ``solve`` fills in status, iterations, trace and reason."""
-        Qy = qp.Qapply(y)
+    def measure(y, v, s, Qy):
+        """The record of the iterate (y, v, s) and its residuals r_d, r_p,
+        given Q y; ``solve`` fills in status, iterations, trace and
+        reason."""
         r_d, r_p = residuals(qp, y, v, s, Qy)
         nd = float(np.linalg.norm(r_d))
         np_ = float(np.linalg.norm(r_p))
@@ -242,6 +249,12 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
                         nd / (1.0 + norm_c), np_ / (1.0 + norm_b), nd, np_,
                         float(0.5 * (y @ Qy) - qp.c @ y))
         return rec, r_d, r_p
+
+    def measure_directly(y, v, s):
+        return measure(y, v, s, qp.Qapply(y))
+
+    def converged(rec):
+        return rec.rel_dual <= tol and rec.rel_primal <= tol and rec.gap <= tol
 
     if start is not None:
         y, v, s = start
@@ -251,7 +264,7 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
         try:
             y, v, s = initial_point(qp)
         except (cones.ConeError, linops.StructuredSolveError) as exc:
-            return replace(measure(np.zeros(qp.c.size), e, e)[0], status=NUMERICAL,
+            return replace(measure_directly(np.zeros(qp.c.size), e, e)[0], status=NUMERICAL,
                            reason=f"least-squares start: {type(exc).__name__}: {exc}")
 
     trace: List[TraceEntry] = []
@@ -262,12 +275,19 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
     # its iterate by reference.
     best = None
     y_max = 0.0
+    # Q y is applied here and then carried, Qy + alpha Q dy, with Q dy from
+    # the direction; an iterate that would stop the run optimal is measured
+    # again on a direct product (module docstring).
+    Qy = qp.Qapply(y)
 
     status = ITERATION_LIMIT
     reason = f"no convergence in {max_iter} iterations"
     it = 0
     for it in range(1, max_iter + 1):
-        rec, r_d, r_p = measure(y, v, s)
+        rec, r_d, r_p = measure(y, v, s, Qy)
+        if converged(rec):
+            Qy = qp.Qapply(y)
+            rec, r_d, r_p = measure(y, v, s, Qy)
         if best is None:
             best = rec  # the start stands until an iterate scores better
         gap, rel_d, rel_p = rec.gap, rec.rel_dual, rec.rel_primal
@@ -285,7 +305,7 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
             best_score = score
             best = rec
 
-        if rel_d <= tol and rel_p <= tol and gap <= tol:
+        if converged(rec):
             status = OPTIMAL
             trace.append(TraceEntry(it - 1, mu, gap, rel_d, rel_p, 0.0, 0.0,
                                     rec.objective, y_max))
@@ -321,8 +341,9 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
 
             # Predictor: pure Newton step on the affine system; in scaled
             # variables the complementarity right-hand side collapses to -s.
-            t_d, t_p = -r_d, -r_p
-            dy_a, dv_a, ds_a = newton_direction(qp, W, Lop, t_d, t_p, -s)
+            # The residuals are negated in place: nothing else holds them.
+            t_d, t_p = np.negative(r_d, out=r_d), np.negative(r_p, out=r_p)
+            dy_a, dv_a, ds_a, _ = newton_direction(qp, W, Lop, t_d, t_p, -s)
             alpha_a = cones.max_step(K, ((s, ds_a), (v, dv_a)), 1.0)
             gap_a = float((s + alpha_a * ds_a) @ (v + alpha_a * dv_a))
             sigma = (max(gap_a, 0.0) / gap) ** 3 if gap > 0 else SIGMA_MIN
@@ -334,7 +355,7 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
                                        cones.scaling_apply(W, dv_a))
             dlam = sigma * mu * e - cones.jordan_product(K, lam, lam) - eta
             t_mu = cones.scaling_apply(W, cones.jordan_solve(K, lam, dlam))
-            dy, dv, ds = newton_direction(qp, W, Lop, t_d, t_p, t_mu)
+            dy, dv, ds, Qdy = newton_direction(qp, W, Lop, t_d, t_p, t_mu)
         except (cones.ConeError, linops.StructuredSolveError) as exc:
             # The pair has reached the boundary up to roundoff, or a
             # reduced-system factorization or solve failed (or was
@@ -352,6 +373,8 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
         y = y + alpha * dy
         v = v + alpha * dv
         s = s + alpha * ds
+        Qy = Qy + alpha * Qdy
+        del Qdy  # held no longer than the update: Q y is what is carried
         y_max = float(np.max(np.abs(y))) if y.size else 0.0
         trace.append(TraceEntry(it, mu, gap, rel_d, rel_p, sigma, alpha,
                                 rec.objective, y_max))
@@ -359,6 +382,6 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
     if status == OPTIMAL:
         return replace(rec, status=status, iterations=it - 1, trace=trace)
     # Report the best iterate seen (the last one can be degraded by the
-    # endgame); the loop measured it at the head of its pass.
-    return replace(best, status=status, iterations=it, trace=trace,
-                   reason=reason)
+    # endgame), measured again on a direct product of Q.
+    return replace(measure_directly(best.y, best.v, best.s)[0], status=status,
+                   iterations=it, trace=trace, reason=reason)

@@ -93,13 +93,20 @@ Work is formed as rarely as what it depends on allows:
   the band order, the band operators of A and B and a border's column;
 - per prox, since B H^{-1} B^T does not depend on u, in the memo that
   ``reduced_solver`` passes to ``build_L``: the band of B diag(d1) B^T,
-  one product with B's band operator, B U1, M1^{-1} and one buffer for
-  the Woodbury columns; the dense matrix the fallback adds;
+  one product with B's band operator, B U1, M1^{-1} and, unless the core
+  is a diagonal, one buffer for the Woodbury columns; the dense matrix
+  the fallback adds;
 - per iteration, only what depends on u: the band of A^T diag(d) A, one
   product with A's band operator, is added to a copy of the memoized one,
-  the sum is factored, the Woodbury columns S^{-1} (B U1) are solved in
-  place into the buffer and the capacitance is factored; on the dense
-  path the matrix is assembled and factored.
+  the sum is factored, the Woodbury columns Z = S^{-1} (B U1) are solved
+  in place into the buffer and the capacitance is factored; on a
+  diagonal core (bandwidth 0, no SOC blocks) no Z is formed: the
+  capacitance's (B U1)^T S^{-1} (B U1) is one blocked pass over B U1, and
+  a solve is p = S^{-1} (q - (B U1) c) (``_diagonal_update_solve``); on
+  the dense path the matrix is assembled and factored;
+- per solve, h = (B U1)^T p is not formed by a product: the Woodbury
+  solve takes it from the identity h = w - C0 c (``low_rank_update_solve``),
+  and a border's Schur step carries it.
 
 block(u)^{-1} comes from the IPM's record of u (``cones.Scaling``), which
 keeps u^{-1}: on the orthant paths d = u^{-1} = 1/u and r = 0, on
@@ -113,10 +120,13 @@ update.
 Every structured solve is followed by a cheap residual check; a solve whose
 relative residual exceeds 1e-7, or is not a number, is redone through the
 dense fallback, which the operator keeps from then on, and counted in the
-module diagnostics.  The check applies L to the point the solve returns;
-with ``quad=True`` the solve also hands back the metric part
-B H^{-1} B^T p of that product, which is the IPM's Q p, so a Newton
-direction needs no metric product of its own.
+module diagnostics.  The check applies L to the point the solve returns,
+its metric part as B (d1 o B^T p) + (B U1) M1 h with the solve's h, one
+pass over B U1 (``LOperator.apply_split``); the identity holds for the
+c and the Z actually used, so the check stays one of L p against q.  With
+``products=True`` the solve also hands back the metric part
+B H^{-1} B^T p and A p of that product, the IPM's Q p and A p, so a
+Newton direction needs no product with Q or A of its own.
 """
 
 from __future__ import annotations
@@ -175,27 +185,81 @@ def _check_rhs(q):
         raise ValueError("right-hand side must not contain infs or NaNs")
 
 
-def low_rank_update_solve(solve_d: Callable, U, Minv, Z) -> Callable:
-    """Solver for D + U M U^T given a solver for D, Minv = M^{-1} and
-    Z = D^{-1} U (Woodbury on a factored D; Z is unused when U has no
-    columns).  The capacitance M^{-1} + U^T Z is factored by LAPACK's
-    dgetrf, called directly."""
-    if U.shape[1] == 0:
-        return solve_d
-    cap = Minv + U.T @ Z
+def _capacitance_solver(Minv, C0) -> Callable:
+    """w -> c = cap^{-1} w for the Woodbury capacitance cap = Minv + C0,
+    C0 = U^T D^{-1} U as its caller formed it, symmetrized and factored by
+    LAPACK's dgetrf, called directly."""
+    cap = Minv + C0
     cap = 0.5 * (cap + cap.T)
     if not np.isfinite(cap).all():
         raise StructuredSolveError("capacitance matrix is not finite in low-rank update")
     lu, piv, info = lapack.dgetrf(cap, overwrite_a=1)
     _check_info(info, "LU factorization of the capacitance matrix")
 
+    def solve(w):
+        _check_rhs(w)
+        c, info = lapack.dgetrs(lu, piv, w)
+        _check_info(info, "capacitance solve")
+        return c
+
+    return solve
+
+
+def low_rank_update_solve(solve_d: Callable, U, Minv, Z) -> Callable:
+    """Solver for D + U M U^T given a solver for D, Minv = M^{-1} and
+    Z = D^{-1} U (Woodbury on a factored D; Z is unused when U has no
+    columns).
+
+    ``solve(q)`` returns (p, h), h = U^T p.  With t = D^{-1} q, w = U^T t
+    and c the capacitance solve of w, p = t - Z c, so U^T p = w - C0 c with
+    C0 = U^T Z: h is taken from that identity, C0 formed before the
+    capacitance is symmetrized, so it holds for the Z and the c actually
+    used, whatever their error, and h costs no pass over U."""
+    if U.shape[1] == 0:
+        return lambda q: (solve_d(q), np.zeros((0,) + q.shape[1:]))
+    C0 = U.T @ Z
+    cap_solve = _capacitance_solver(Minv, C0)
+
     def solve(q):
         t = solve_d(q)
         w = U.T @ t
-        _check_rhs(w)
-        c, info = lapack.dgetrs(lu, piv, w, overwrite_b=1)
-        _check_info(info, "capacitance solve")
-        return t - Z @ c
+        c = cap_solve(w)
+        return t - Z @ c, w - C0 @ c
+
+    return solve
+
+
+# Rows of U per block of the diagonal core's capacitance product: a block
+# of about 128 KB stays in cache between its scaling and its product.
+_CAP_BLOCK_BYTES = 2 ** 17
+
+
+def _diagonal_update_solve(dinv, U, Minv) -> Callable:
+    """Solver for diag(1/dinv) + U M U^T, Minv = M^{-1} and U with at
+    least one column, by Woodbury with no Z = diag(dinv) U formed.
+
+    The capacitance term C0 = U^T diag(dinv) U is formed in one pass over
+    U, a block of rows at a time; a solve is w = U^T (dinv o q), c its
+    capacitance solve and p = dinv o (q - U c).  As in
+    ``low_rank_update_solve``, ``solve(q)`` returns (p, h) with h = U^T p
+    = w - C0 c.  A non-finite q raises ValueError."""
+    n, k = U.shape
+    C0 = np.zeros((k, k))
+    step = max(1, _CAP_BLOCK_BYTES // (8 * k))
+    for i in range(0, n, step):
+        Ui = U[i:i + step]
+        C0 += Ui.T @ (dinv[i:i + step, None] * Ui)
+    cap_solve = _capacitance_solver(Minv, C0)
+
+    def solve(q):
+        _check_rhs(q)
+        scale = dinv if q.ndim == 1 else dinv[:, None]
+        w = U.T @ (scale * q)
+        c = cap_solve(w)
+        p = U @ c
+        np.subtract(q, p, out=p)
+        p *= scale
+        return p, w - C0 @ c
 
     return solve
 
@@ -614,13 +678,20 @@ def _pattern_bandwidth(M) -> int:
 # Solve factories: the structured solver and the dense fallback
 # ---------------------------------------------------------------------------
 
+def _diagonal_core(s: Structure) -> bool:
+    """Whether the core S of ``_solve_banded`` is a diagonal: bandwidth 0
+    (so natural order) and no SOC blocks."""
+    return s.bw == 0 and s.runs is None
+
+
 def _graph_metric_band(g, H):
     """The metric-only parts of the structured system, over the band's
     coordinates: B diag(d1) B^T, rows and columns in ``structure(g).perm``
     order, packed at its ``bw`` in upper band storage; B U1 in natural
-    order and M1^{-1} for the low rank; and, when there is a low rank, a
-    buffer for the Woodbury columns S^{-1} (B U1), else None.  B U1 is
-    checked finite here, once per prox."""
+    order and M1^{-1} for the low rank; and, when there is a low rank on a
+    core that is not diagonal, a Fortran-ordered buffer for the Woodbury
+    columns S^{-1} (B U1), else None.  B U1 is checked finite here, once
+    per prox."""
     s = structure(g)
     ell = g.B.shape[0] - (s.border is not None)
     if H is None:
@@ -631,18 +702,19 @@ def _graph_metric_band(g, H):
     BU1 = (s.B @ U1)[:ell]
     if not np.isfinite(BU1).all():
         raise StructuredSolveError("metric's low-rank columns B U1 are not finite")
-    # LAPACK and the second-order core solve in Fortran order; a diagonal
-    # scales B U1 in its own C order, which spares a transposing copy.
-    order = "C" if s.bw == 0 and s.runs is None else "F"
-    Z = np.empty(BU1.shape, order=order) if BU1.shape[1] else None
+    Z = None
+    if BU1.shape[1] and not _diagonal_core(s):
+        Z = np.empty(BU1.shape, order="F")
     return band, BU1, _middle_inverse(M1), Z
 
 
 def _solve_banded(g, H, W, memo):
     """The structured solve of L(u) for every path but ``dense`` (module
     docstring): the core's band, its SOC blocks' rank-one terms, the
-    metric's low rank by Woodbury, then a border by its Schur
-    complement."""
+    metric's low rank by Woodbury, then a border by its Schur complement.
+
+    Returns (solve, B U1): ``solve(q)`` gives (p, h) with h = (B U1)^T p
+    over the band's coordinates, carried through the Schur step."""
     s = structure(g)
     band, BU1, Minv, Z = _memoized(memo, "band", lambda: _graph_metric_band(g, H))
     # Off ``soc_blocks`` K is all orthant: block(u)^{-1} = diag(1/u).
@@ -663,39 +735,39 @@ def _solve_banded(g, H, W, memo):
         p[perm] = solve_c(q[perm])
         return p
 
-    if Z is not None:
-        # Z is one buffer per prox, solved in place by each iteration's
-        # operator.  That is safe because ipm.solve never calls an earlier
-        # iteration's LOperator after it builds the next one.  A diagonal
-        # core (ab now holds its reciprocal) scales B U1 into Z in one pass.
-        if r is None and s.bw == 0:
-            np.multiply(ab[0][:, None], BU1, out=Z)
-        else:
+    if BU1.shape[1] and _diagonal_core(s):
+        # ab now holds the core's reciprocal.
+        solve = _diagonal_update_solve(ab[0], BU1, Minv)
+    else:
+        if Z is not None:
+            # Z is one buffer per prox, solved in place by each iteration's
+            # operator.  That is safe because ipm.solve never calls an
+            # earlier iteration's LOperator after it builds the next one.
             Z[...] = BU1 if perm is None else BU1[perm]
             Z = solve_c(Z, overwrite=True)
-        if perm is not None:
-            Z, Zp = np.empty_like(BU1), Z
-            Z[perm] = Zp
-    solve = low_rank_update_solve(base_solve, BU1, Minv, Z)
+            if perm is not None:
+                Z, Zp = np.empty_like(BU1), Z
+                Z[perm] = Zp
+        solve = low_rank_update_solve(base_solve, BU1, Minv, Z)
     if s.border is None:
-        return solve
+        return solve, BU1
     # With A = [A1, a], A^T diag(d) A = [[A1^T diag(d) A1, m], [m^T, phi0]],
     # its last column A^T diag(d) a.
     n = ab.shape[1]
     last = s.At @ (s.border * d)
     mvec, phi0 = last[:n], last[n]
-    c1 = solve(mvec)
+    c1, h1 = solve(mvec)
     schur = phi0 - mvec @ c1
     if not schur > 0.0:
         raise StructuredSolveError("nonpositive pivot in bordered solve")
 
     def bordered(q):
         qy, qt = q[:n], q[n]
-        t = solve(qy)
+        t, h = solve(qy)
         pt = (qt - mvec @ t) / schur
-        return np.concatenate([t - c1 * pt, [pt]])
+        return np.concatenate([t - c1 * pt, [pt]]), h - h1 * pt
 
-    return bordered
+    return bordered, BU1
 
 
 def _metric_term(g, H):
@@ -811,58 +883,75 @@ class LOperator:
     ``solve(q)`` returns p = L^{-1} q.  A structured solve whose relative
     residual exceeds ``GUARD_TOL`` is redone on a dense factor, which the
     operator keeps: its ``strategy`` becomes ``dense``.  Both kinds of
-    fallback are counted in ``DIAGNOSTICS``.  ``solve(q, quad=True)``
-    returns (p, Q p), Q = B H^{-1} B^T: the residual check applies L to the
-    p it returns, and hands on the metric part of that product.
+    fallback are counted in ``DIAGNOSTICS``.  ``solve(q, products=True)``
+    returns (p, Q p, A p), Q = B H^{-1} B^T: the residual check applies L
+    to the p it returns, and hands on the products it formed.
     """
 
     def __init__(self, g, H: Optional[Metric], W: cones.Scaling,
                  memo: Optional[dict] = None):
         self.g, self.H, self.W, self.memo = g, H, W, memo
         self.requested = self.strategy = structure(g).path
-        self._factor = None
+        self._factor = self._BU1 = None
         if self.requested != DENSE:
             try:
-                self._factor = _solve_banded(g, H, W, memo)
+                self._factor, self._BU1 = _solve_banded(g, H, W, memo)
             except StructuredSolveError:
                 DIAGNOSTICS["guard_fallbacks"] += 1
         if self._factor is None:
             self._factor_densely()
 
     def _factor_densely(self):
-        self._factor = _solve_dense(self.g, self.H, self.W, self.memo)
+        solve = _solve_dense(self.g, self.H, self.W, self.memo)
+        self._factor = lambda q: (solve(q), None)
         self.strategy = DENSE
 
-    def apply_split(self, w):
-        """(L w, Q w) with Q = B H^{-1} B^T."""
+    def apply_split(self, w, h=None):
+        """(L w, Q w, A w) with Q = B H^{-1} B^T.
+
+        Given h = (B U1)^T w over the band's coordinates, as the structured
+        solve returns it, Q w is B (d1 o B^T w) + (B U1) M1 h, one pass
+        over B U1; without it, ``metric_product``."""
         s = structure(self.g)
-        out = s.At @ cones.block_solve(self.W, s.A @ w)
-        Qw = metric_product(self.g, self.H, w)
+        Aw = s.A @ w
+        out = s.At @ cones.block_solve(self.W, Aw)
+        if h is None or self.H is None:
+            Qw = metric_product(self.g, self.H, w)
+        else:
+            d1, _, M1 = self.H.inverse_parts()
+            Qw = s.B @ (d1 * (s.Bt @ w))
+            if h.size:
+                Qw[:len(self._BU1)] += self._BU1 @ (M1 @ h)
         out += Qw
-        return out, Qw
+        return out, Qw, Aw
 
     def _refined(self, q):
-        """(p, Q p, relative residual) of the factor's solve followed by
-        one pass of iterative refinement: the reduced system turns
+        """(p, Q p, A p, relative residual) of the factor's solve followed
+        by one pass of iterative refinement: the reduced system turns
         ill-conditioned as the scaling point degenerates near optimality,
-        and the extra solve keeps the direction residual near roundoff."""
-        p = self._factor(q)
-        Lp, Qp = self.apply_split(p)
-        r = q - Lp
+        and the extra solve keeps the direction residual near roundoff.
+        The residual is that of the products returned."""
+        p, h = self._factor(q)
+        Lp, Qp, Ap = self.apply_split(p, h)
+        r = np.subtract(q, Lp, out=Lp)
         nq = 1.0 + np.linalg.norm(q)
         if np.linalg.norm(r) / nq > 1e-13:
-            p = p + self._factor(r)
-            Lp, Qp = self.apply_split(p)
-            r = q - Lp
-        return p, Qp, np.linalg.norm(r) / nq
+            del Qp, Ap  # those of the unrefined p: freed before its solve
+            dp, dh = self._factor(r)
+            p = p + dp
+            if h is not None:
+                h = h + dh
+            Lp, Qp, Ap = self.apply_split(p, h)
+            r = np.subtract(q, Lp, out=Lp)
+        return p, Qp, Ap, np.linalg.norm(r) / nq
 
-    def solve(self, q, quad=False):
-        p, Qp, res = self._refined(q)
+    def solve(self, q, products=False):
+        p, Qp, Ap, res = self._refined(q)
         if self.strategy != DENSE and not res <= GUARD_TOL:
             DIAGNOSTICS["guard_fallbacks"] += 1
             self._factor_densely()
-            p, Qp, _ = self._refined(q)
-        return (p, Qp) if quad else p
+            p, Qp, Ap, _ = self._refined(q)
+        return (p, Qp, Ap) if products else p
 
 
 def build_L(g, H: Optional[Metric], W: cones.Scaling,

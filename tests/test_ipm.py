@@ -22,9 +22,9 @@ def dense_lsolver(Qd, A, K):
         L = 0.5 * (L + L.T)
         lu = scipy.linalg.lu_factor(L)
 
-        def solve(q, quad=False):
+        def solve(q, products=False):
             p = scipy.linalg.lu_solve(lu, q)
-            return (p, Qd @ p) if quad else p
+            return (p, Qd @ p, A @ p) if products else p
 
         # The IPM needs only an object with ``solve``.
         return SimpleNamespace(solve=solve)
@@ -170,7 +170,7 @@ def test_newton_direction_zero_rhs():
     rng = np.random.default_rng(52)
     W = cones.Scaling(g.K, random_interior(g.K, rng))
     Lop = qp.lsolver(W)
-    dy, dv, ds = ipm.newton_direction(qp, W, Lop, np.zeros(4), np.zeros(8),
+    dy, dv, ds, _ = ipm.newton_direction(qp, W, Lop, np.zeros(4), np.zeros(8),
                                       np.zeros(8))
     assert np.linalg.norm(dy) == 0.0
     assert np.linalg.norm(dv) == 0.0
@@ -189,7 +189,7 @@ def test_newton_direction_row_residuals():
         t_d = rng.standard_normal(5)
         t_p = rng.standard_normal(m)
         t_mu = rng.standard_normal(m)
-        dy, dv, ds = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
+        dy, dv, ds, _ = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
         scale = 1.0 + max(np.linalg.norm(t_d), np.linalg.norm(t_p),
                           np.linalg.norm(t_mu))
         r1 = qp.Qapply(dy) - qp.A.T @ dv - t_d
@@ -200,26 +200,89 @@ def test_newton_direction_row_residuals():
         assert np.linalg.norm(r3) <= 1e-8 * scale
 
 
+def counted_qapply(qp):
+    """Wrap qp.Qapply to count its calls; returns the list of calls."""
+    Qapply, calls = qp.Qapply, []
+
+    def counted(y):
+        calls.append(1)
+        return Qapply(y)
+
+    qp.Qapply = counted
+    return calls
+
+
+def assert_record_is_direct(qp, res):
+    """The record's residuals and objective are the ones a direct product
+    Q y of its iterate gives, to the bit."""
+    Qy = qp.Qapply(res.y)
+    r_d, r_p = ipm.residuals(qp, res.y, res.v, res.s, Qy)
+    assert res.rel_dual == np.linalg.norm(r_d) / (1.0 + np.linalg.norm(qp.c))
+    assert res.rel_primal == np.linalg.norm(r_p) / (1.0 + np.linalg.norm(qp.b))
+    assert res.objective == 0.5 * (res.y @ Qy) - qp.c @ res.y
+
+
 def test_one_metric_product_per_iteration():
-    """Q y is applied once per pass of the IPM loop, for both the dual
-    residual and the objective; the directions take Q dy from the reduced
-    solve."""
+    """Q y is applied directly once at the start and once per stop the
+    run would certify optimal; in between it is carried, Qy + alpha Q dy,
+    the directions taking Q dy from the reduced solve."""
     rng = np.random.default_rng(55)
     for g in (qscalc.build_l1(8), qscalc.build_sum_of_norms((3, 5))):
         H = random_dlr_metric(rng, g.n, 2)
         qp = proxeval.dual_qp(g, H, 2.0 * rng.standard_normal(g.n))
-        Qapply, calls = qp.Qapply, []
-
-        def counted(y):
-            calls.append(1)
-            return Qapply(y)
-
-        qp.Qapply = counted
+        calls = counted_qapply(qp)
         res = ipm.solve(qp, tol=1e-9)
         assert res.status == ipm.OPTIMAL
         # one trace entry per loop pass: each step plus the optimality check
         assert len(res.trace) == res.iterations + 1
-        assert len(calls) == len(res.trace)
+        # the start and the one certified stop
+        assert len(calls) == 2
+
+
+def test_returned_record_rests_on_direct_products():
+    """Optimal or not, the returned record's rel_dual, rel_primal and
+    objective are those of a direct Q y at its iterate, not of the
+    carried one."""
+    rng = np.random.default_rng(56)
+    for g in (qscalc.build_l1(8), qscalc.build_l1_ball(8), qscalc.build_sum_of_norms((3, 5)),
+              qscalc.build_graph_l1(qscalc.path_difference_matrix(9))):
+        H = random_dlr_metric(rng, g.n, 2)
+        qp = proxeval.dual_qp(g, H, 2.0 * rng.standard_normal(g.n))
+        for max_iter, status in ((100, ipm.OPTIMAL), (3, ipm.ITERATION_LIMIT)):
+            res = ipm.solve(qp, tol=1e-9, max_iter=max_iter)
+            assert res.status == status, g.name
+            assert_record_is_direct(qp, res)
+
+
+def test_drift_in_the_carried_product_is_not_certified(monkeypatch):
+    """A 1e-6 drift injected into the Q dy of one step, which the run
+    carries into Q y, is caught by the direct product taken before an
+    optimal stop: the run does not report optimal on the drifted
+    residual, and its record is that of a direct product."""
+    rng = np.random.default_rng(57)
+    newton_direction = ipm.newton_direction
+    for g in (qscalc.build_l1(8), qscalc.build_l1_ball(8)):
+        H = random_dlr_metric(rng, g.n, 2)
+        z = 2.0 * rng.standard_normal(g.n)
+        # Calls alternate predictor and corrector; only the corrector's
+        # Q dy is carried.
+        for drifted_call in (2, 6):
+            qp = proxeval.dual_qp(g, H, z)
+            count = []
+
+            def drifted(*args):
+                dy, dv, ds, Qdy = newton_direction(*args)
+                count.append(1)
+                return dy, dv, ds, Qdy + 1e-6 * (len(count) == drifted_call)
+
+            monkeypatch.setattr(ipm, "newton_direction", drifted)
+            calls = counted_qapply(qp)
+            res = ipm.solve(qp, tol=1e-9)
+            # the start, a stop refused on the direct product, and more
+            assert len(calls) >= 3, (g.name, drifted_call)
+            assert_record_is_direct(qp, res)
+            if res.status == ipm.OPTIMAL:
+                assert max(res.rel_dual, res.rel_primal, res.gap) <= 1e-9
 
 
 def test_one_scaling_record_per_iteration(monkeypatch):
@@ -276,7 +339,7 @@ def test_newton_direction_matches_dense_kkt():
     t_d = rng.standard_normal(ell)
     t_p = rng.standard_normal(m)
     t_mu = rng.standard_normal(m)
-    dy, dv, ds = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
+    dy, dv, ds, _ = ipm.newton_direction(qp, W, Lop, t_d, t_p, t_mu)
     Bu = block_dense(K, u)
     top = np.hstack([Qd, -A.T, np.zeros((ell, m))])
     mid = np.hstack([A, np.zeros((m, m)), -np.eye(m)])

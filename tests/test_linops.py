@@ -89,7 +89,9 @@ def test_low_rank_update_solve():
     solve = linops.low_rank_update_solve(solve_d, U, np.linalg.inv(M), solve_d(U))
     q = rng.standard_normal(6)
     expect = np.linalg.solve(np.diag(d) + U @ M @ U.T, q)
-    np.testing.assert_allclose(solve(q), expect, atol=1e-10)
+    p, h = solve(q)
+    np.testing.assert_allclose(p, expect, atol=1e-10)
+    np.testing.assert_allclose(h, U.T @ p, atol=1e-12)
 
 
 def test_metric_scaled_identity_examples():
@@ -151,8 +153,8 @@ def test_build_L_apply_matches_dense_formation():
 
 def test_build_L_solve_residual_bound():
     """Solves meet the residual bound, also at badly scaled points where
-    the refinement pass runs, and hand back B H^{-1} B^T p for the p they
-    return."""
+    the refinement pass runs, and hand back B H^{-1} B^T p and A p for the
+    p they return."""
     rng = np.random.default_rng(28)
     for name, g in catalog(8):
         H = random_diag_metric(rng, g.n)
@@ -160,10 +162,11 @@ def test_build_L_solve_residual_bound():
             u = random_interior(g.K, rng, lo, hi)
             op = linops.build_L(g, H, cones.Scaling(g.K, u))
             q = rng.standard_normal(g.dual_dim)
-            p, Qp = op.solve(q, quad=True)
+            p, Qp, Ap = op.solve(q, products=True)
             res = np.linalg.norm(op.apply_split(p)[0] - q)
             assert res <= 1e-9 * (1.0 + np.linalg.norm(q)), name
             np.testing.assert_array_equal(Qp, g.B @ H.solve(g.B.T @ p), name)
+            np.testing.assert_array_equal(Ap, g.A @ p, name)
 
 
 def test_build_L_solve_zero_rhs():
@@ -184,6 +187,112 @@ def test_build_L_solve_symmetry():
     a = q1 @ op.solve(q2)
     b = q2 @ op.solve(q1)
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def dense_product(g, H, u, p):
+    """L(u) p from A, B and H^{-1} held densely, block(u)^{-1} applied by
+    its cone primitive: the reference for the residual guard."""
+    Ad, Bd = g.A.toarray(), g.B.toarray()
+    Hinv = np.column_stack([H.solve(e) for e in np.eye(g.n)])
+    return (Ad.T @ cones.block_solve(cones.Scaling(g.K, u), Ad @ p)
+            + Bd @ (Hinv @ (Bd.T @ p)))
+
+
+def guard_cases(rng, ranks=(0, 2, 20)):
+    """(name, g, H, u) on every structured path, a shuffled graph TV for
+    the reordered band among them, at metric ranks 0, 2 and 20, each at a
+    well and a badly scaled u."""
+    cases = [(name, g) for name, g in catalog(24) if g.strategy != linops.DENSE]
+    cases.append(("wide_tv_shuffled", wide_graph_tv(rng, 24, shuffle=True)))
+    for name, g in cases:
+        for k in ranks:
+            H = random_dlr_metric(rng, g.n, k)
+            for lo, hi in ((0.3, 2.0), (1e-8, 1e4)):
+                yield f"{name}/r{k}/{lo:g}", g, H, random_interior(g.K, rng, lo, hi)
+
+
+def guard_residual_checked(g, H, u, op, q):
+    """The guard's relative residual for q, which takes B^T p's low-rank
+    part h from the Woodbury identity; asserts that it equals the residual
+    of a dense product L p to roundoff, 1e-13 of the size of L p's terms."""
+    p, _, _, res = op._refined(q)
+    nq = 1.0 + np.linalg.norm(q)
+    dense = np.linalg.norm(q - dense_product(g, H, u, p)) / nq
+    size = np.linalg.norm(dense_L(g, H, u), 2) * np.linalg.norm(p) + np.linalg.norm(q)
+    assert abs(res - dense) <= 1e-13 * size / nq
+    return res
+
+
+def test_guard_residual_is_that_of_a_dense_product():
+    """On every structured path at ranks 0, 2 and 20, the guard's
+    residual, whose metric part takes h = (B U1)^T p from the Woodbury
+    identity h = w - C0 c, equals ||q - L p|| from a dense product."""
+    rng = np.random.default_rng(58)
+    for name, g, H, u in guard_cases(rng):
+        op = linops.build_L(g, H, cones.Scaling(g.K, u))
+        assert op.strategy == g.strategy, name
+        res = guard_residual_checked(g, H, u, op, rng.standard_normal(g.dual_dim))
+        assert res <= linops.GUARD_TOL, name
+
+
+class PerturbedCapacitanceSolve:
+    """scipy.linalg.lapack with every capacitance solve's c scaled by 1.5."""
+
+    def __getattr__(self, name):
+        return getattr(scipy.linalg.lapack, name)
+
+    @staticmethod
+    def dgetrs(*args, **kwargs):
+        c, info = scipy.linalg.lapack.dgetrs(*args, **kwargs)
+        return 1.5 * c, info
+
+
+def test_guard_catches_a_perturbed_woodbury_solve(monkeypatch):
+    """A wrong c, or Z changed after C0 = (B U1)^T Z was formed: the
+    guard's residual exceeds GUARD_TOL and the operator redoes the solve
+    densely, counted once in DIAGNOSTICS.  A wrong c leaves the identity
+    exact, so the residual is still the dense product's; a changed Z
+    leaves h at (B U1)^T of the p the old Z gave, but the core's part of
+    L p is applied to the p returned, so the residual is S (Z' - Z) c
+    and still large."""
+    rng = np.random.default_rng(59)
+    low_rank_update_solve = linops.low_rank_update_solve
+    perturbed = []
+
+    def perturbed_z(solve_d, U, Minv, Z):
+        solve = low_rank_update_solve(solve_d, U, Minv, Z)
+        if Z is not None:
+            perturbed.append(1)
+            Z *= 1.5
+        return solve
+
+    seen = set()
+    for mutation in ("c", "Z"):
+        with monkeypatch.context() as m:
+            if mutation == "c":
+                m.setattr(linops, "lapack", PerturbedCapacitanceSolve())
+            else:
+                m.setattr(linops, "low_rank_update_solve", perturbed_z)
+            for name, g, H, u in guard_cases(rng, ranks=(2, 20)):
+                perturbed.clear()
+                op = linops.build_L(g, H, cones.Scaling(g.K, u))
+                if mutation == "Z" and not perturbed:
+                    continue  # a diagonal core forms no Z
+                seen.add((mutation, g.strategy))
+                q = rng.standard_normal(g.dual_dim)
+                if mutation == "c":
+                    res = guard_residual_checked(g, H, u, op, q)
+                else:
+                    res = op._refined(q)[3]
+                assert res > linops.GUARD_TOL, name
+                linops.reset_diagnostics()
+                p = op.solve(q)
+                assert op.strategy == linops.DENSE, name
+                assert linops.DIAGNOSTICS["guard_fallbacks"] == 1, name
+                p_ref = np.linalg.solve(dense_L(g, H, u), q)
+                assert np.linalg.norm(p - p_ref) <= 1e-8 * np.linalg.norm(p_ref), name
+    assert seen == {("c", path) for path in linops.STRATEGIES[:-1]} | {
+        ("Z", linops.GRAPH_TRIDIAG), ("Z", linops.SOC_BLOCKS), ("Z", linops.SEPARABLE)}
 
 
 def test_expected_strategies():
@@ -247,7 +356,7 @@ def test_structured_nan_solve_falls_back_to_dense(monkeypatch):
     operator redoes it densely, counts one guard fallback and returns the
     dense solve."""
     def nan_solve(g, H, W, memo):
-        return lambda q: np.full_like(q, np.nan)
+        return lambda q: (np.full_like(q, np.nan), None), None
 
     monkeypatch.setattr(linops, "_solve_banded", nan_solve)
     g, H = qscalc.build_l1(6), linops.Metric.identity(6)
@@ -667,13 +776,13 @@ def test_soc_path_unequal_blocks_matches_dense():
             L = dense_L(g, H, u)
             q = rng.standard_normal(g.dual_dim)
             p_ref = np.linalg.solve(L, q)
-            core = linops._solve_banded(g, H, cones.Scaling(g.K, u), None)
+            core, _ = linops._solve_banded(g, H, cones.Scaling(g.K, u), None)
             Q = rng.standard_normal((g.dual_dim, 3))
-            np.testing.assert_allclose(core(Q), np.linalg.solve(L, Q),
+            np.testing.assert_allclose(core(Q)[0], np.linalg.solve(L, Q),
                                        rtol=1e-10, atol=1e-10 * np.abs(Q).max())
             op = linops.build_L(g, H, cones.Scaling(g.K, u))
             assert op.strategy == linops.SOC_BLOCKS
-            for p in (core(q), op.solve(q)):
+            for p in (core(q)[0], op.solve(q)):
                 assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
 
 

@@ -120,7 +120,8 @@ def test_reduced_timing_times_every_operator_call_on_every_path():
     assert [row.split()[:2] for row in rows] == [
         ["lsq_tv/199/r10", "graph_tridiag"], ["isotv/8x8/r5", "dense"],
         ["son4x100/r5", "soc_blocks"], ["l2/4096/r5", "soc_blocks"],
-        ["l1/32768/r20", "l1_diag"], ["tv/32768/r20", "graph_tridiag"]]
+        ["l1/32768/r20", "l1_diag"], ["tv/32768/r20", "graph_tridiag"],
+        ["ball/32768/r20", "ball_pivot"]]
     for row in rows:
         times = [float(t) for t in row.split()[2:]]
         assert len(times) == 4 and min(times) > 0.0

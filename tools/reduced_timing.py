@@ -4,13 +4,15 @@
 
 For each penalty and metric rank of the benchmark's shapes (``lsq_tv``'s
 path TV at ell = 199 and rank 10, iso-TV on the 8 x 8 torus, 100 blocks
-of Q^4, l2 at n = 4096, and l1 and path TV at n = 32768 with rank 20),
-one line gives the solve path and the time per call, in microseconds, of
+of Q^4, l2 at n = 4096, and l1, path TV and the l1 ball at n = 32768
+with rank 20), one line gives the solve path and the time per call, in
+microseconds, of
 ``linops.build_L`` (the factorization of L(u) for one IPM iteration, with
 the prox's per-metric memo already filled), of ``build_L`` with a fresh
 memo (the per-prox metric band and the first factorization), of the
 operator's ``solve`` (one right-hand side, with its refinement pass and
-residual check) and of its ``apply_split`` (L w and Q w).  Each time is the least over R timeit
+residual check) and of its ``apply_split`` (L w, Q w and A w, Q w by a
+direct metric product).  Each time is the least over R timeit
 runs of N calls each (N by ``timeit.Timer.autorange`` unless given).  The
 scaling point, the metric and the vectors are drawn from a fixed seed;
 BLAS and OpenMP run at one thread, as ``bench/run.py`` pins them.
@@ -47,6 +49,7 @@ SHAPES = (
     ("l1/32768/r20", lambda: qscalc.build_l1(32768), 20),
     ("tv/32768/r20",
      lambda: qscalc.build_graph_l1(qscalc.path_difference_matrix(32768)), 20),
+    ("ball/32768/r20", lambda: qscalc.build_l1_ball(32768), 20),
 )
 COLUMNS = ("factor", "prox", "solve", "apply_split")
 
