@@ -1,9 +1,10 @@
 """Benchmark command line: `qsprox <experiment> [options]`.
 
 Experiments reproduce the timing and convergence studies at a desk scale
-by default; --full-scale switches to the larger problem sizes.  Every run
-is seeded, and repeated runs with the same seed produce identical CSV
-rows apart from the seconds column.
+by default; --full-scale switches prox-timing, the lsq experiments and
+conditioning to the larger problem sizes.  Every run is seeded, and
+repeated runs with the same seed produce identical CSV rows apart from
+the seconds column.
 
     prox-timing   scaled prox of the l1 norm under diag+low-rank metrics
     lsq-l1        banded least squares + l1, planted minimizer
@@ -34,11 +35,10 @@ OC_HEADER = ["ratio", "memory", "oc", "iterations", "final_error"]
 
 LSQ_FLAVORS = ("l1", "group", "tv")
 # The size option an experiment fills in when it is left unset: (option,
-# desk value, --full-scale value).  The lsq experiments' p defaults to
-# n // 2.
+# desk value, --full-scale value); these experiments alone take
+# --full-scale.  The lsq experiments' p defaults to n // 2.
 SCALE_DEFAULTS = {
     "prox-timing": ("sizes", [1024, 8192], [2 ** e for e in range(10, 17)]),
-    "logreg": ("n", 200, 200),
     "conditioning": ("n", 500, 1000),
     **{f"lsq-{flavor}": ("n", 500, 2000) for flavor in LSQ_FLAVORS},
 }
@@ -132,10 +132,12 @@ def _run_solver_family(args, make_instance, residual_only=False):
 
 def run_lsq(args):
     p = args.n // 2 if args.p is None else args.p
+    # only lsq-group has --blocks: the other flavors read no block count
+    blocks = {"blocks": args.blocks} if args.flavor == "group" else {}
 
     def make():
         return problems.synthetic_instance(args.flavor, args.n, p, args.seed,
-                                           blocks=args.blocks)
+                                           **blocks)
     return _run_solver_family(args, make)
 
 
@@ -222,23 +224,22 @@ def build_parser():
     pt.add_argument("--tol", type=float, default=1e-7)
     pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--out", default="prox_timing.csv")
-    pt.add_argument("--full-scale", action="store_true")
     pt.set_defaults(run=run_prox_timing)
 
-    def solver_args(sp):
-        sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--p", type=int, default=None)
+    def solver_args(sp, n=None):
+        sp.add_argument("--n", type=int, default=n)
         sp.add_argument("--mem", type=_int_list, default=[0, 10])
         sp.add_argument("--kappa", type=float, default=0.1)
         sp.add_argument("--tol", type=float, default=1e-6)
         sp.add_argument("--max-iter", type=int, default=500)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--blocks", type=int, default=5)
-        sp.add_argument("--full-scale", action="store_true")
 
     for flavor in LSQ_FLAVORS:
         sp = sub.add_parser(f"lsq-{flavor}", help=f"banded least squares ({flavor})")
         solver_args(sp)
+        sp.add_argument("--p", type=int, default=None)
+        if flavor == "group":
+            sp.add_argument("--blocks", type=int, default=5)
         sp.add_argument("--out", default=f"lsq_{flavor}.csv")
         sp.set_defaults(run=run_lsq, flavor=flavor)
 
@@ -249,7 +250,7 @@ def build_parser():
     co.set_defaults(run=run_conditioning)
 
     lr = sub.add_parser("logreg", help="l1-regularized logistic regression")
-    solver_args(lr)
+    solver_args(lr, n=200)
     lr.add_argument("--N", type=int, default=500)
     lr.add_argument("--lam", type=float, default=0.01)
     lr.add_argument("--data", default=None,
@@ -264,6 +265,8 @@ def build_parser():
                     help="comma-separated point to evaluate at")
     de.set_defaults(run=run_describe)
 
+    for experiment in SCALE_DEFAULTS:
+        sub.choices[experiment].add_argument("--full-scale", action="store_true")
     return parser
 
 

@@ -129,9 +129,6 @@ class ConeProduct:
     def __eq__(self, other):
         return isinstance(other, ConeProduct) and self.blocks == other.blocks
 
-    def __mul__(self, other: "ConeProduct") -> "ConeProduct":
-        return ConeProduct(self.blocks + other.blocks)
-
     def _check(self, x):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.total_dim,):

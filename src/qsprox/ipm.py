@@ -26,9 +26,11 @@ and with it Q and A, to the very dy it returns.  Q y, which the dual
 residual and the objective read, is applied once at the start and then
 carried from step to step as Qy + alpha Q dy, Q dy including the
 refinement pass's Q cy.  An iterate that would stop the run optimal is
-measured again on a direct product Q y before the stop is declared, and
-the best iterate of a run that ends otherwise is measured again on one
-too, so the returned record rests on direct products.  A y and A^T v are
+measured again on a direct product Q y before the stop is declared; a
+stop refused there restarts the best score the endgame-regression test
+compares against, which carried products set.  The best iterate of a
+run that ends otherwise is measured again on a direct product too, so
+the returned record rests on direct products.  A y and A^T v are
 applied directly at every iteration: a running A^T v lets roundoff
 accumulate in the l1 ball's border row, which sums all of v.
 ``cones.nt_scaling`` makes one record of the scaling point per iteration
@@ -288,6 +290,8 @@ def solve(qp: ConicQP, tol: float = 1e-8, max_iter: int = 100,
         if converged(rec):
             Qy = qp.Qapply(y)
             rec, r_d, r_p = measure(y, v, s, Qy)
+            if not converged(rec):
+                best_score = np.inf  # the refused stop (module docstring)
         if best is None:
             best = rec  # the start stands until an iterate scores better
         gap, rel_d, rel_p = rec.gap, rec.rel_dual, rec.rel_primal

@@ -131,7 +131,7 @@ Newton direction needs no product with Q or A of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -542,19 +542,14 @@ class Structure:
     path: str
     At: SparseOp
     Bt: SparseOp
+    A: SparseOp
+    B: SparseOp
     runs: Optional[tuple] = None
     border: Optional[np.ndarray] = None
     perm: Optional[np.ndarray] = None
     bw: int = 0
     aband: Optional[Callable] = None
     bband: Optional[Callable] = None
-    A: SparseOp = field(init=False)
-    B: SparseOp = field(init=False)
-
-    def __post_init__(self):
-        # Frozen: the derived fields are set past the dataclass's guard.
-        object.__setattr__(self, "A", self.At.T)
-        object.__setattr__(self, "B", self.Bt.T)
 
 
 def structure(g) -> Structure:
@@ -570,7 +565,8 @@ def _classify(A, B, K) -> Structure:
     """The first path whose rule (module docstring) holds.  The rules read
     stored entries: a stored zero only sends g to a more general path."""
     At = A.T
-    ops = (SparseOp(At), SparseOp(B.T))
+    at_op, bt_op = SparseOp(At), SparseOp(B.T)
+    ops = (at_op, bt_op, at_op.T, bt_op.T)
     n = A.shape[1] - 1
     orthant = all(b.kind == cones.ORTHANT for b in K.blocks)
     single = _rows_single_nonzero(A)

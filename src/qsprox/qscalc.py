@@ -391,7 +391,7 @@ def add(g1: QSFunction, g2: QSFunction) -> QSFunction:
         b=np.concatenate([g1.b, g2.b]),
         d=np.concatenate([g1.d, g2.d]),
         B=sp.vstack([g1.B, g2.B], format="csr"),
-        K=g1.K * g2.K,
+        K=cones.product(g1.K, g2.K),
         closed_form=(lambda x: cf1(x) + cf2(x))
         if cf1 is not None and cf2 is not None else None,
         name=f"add({g1.name},{g2.name})",

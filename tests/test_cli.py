@@ -62,6 +62,28 @@ def test_lsq_l1_writes_per_memory_files(tmp_path):
             assert errs[-1] <= 1e-5 and errs[-1] < errs[0]
 
 
+def test_lsq_group_reads_the_block_count(tmp_path):
+    out = tmp_path / "group.csv"
+    assert cli.main(["lsq-group", "--n", "40", "--blocks", "4", "--mem", "0",
+                     "--out", str(out)]) == 0
+    header, rows = read_rows(tmp_path / "group_mem0.csv")
+    assert header == cli.SOLVER_HEADER
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    errs = [float(r[3]) for r in rows]
+    assert errs[-1] <= 1e-5 and errs[-1] < errs[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["logreg", "--p", "5"], ["logreg", "--blocks", "5"], ["logreg", "--full-scale"],
+    ["conditioning", "--p", "5"], ["conditioning", "--blocks", "5"],
+    ["lsq-l1", "--blocks", "5"], ["lsq-tv", "--blocks", "5"]])
+def test_an_option_the_experiment_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solver_summary_prints_error_estimate(tmp_path, capsys):
     out = tmp_path / "lsq.csv"
     assert cli.main(["lsq-l1", "--n", "40", "--p", "20", "--mem", "3",

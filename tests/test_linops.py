@@ -721,7 +721,7 @@ def test_reordered_band_matches_dense():
             p_ref = np.linalg.solve(dense_L(g, H, u), q)
             assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref), name
         dense = copy.copy(g)
-        dense._structure = linops.Structure(linops.DENSE, s.At, s.Bt)
+        dense._structure = linops.Structure(linops.DENSE, s.At, s.Bt, s.A, s.B)
         z = 2.0 * rng.standard_normal(g.n)
         linops.reset_diagnostics()
         res = proxeval.prox(g, H, z)

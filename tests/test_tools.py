@@ -1,7 +1,7 @@
 """The counting rule of tools/code_lines.py, which the line counts of the
-library are reported with, smoke runs of tools/cone_timing.py and
-tools/reduced_timing.py, the bit-identity gate of tools/pass_digest.py
-and the pair summary of tools/bench_pairs.py."""
+library are reported with, a smoke run of tools/layer_timing.py, the
+bit-identity gate of tools/pass_digest.py and the pair summary of
+tools/bench_pairs.py."""
 
 import importlib.util
 import os
@@ -91,40 +91,52 @@ def test_code_with_a_trailing_comment_counts_once():
         """) == 3
 
 
-def test_cone_timing_times_every_primitive_on_every_shape():
-    """One call per timing: a header of the eight timed calls, then one
-    line per product with a positive time for each."""
-    out = subprocess.run([sys.executable, str(TOOLS / "cone_timing.py"),
+@pytest.fixture(scope="module")
+def layer_tables():
+    """The two tables of one tools/layer_timing.py run at one call per
+    timing, as lists of lines."""
+    out = subprocess.run([sys.executable, str(TOOLS / "layer_timing.py"),
                           "--number", "1", "--repeat", "1"],
                          capture_output=True, text=True, check=True).stdout
-    header, *rows = out.splitlines()
-    assert header.split()[3:] == ["nt_scaling", "block_apply", "block_solve",
-                                  "scaling_apply", "scaling_solve",
-                                  "jordan_product", "jordan_solve", "step"]
-    assert [row.split()[0] for row in rows] == [
-        "25xQ5", "100xQ5", "25xQ17", "1xQ4097", "64xQ3", "R^65536"]
-    for row in rows:
-        times = [float(t) for t in row.split()[1:]]
-        assert len(times) == 8 and min(times) > 0.0
+    return [table.splitlines() for table in out.strip().split("\n\n")]
 
 
-def test_reduced_timing_times_every_operator_call_on_every_path():
-    """One call per timing: a header of the four timed calls, then one
-    line per benchmark shape with the solve path it ran and a positive
+def _assert_positive_times(table, columns):
+    for row in table[1:]:
+        times = [float(t) for t in row.split()[2:]]
+        assert len(times) == columns and min(times) > 0.0
+
+
+def test_reduced_timing_times_every_operator_call_on_every_path(layer_tables):
+    """The reduced-operator table: a header of the four timed calls, then
+    one line per benchmark shape with the solve path it ran and a positive
     time for each call."""
-    out = subprocess.run([sys.executable, str(TOOLS / "reduced_timing.py"),
-                          "--number", "1", "--repeat", "1"],
-                         capture_output=True, text=True, check=True).stdout
-    header, *rows = out.splitlines()
-    assert header.split()[3:] == ["path", "factor", "prox", "solve", "apply_split"]
-    assert [row.split()[:2] for row in rows] == [
-        ["lsq_tv/199/r10", "graph_tridiag"], ["isotv/8x8/r5", "dense"],
-        ["son4x100/r5", "soc_blocks"], ["l2/4096/r5", "soc_blocks"],
+    reduced = layer_tables[0]
+    assert reduced[0].split()[3:] == ["path", "factor", "prox", "solve", "apply_split"]
+    assert [row.split()[:2] for row in reduced[1:]] == [
+        ["lsq_tv/199/r10", "graph_tridiag"], ["son4x25/r5", "soc_blocks"],
+        ["son4x100/r5", "soc_blocks"], ["son16x25/r5", "soc_blocks"],
+        ["l2/4096/r5", "soc_blocks"], ["isotv/8x8/r5", "dense"],
         ["l1/32768/r20", "l1_diag"], ["tv/32768/r20", "graph_tridiag"],
         ["ball/32768/r20", "ball_pivot"]]
-    for row in rows:
-        times = [float(t) for t in row.split()[2:]]
-        assert len(times) == 4 and min(times) > 0.0
+    _assert_positive_times(reduced, 4)
+
+
+def test_cone_timing_times_every_primitive_on_every_shape(layer_tables):
+    """The cone table: a header of the eight timed primitives, then one
+    line per benchmark shape with its cone product, every product of the
+    benchmark among them, and a positive time for each primitive."""
+    cone = layer_tables[1]
+    assert cone[0].split()[3:] == ["cone", "nt_scaling", "block_apply",
+                                   "block_solve", "scaling_apply", "scaling_solve",
+                                   "jordan_product", "jordan_solve", "step"]
+    assert [row.split()[:2] for row in cone[1:]] == [
+        ["lsq_tv/199/r10", "R^398"], ["son4x25/r5", "25xQ5"],
+        ["son4x100/r5", "100xQ5"], ["son16x25/r5", "25xQ17"],
+        ["l2/4096/r5", "1xQ4097"], ["isotv/8x8/r5", "64xQ3"],
+        ["l1/32768/r20", "R^65536"], ["tv/32768/r20", "R^65534"],
+        ["ball/32768/r20", "R^65536"]]
+    _assert_positive_times(cone, 8)
 
 
 @pytest.fixture
